@@ -7,6 +7,7 @@ from .core import (
     EmptyFamilyError,
     HypothesisViolationError,
     NoWalkError,
+    InvariantError,
     GroundSet,
     Family,
     ProfileSet,

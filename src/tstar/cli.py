@@ -7,13 +7,15 @@ core, so anything written here can be fed back in.  Counts are decimal
 strings in JSON output because they outgrow doubles quickly.
 
 Exit codes: 0 success / property holds, 1 property falsified, 2 bad
-input or violated hypothesis, 3 resource cap exceeded.
+input or violated hypothesis, 3 resource cap exceeded, 141 (128 +
+SIGPIPE) when the reader closes stdout before the output is written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -290,11 +292,15 @@ def cmd_verify(args) -> int:
         if args.space is None or args.i is None or args.j is None:
             raise InvalidParametersError("star-shift mode needs --space, --i and --j")
         space = read_family(args.space)
-        p = space.ground.p
-        if not (1 <= args.i <= p and 1 <= args.j <= p):
-            raise InvalidParametersError(f"--i and --j must be parts in 1..{p}")
-        holds = verify.check_star_preservation(fam, space, args.t,
-                                               args.i - 1, args.j - 1)
+        ground = space.ground
+        if ground.element_part(args.i) != ground.element_part(args.j):
+            raise InvalidParametersError("--i and --j must be elements of one part")
+        if not verify.star_preservation_hypothesis(space, args.t):
+            raise HypothesisViolationError(
+                "star_preservation_hypothesis fails: every part must exceed "
+                f"2(t+1) = {2 * (args.t + 1)} times the largest per-part "
+                "member footprint of the space")
+        holds = verify.check_star_preservation(fam, space, args.t, args.i, args.j)
     emit_report({"holds": holds, **extra}, args.format)
     return 0 if holds else 1
 
@@ -358,8 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override the enumeration size cap")
     common.add_argument("--search-cap", type=_positive_int, default=None,
                         help="override the search size cap")
-    common.add_argument("--workers", type=_positive_int, default=1,
-                        help="reserved; runs are sequential regardless")
 
     parser = argparse.ArgumentParser(
         prog="tstar",
@@ -417,8 +421,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="profile of the second family")
     v.add_argument("--space", metavar="FILE",
                    help="ambient family file (star modes)")
-    v.add_argument("--i", type=int, help="1-based target part")
-    v.add_argument("--j", type=int, help="1-based source part")
+    v.add_argument("--i", type=int, help="target element (1-based, star-shift)")
+    v.add_argument("--j", type=int,
+                   help="source element, in the part of --i (star-shift)")
     v.set_defaults(func=cmd_verify)
 
     kn = sub.add_parser("kneser", parents=[common],
@@ -449,7 +454,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early (`tstar ... | head`).  Point the
+        # descriptor at devnull so the interpreter's final flush of what
+        # is still buffered goes nowhere, and exit as SIGPIPE would.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (InvalidParametersError, HypothesisViolationError,
             EmptyFamilyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

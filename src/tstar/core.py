@@ -33,6 +33,7 @@ __all__ = [
     "EmptyFamilyError",
     "HypothesisViolationError",
     "NoWalkError",
+    "InvariantError",
     "DEFAULT_ENUMERATION_CAP",
     "DEFAULT_SEARCH_CAP",
     "enumeration_cap",
@@ -86,6 +87,11 @@ class HypothesisViolationError(Error):
 
 class NoWalkError(Error):
     """No walk exists between the requested vertices."""
+
+
+class InvariantError(Error):
+    """An internal consistency check failed: a defect in tstar, not in
+    the input."""
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +413,8 @@ def enumerate_block(ground: GroundSet, profile: tuple[int, ...],
         for piece in combo:
             m |= piece
         members.add(m)
-    assert len(members) == size
+    if len(members) != size:
+        raise InvariantError(f"block enumerated {len(members)} members, expected {size}")
     return Family(ground, frozenset(members))
 
 
@@ -428,7 +435,9 @@ def enumerate_profile_union(ground: GroundSet, profiles: ProfileSet,
     members: set[int] = set()
     for r in profiles.profiles:
         members.update(enumerate_block(ground, r, cap=limit).members)
-    assert len(members) == size
+    if len(members) != size:
+        raise InvariantError(
+            f"profile union enumerated {len(members)} members, expected {size}")
     return Family(ground, frozenset(members))
 
 
@@ -466,7 +475,9 @@ def enumerate_quota(ground: GroundSet, k: int, quotas: tuple[int, ...],
     members: set[int] = set()
     for r in profs:
         members.update(enumerate_block(ground, r, cap=limit).members)
-    assert len(members) == size
+    if len(members) != size:
+        raise InvariantError(
+            f"quota family enumerated {len(members)} members, expected {size}")
     return Family(ground, frozenset(members))
 
 
@@ -524,7 +535,7 @@ def format_family(fam: Family) -> str:
 
 def parse_family(text: str) -> Family:
     ground: GroundSet | None = None
-    masks: list[int] = []
+    first_line: dict[int, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -550,10 +561,14 @@ def parse_family(text: str) -> Family:
         if elems and (elems[0] < 1 or elems[-1] > ground.n):
             raise InvalidParametersError(
                 f"line {lineno}: element out of range [1, {ground.n}]")
-        masks.append(mask_of(elems))
+        mask = mask_of(elems)
+        if mask in first_line:
+            raise InvalidParametersError(
+                f"line {lineno}: duplicate of the member on line {first_line[mask]}")
+        first_line[mask] = lineno
     if ground is None:
         raise InvalidParametersError("missing 'ground:' header")
-    return Family(ground, frozenset(masks))
+    return Family(ground, frozenset(first_line))
 
 
 def write_family(fam: Family, path: str) -> None:

@@ -27,6 +27,7 @@ from .core import (
     GroundSet,
     InstanceTooLargeError,
     InvalidParametersError,
+    InvariantError,
     binom,
     block_size,
     enumerate_block,
@@ -314,7 +315,10 @@ def shifted_search(space: Family, t: int,
         raise InvalidParametersError("search space must be one full block")
     result = max_t_intersecting(space, t, cap=cap)
     shifted = full_shift_closure(result.witness)
-    assert len(shifted.members) == result.max_size
+    if len(shifted.members) != result.max_size:
+        raise InvariantError(
+            f"shift closure changed the witness size from {result.max_size} "
+            f"to {len(shifted.members)}")
     return SearchResult(result.max_size, shifted,
                         is_full_t_star(shifted, space, t),
                         result.nodes_explored, result.bound_used)
@@ -410,7 +414,9 @@ def check_quota_family(ground: GroundSet, k: int, quotas: tuple[int, ...],
     star_best = max(star_sizes)
     star_part = star_sizes.index(star_best)
     result = max_t_intersecting(space, 1, cap=cap)
-    assert result.max_size >= star_best
+    if result.max_size < star_best:
+        raise InvariantError(
+            f"solver maximum {result.max_size} is below the star size {star_best}")
 
     if result.max_size > star_best:
         verdict = "non-trivial"

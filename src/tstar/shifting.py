@@ -3,15 +3,24 @@
 The elementary move replaces element j by element i inside a member
 whenever j is present and i is absent; the family-level operator keeps a
 compressed image only when it does not collide with an existing member.
-Family size is always preserved.  Closures sweep the pairs i < j inside
-one part (or all parts round-robin), restarting after every productive
-application, until the family is a fixed point of every in-part move.
+Family size is always preserved.
+
+Closures sweep the in-part pairs i < j, lexicographic within a part and
+part after part, and keep going after a productive pair; they stop after a
+full sweep that moves nothing, so the result is a fixed point of every
+in-part move.  On every input tried, a productive (i, j) never made an
+earlier pair productive again, so the sweep reaches the same fixed point
+with the same step count as restarting after every productive pair would.
+That is observed, not proven; tests/test_shifting.py keeps the restart
+order as the reference.
 
 Each productive application strictly decreases the total element sum of
 the family, which bounds the number of steps.
 """
 
 from __future__ import annotations
+
+from itertools import combinations
 
 from .core import Family, GroundSet, InvalidParametersError
 
@@ -28,19 +37,46 @@ __all__ = [
 ]
 
 
-def compress_member(mask: int, i: int, j: int, n: int | None = None) -> int:
-    """Replace j by i in the mask when j is in and i is out; else identity."""
+def _pair_bits(i: int, j: int, n: int | None) -> tuple[int, int]:
     if i < 1 or j < 1:
         raise InvalidParametersError(f"elements are 1-based, got i={i}, j={j}")
     if i == j:
         raise InvalidParametersError("need two distinct elements")
     if n is not None and (i > n or j > n):
         raise InvalidParametersError(f"element out of range [1, {n}]")
-    bi = 1 << (i - 1)
-    bj = 1 << (j - 1)
+    return 1 << (i - 1), 1 << (j - 1)
+
+
+def compress_member(mask: int, i: int, j: int, n: int | None = None) -> int:
+    """Replace j by i in the mask when j is in and i is out; else identity."""
+    bi, bj = _pair_bits(i, j, n)
     if mask & bj and not mask & bi:
         return (mask ^ bj) | bi
     return mask
+
+
+def _movers(members, bi: int, bj: int):
+    """Members the (i, j) move replaces: j in, i out, image not yet present.
+
+    Every mover holds bit bj, so none is 0 and any() over them is a test
+    for a productive move.
+    """
+    return (m for m in members
+            if m & bj and not m & bi and ((m ^ bj) | bi) not in members)
+
+
+def _move(members: set[int], bi: int, bj: int) -> bool:
+    """Apply the (i, j) move in place; True when a member moved.
+
+    Distinct movers have distinct images, and no image is already a
+    member, so the size is preserved.
+    """
+    movers = list(_movers(members, bi, bj))
+    if not movers:
+        return False
+    members.difference_update(movers)
+    members.update([(m ^ bj) | bi for m in movers])
+    return True
 
 
 def compress_family(fam: Family, i: int, j: int) -> Family:
@@ -49,16 +85,10 @@ def compress_family(fam: Family, i: int, j: int) -> Family:
     A member whose compressed image already belongs to the family stays;
     every other member is replaced by its image.  |result| == |fam|.
     """
-    n = fam.ground.n
-    members = fam.members
-    out = set()
-    for m in members:
-        g = compress_member(m, i, j, n)
-        if g in members:
-            out.add(m)
-        else:
-            out.add(g)
-    return Family(fam.ground, frozenset(out))
+    bi, bj = _pair_bits(i, j, fam.ground.n)
+    members = set(fam.members)
+    _move(members, bi, bj)
+    return Family(fam.ground, frozenset(members))
 
 
 def family_weight(fam: Family) -> int:
@@ -77,57 +107,63 @@ def _iter_bits(mask: int):
         mask ^= low
 
 
-def _part_pairs(ground: GroundSet, part: int) -> list[tuple[int, int]]:
-    elems = list(ground.part_elements(part))
-    return [(elems[a], elems[b])
-            for a in range(len(elems)) for b in range(a + 1, len(elems))]
+def _part_pairs(ground: GroundSet, parts) -> list[tuple[int, int]]:
+    """Bits (1 << (i-1), 1 << (j-1)) of the moves i < j inside each part,
+    lexicographic within a part, parts in the given order."""
+    pairs = []
+    for part in parts:
+        pairs.extend(combinations([1 << (e - 1) for e in ground.part_elements(part)], 2))
+    return pairs
+
+
+def _closure(fams: list[Family], parts) -> tuple[list[Family], int]:
+    """Sweep the moves of the given parts over all families at once until
+    a full sweep moves nothing.
+
+    Every family sees the same sequence of moves, and a move that changes
+    nothing is the identity, so the families stay in lockstep.  Returns
+    the fixed points and the number of pairs that moved a member of some
+    family.
+    """
+    ground = fams[0].ground
+    pairs = _part_pairs(ground, range(ground.p) if parts is None else parts)
+    sets = [set(f.members) for f in fams]
+    steps = 0
+    while True:
+        productive = 0
+        for bi, bj in pairs:
+            # a list, not a generator: every family takes the move
+            if any([_move(s, bi, bj) for s in sets]):
+                productive += 1
+        if not productive:
+            return [Family(ground, frozenset(s)) for s in sets], steps
+        steps += productive
 
 
 def shift_closure(fam: Family, parts: tuple[int, ...] | None = None) -> tuple[Family, int]:
     """Close under the in-part moves for the given parts (default: all).
 
-    Sweeps pairs (i, j), i < j, in ascending element order part by part,
-    restarting from the first pair after any change.  Returns the fixed
-    point and the number of productive applications.
+    Returns the fixed point and the number of productive applications.
     """
-    ground = fam.ground
-    if parts is None:
-        parts = tuple(range(ground.p))
-    pairs = []
-    for l in parts:
-        pairs.extend(_part_pairs(ground, l))
-    steps = 0
-    changed = True
-    while changed:
-        changed = False
-        for i, j in pairs:
-            nxt = compress_family(fam, i, j)
-            if nxt != fam:
-                fam = nxt
-                steps += 1
-                changed = True
-                break
-    return fam, steps
+    (closed,), steps = _closure([fam], parts)
+    return closed, steps
 
 
 def l_shift_closure(fam: Family, part: int) -> Family:
     """Fixed point under the moves of one part."""
-    closed, _ = shift_closure(fam, (part,))
-    return closed
+    return shift_closure(fam, (part,))[0]
 
 
 def full_shift_closure(fam: Family) -> Family:
     """Fixed point under the moves of every part."""
-    closed, _ = shift_closure(fam)
-    return closed
+    return shift_closure(fam)[0]
 
 
 def is_l_shifted(fam: Family, part: int) -> bool:
     """True when every in-part move of the given part fixes the family."""
-    for i, j in _part_pairs(fam.ground, part):
-        if compress_family(fam, i, j) != fam:
-            return False
-    return True
+    members = fam.members
+    return not any(any(_movers(members, bi, bj))
+                   for bi, bj in _part_pairs(fam.ground, (part,)))
 
 
 def is_shifted(fam: Family) -> bool:
@@ -138,9 +174,8 @@ def is_shifted(fam: Family) -> bool:
 def simultaneous_closure(fams: list[Family]) -> list[Family]:
     """Apply every productive in-part move to all families in lockstep.
 
-    The same (i, j) move is applied to each family whenever it changes at
-    least one of them; the sweep restarts after every productive step and
-    stops when all families are simultaneously fixed.  Useful because the
+    The same (i, j) move is applied to each family; the closure stops
+    when all families are simultaneously fixed.  Useful because the
     lockstep moves preserve cross-intersection properties between the
     families.
     """
@@ -150,16 +185,4 @@ def simultaneous_closure(fams: list[Family]) -> list[Family]:
     for f in fams[1:]:
         if f.ground != ground:
             raise InvalidParametersError("families must share a ground set")
-    pairs = []
-    for l in range(ground.p):
-        pairs.extend(_part_pairs(ground, l))
-    changed = True
-    while changed:
-        changed = False
-        for i, j in pairs:
-            nxt = [compress_family(f, i, j) for f in fams]
-            if any(a != b for a, b in zip(nxt, fams)):
-                fams = nxt
-                changed = True
-                break
-    return fams
+    return _closure(fams, None)[0]

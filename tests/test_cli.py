@@ -1,11 +1,15 @@
 """End-to-end CLI tests: flag handling, JSON schemas, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from tstar.cli import main
-from tstar.core import Family, GroundSet, parse_family, read_family, write_family
+from tstar.core import (Family, GroundSet, enumerate_block, parse_family, read_family,
+                        write_family)
 from tstar.shifting import is_shifted
 from tstar.verify import is_t_intersecting
 
@@ -192,6 +196,74 @@ def test_verify_prefix_hypothesis_exit_2(tmp_path, capsys):
     code, _ = run(capsys, "verify", "prefix", str(a), str(b),
                   "--t", "1", "--r", "2", "--s", "2")
     assert code == 2
+
+
+def _star_shift_files(tmp_path, sizes, k, members):
+    g = GroundSet(sizes)
+    space = tmp_path / "space.fam"
+    fam = tmp_path / "fam.fam"
+    write_family(enumerate_block(g, k), str(space))
+    write_family(Family.from_iterables(g, members), str(fam))
+    return str(fam), str(space)
+
+
+def test_verify_star_shift(tmp_path, capsys):
+    # ground 9, k=2, t=1: 9 > 2(t+1)*2, so the hypothesis holds
+    star = [[1, x] for x in range(2, 10)]
+    fam, space = _star_shift_files(tmp_path, (9,), (2,), star)
+    code, data = run_json(capsys, "verify", "star-shift", fam, "--space", space,
+                          "--t", "1", "--i", "1", "--j", "2")
+    assert code == 0 and data["holds"] is True
+    # {2,9} compresses to {1,9}, so the image is the star at 1, but the
+    # family itself is no full star
+    mixed = [[1, x] for x in range(2, 9)] + [[2, 9]]
+    fam, space = _star_shift_files(tmp_path, (9,), (2,), mixed)
+    code, data = run_json(capsys, "verify", "star-shift", fam, "--space", space,
+                          "--t", "1", "--i", "1", "--j", "2")
+    assert code == 1 and data["holds"] is False
+
+
+def test_verify_star_shift_refusals(tmp_path, capsys):
+    star = [[1, x] + [6, 7] for x in range(2, 6)]
+    fam, space = _star_shift_files(tmp_path, (5, 5), (2, 2), star)
+    base = ["verify", "star-shift", fam, "--space", space, "--t", "1"]
+    # 5 is not above 2(t+1)*2: the hypothesis fails
+    assert main(base + ["--i", "1", "--j", "2"]) == 2
+    assert "star_preservation_hypothesis fails" in capsys.readouterr().err
+    # elements of two parts, and elements outside the ground set
+    for i, j in (("1", "6"), ("0", "2"), ("1", "11")):
+        assert main(base + ["--i", i, "--j", j]) == 2
+        assert "star_preservation_hypothesis" not in capsys.readouterr().err
+
+
+def _tstar(*argv, stdout):
+    # unbuffered, so each line reaches the pipe as it is printed
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), PYTHONUNBUFFERED="1")
+    return subprocess.Popen([sys.executable, "-m", "tstar.cli", *argv],
+                            stdout=stdout, stderr=subprocess.PIPE, env=env)
+
+
+def test_stdout_closed_after_first_byte_is_quiet():
+    # criterion 1's line is out before criterion 7 runs (about 0.4 s),
+    # so the reader is gone when the second line is written
+    proc = _tstar("repro", "--only", "1", "--only", "7", stdout=subprocess.PIPE)
+    assert proc.stdout.read(1) == b"c"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=120) == 141
+    assert err == ""
+
+
+def test_stdout_closed_before_output_is_quiet():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _tstar("bound", "--n", "8,10", "--k", "4,4", "--t", "2", stdout=write_end)
+    finally:
+        os.close(write_end)
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 141
+    assert err == ""
 
 
 def test_kneser_cli(capsys):

@@ -5,11 +5,13 @@ from itertools import combinations
 
 import pytest
 
+from tstar import core
 from tstar.core import (
     Family,
     GroundSet,
     InstanceTooLargeError,
     InvalidParametersError,
+    InvariantError,
     ProfileSet,
     binom,
     block_size,
@@ -311,8 +313,41 @@ def test_parse_rejects_bad_input():
         parse_family("ground: 3\n1,x\n")
 
 
+def test_parse_rejects_duplicate_member():
+    with pytest.raises(InvalidParametersError,
+                       match="line 5: duplicate of the member on line 2"):
+        parse_family("ground: 3\n1,2\n# comment\n2,3\n1,2\n")
+
+
 def test_empty_member_not_writable():
     g = GroundSet((3,))
     fam = Family(g, frozenset({0}))
     with pytest.raises(InvalidParametersError):
         format_family(fam)
+
+
+# ---------------------------------------------------------------------------
+# enumeration invariants hold under python -O too
+
+def test_enumerate_block_checks_its_count(monkeypatch):
+    monkeypatch.setattr(core, "block_size", lambda ground, profile: 7)
+    with pytest.raises(InvariantError, match="block enumerated 6 members"):
+        enumerate_block(GroundSet((4,)), (2,))
+
+
+def test_enumerate_profile_union_checks_its_count(monkeypatch):
+    monkeypatch.setattr(core, "union_size", lambda ground, profiles: 7)
+    with pytest.raises(InvariantError, match="profile union enumerated 6 members"):
+        enumerate_profile_union(GroundSet((4,)), ProfileSet(((2,),)))
+
+
+def test_enumerate_quota_checks_its_count(monkeypatch):
+    real = core.enumerate_block
+
+    def short_block(ground, profile, cap=None):
+        members = sorted(real(ground, profile, cap=cap).members)
+        return Family(ground, frozenset(members[1:]))
+
+    monkeypatch.setattr(core, "enumerate_block", short_block)
+    with pytest.raises(InvariantError, match="quota family enumerated"):
+        enumerate_quota(GroundSet((3, 3)), 3, (1, 1))

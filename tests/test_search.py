@@ -4,8 +4,9 @@ import random
 
 import pytest
 
+from tstar import search
 from tstar.core import (Family, GroundSet, InstanceTooLargeError,
-                        InvalidParametersError, block_size, enumerate_block,
+                        InvalidParametersError, InvariantError, block_size, enumerate_block,
                         enumerate_quota, trivial_star)
 from tstar.search import (brute_force_max, check_block_maximum,
                           check_quota_family, max_t_intersecting,
@@ -216,3 +217,19 @@ def test_quota_star_counts_match_enumeration():
         for part in range(p):
             e = g.part_elements(part)[0]
             assert counted[part] == len(trivial_star(space, 1 << (e - 1)).members)
+
+
+def test_shifted_search_checks_the_closure_size(monkeypatch):
+    def lossy_closure(fam):
+        return Family(fam.ground, frozenset(sorted(fam.members)[1:]))
+
+    monkeypatch.setattr(search, "full_shift_closure", lossy_closure)
+    with pytest.raises(InvariantError, match="changed the witness size"):
+        shifted_search(enumerate_block(GroundSet((5,)), (2,)), 1)
+
+
+def test_check_quota_family_checks_the_star_bound(monkeypatch):
+    monkeypatch.setattr(search, "_quota_star_sizes",
+                        lambda ground, k, quotas: [10 ** 6] * ground.p)
+    with pytest.raises(InvariantError, match="below the star size"):
+        check_quota_family(GroundSet((4, 4)), 4, (1, 1))

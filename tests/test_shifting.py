@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -169,3 +170,67 @@ def test_simultaneous_closure_lockstep():
     assert len(ca) == len(a) and len(cb) == len(b)
     with pytest.raises(InvalidParametersError):
         simultaneous_closure([a, Family(GroundSet((4,)), frozenset())])
+
+
+# ---------------------------------------------------------------------------
+# the restart order as a reference for the sweeping closures
+
+def _compress_family_ref(fam, i, j):
+    """The (i, j) move member by member through compress_member."""
+    out = set()
+    for m in fam.members:
+        g = compress_member(m, i, j, fam.ground.n)
+        out.add(m if g in fam.members else g)
+    return Family(fam.ground, frozenset(out))
+
+
+def _restart_closure(fams, parts=None):
+    """Close the families in lockstep, starting again from the first pair
+    after every productive (i, j); returns the fixed points and the number
+    of productive pairs."""
+    ground = fams[0].ground
+    pairs = [(i, j) for l in (range(ground.p) if parts is None else parts)
+             for i, j in combinations(ground.part_elements(l), 2)]
+    steps = 0
+    changed = True
+    while changed:
+        changed = False
+        for i, j in pairs:
+            nxt = [_compress_family_ref(f, i, j) for f in fams]
+            if nxt != fams:
+                fams = nxt
+                steps += 1
+                changed = True
+                break
+    return fams, steps
+
+
+def _random_families(rng, ground, count):
+    """Families of up to 12 members, drawn from one block or from all
+    subsets of the ground set."""
+    fams = []
+    for _ in range(count):
+        if rng.random() < 0.5:
+            profile = tuple(rng.randint(0, s) for s in ground.sizes)
+            pool = sorted(enumerate_block(ground, profile).members)
+        else:
+            pool = range(ground.full_mask + 1)
+        size = rng.randint(0, min(12, len(pool)))
+        fams.append(Family(ground, frozenset(rng.sample(pool, size))))
+    return fams
+
+
+def test_sweep_matches_restart_order():
+    rng = random.Random(2024)
+    for _ in range(2000):
+        ground = GroundSet(tuple(rng.randint(1, 6) for _ in range(rng.randint(1, 3))))
+        fams = _random_families(rng, ground, rng.randint(2, 3))
+        (ref,), ref_steps = _restart_closure(fams[:1])
+        assert shift_closure(fams[0]) == (ref, ref_steps)
+        parts = tuple(sorted(rng.sample(range(ground.p), rng.randint(1, ground.p))))
+        (ref,), ref_steps = _restart_closure(fams[:1], parts)
+        assert shift_closure(fams[0], parts) == (ref, ref_steps)
+        assert simultaneous_closure(fams) == _restart_closure(fams)[0]
+        if ground.n > 1:
+            i, j = rng.sample(range(1, ground.n + 1), 2)
+            assert compress_family(fams[1], i, j) == _compress_family_ref(fams[1], i, j)
