@@ -49,6 +49,7 @@ __all__ = [
     "star_density_chain_form",
     "exchange_optimal",
     "ratio_bound",
+    "union_star_sizes",
     "max_union_star_size",
     "prefix_core",
     "min_core_overlap",
@@ -281,15 +282,31 @@ def ratio_bound(ground: GroundSet, k: tuple[int, ...]) -> RatioBound:
 # ---------------------------------------------------------------------------
 # union-space star bound
 
+def union_star_sizes(ground: GroundSet, profiles: tuple[tuple[int, ...], ...],
+                     dists: list[tuple[int, ...]]) -> list[int]:
+    """Full-star size in the union of the blocks of `profiles` (which may
+    have zero entries) for each distribution in `dists`: the sum over
+    profiles r of prod_i C(n_i - t_i, r_i - t_i), zero where r_i < t_i."""
+    out = []
+    for dist in dists:
+        v = 0
+        for r in profiles:
+            term = 1
+            for n_i, r_i, t_i in zip(ground.sizes, r, dist):
+                term *= math.comb(n_i - t_i, r_i - t_i) if r_i >= t_i else 0
+            v += term
+        out.append(v)
+    return out
+
+
 def max_union_star_size(t: int, ground: GroundSet, profiles: ProfileSet,
                         strict: bool = True) -> BoundReport:
     """Largest full-star size over the profile-union space.
 
     Scans every t-distribution (there is no greedy shortcut for unions)
-    and sums, per distribution, the per-profile star counts; binomials
-    with r_i < t_i contribute zero.  t <= c (the smallest profile entry)
-    is the intended regime; pass strict=False to compute outside it,
-    with the flag recorded.
+    and counts each one with union_star_sizes.  t <= c (the smallest
+    profile entry) is the intended regime; pass strict=False to compute
+    outside it, with the flag recorded.
     """
     profiles.check_against(ground)
     if t < 0:
@@ -299,21 +316,12 @@ def max_union_star_size(t: int, ground: GroundSet, profiles: ProfileSet,
         raise InvalidParametersError(
             f"t={t} exceeds the smallest profile entry c={profiles.c}; "
             f"pass strict=False to compute anyway")
-    best = -1
-    arg: set[tuple[int, ...]] = set()
     limits = tuple(min(t, n_i) for n_i in ground.sizes)
-    for dist in bounded_compositions(t, (0,) * ground.p, limits):
-        v = 0
-        for r in profiles.profiles:
-            v += math.prod(binom(n_i - t_i, r_i - t_i)
-                           for n_i, r_i, t_i in zip(ground.sizes, r, dist))
-        if v > best:
-            best = v
-            arg = {dist}
-        elif v == best:
-            arg.add(dist)
-    return BoundReport(best, frozenset(arg),
-                       hypothesis_flags(t, ground, profiles=profiles))
+    dists = list(bounded_compositions(t, (0,) * ground.p, limits))
+    values = union_star_sizes(ground, profiles.profiles, dists)
+    best = max(values, default=-1)
+    arg = frozenset(d for d, v in zip(dists, values) if v == best)
+    return BoundReport(best, arg, hypothesis_flags(t, ground, profiles=profiles))
 
 
 # ---------------------------------------------------------------------------

@@ -133,8 +133,6 @@ def _center_elements(mask: int | None) -> list[int] | None:
 
 def cmd_bound(args) -> int:
     ground = GroundSet(args.n)
-    if args.profiles is not None and args.k is not None:
-        raise InvalidParametersError("--k and --profiles are mutually exclusive")
     if args.profiles is not None:
         if args.t is None:
             raise InvalidParametersError("--profiles needs --t")
@@ -146,8 +144,6 @@ def cmd_bound(args) -> int:
             "hypotheses": report.hypothesis_flags,
         }, args.format)
         return 0
-    if args.k is None:
-        raise InvalidParametersError("need --k (or --profiles)")
     if args.ratio:
         if args.t not in (None, 1):
             raise InvalidParametersError("the ratio bound is about t=1 only")
@@ -179,8 +175,6 @@ def _write_witness(witness: Family, path: str | None) -> str | None:
 
 def cmd_search(args) -> int:
     ground = GroundSet(args.n)
-    if args.quota is not None and args.shifted:
-        raise InvalidParametersError("--quota and --shifted are mutually exclusive")
     if args.quota is not None:
         if len(args.k) != 1:
             raise InvalidParametersError("quota mode takes a single --k value")
@@ -202,7 +196,7 @@ def cmd_search(args) -> int:
     if args.t is None:
         raise InvalidParametersError("need --t")
     if args.shifted:
-        space = enumerate_block(ground, args.k, cap=args.enum_cap)
+        space = search.block_space(ground, args.k, cap=args.search_cap)
         result = search.shifted_search(space, args.t, cap=args.search_cap)
         emit_report({
             "max_size": _count(result.max_size),
@@ -316,11 +310,8 @@ def cmd_kneser(args) -> int:
 
 def cmd_enumerate(args) -> int:
     ground = GroundSet(args.n)
-    chosen = [x for x in (args.k, args.profiles) if x is not None]
     if args.quota is not None and (args.k is None or len(args.k) != 1):
         raise InvalidParametersError("quota mode takes a single --k value")
-    if len(chosen) != 1:
-        raise InvalidParametersError("need exactly one of --k or --profiles")
     if args.quota is not None:
         fam = enumerate_quota(ground, args.k[0], args.quota, cap=args.enum_cap)
     elif args.k is not None:
@@ -360,10 +351,12 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "table"), default="json",
                         help="report format (default json)")
-    common.add_argument("--enum-cap", type=_positive_int, default=None,
-                        help="override the enumeration size cap")
-    common.add_argument("--search-cap", type=_positive_int, default=None,
-                        help="override the search size cap")
+    enum_cap = argparse.ArgumentParser(add_help=False)
+    enum_cap.add_argument("--enum-cap", type=_positive_int, default=None,
+                          help="override the enumeration size cap")
+    search_cap = argparse.ArgumentParser(add_help=False)
+    search_cap.add_argument("--search-cap", type=_positive_int, default=None,
+                            help="override the search size cap")
 
     parser = argparse.ArgumentParser(
         prog="tstar",
@@ -374,23 +367,25 @@ def build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("bound", parents=[common],
                        help="star bounds for blocks and profile unions")
     b.add_argument("--n", type=_int_vector, required=True)
-    b.add_argument("--k", type=_int_vector)
+    space = b.add_mutually_exclusive_group(required=True)
+    space.add_argument("--k", type=_int_vector)
+    space.add_argument("--profiles", type=_profile_list)
     b.add_argument("--t", type=int)
-    b.add_argument("--profiles", type=_profile_list)
     b.add_argument("--ratio", action="store_true",
                    help="density bound for intersecting subfamilies")
     b.set_defaults(func=cmd_bound)
 
-    s = sub.add_parser("search", parents=[common],
+    s = sub.add_parser("search", parents=[common, search_cap],
                        help="exact maximum t-intersecting subfamily")
     s.add_argument("--n", type=_int_vector, required=True)
     s.add_argument("--k", type=_int_vector, required=True)
     s.add_argument("--t", type=int)
-    s.add_argument("--shifted", action="store_true",
-                   help="return a shifted witness")
-    s.add_argument("--quota", type=_int_vector,
-                   help="per-part minimum quotas; switches to the t=1 "
-                        "quota-family check")
+    mode = s.add_mutually_exclusive_group()
+    mode.add_argument("--shifted", action="store_true",
+                      help="return a shifted witness")
+    mode.add_argument("--quota", type=_int_vector,
+                      help="per-part minimum quotas; switches to the t=1 "
+                           "quota-family check")
     s.add_argument("--witness-out", metavar="FILE",
                    help="write the witness family here")
     s.set_defaults(func=cmd_search)
@@ -426,17 +421,18 @@ def build_parser() -> argparse.ArgumentParser:
                    help="source element, in the part of --i (star-shift)")
     v.set_defaults(func=cmd_verify)
 
-    kn = sub.add_parser("kneser", parents=[common],
+    kn = sub.add_parser("kneser", parents=[common, enum_cap],
                         help="connectivity of a product of Kneser graphs")
     kn.add_argument("--params", type=_kneser_pairs, required=True,
                     help="factors as 'g:h' pairs, e.g. '5:2,7:3'")
     kn.set_defaults(func=cmd_kneser)
 
-    e = sub.add_parser("enumerate", parents=[common],
+    e = sub.add_parser("enumerate", parents=[common, enum_cap],
                        help="write out a block, union or quota family")
     e.add_argument("--n", type=_int_vector, required=True)
-    e.add_argument("--k", type=_int_vector)
-    e.add_argument("--profiles", type=_profile_list)
+    space = e.add_mutually_exclusive_group(required=True)
+    space.add_argument("--k", type=_int_vector)
+    space.add_argument("--profiles", type=_profile_list)
     e.add_argument("--quota", type=_int_vector)
     e.add_argument("--out", metavar="FILE")
     e.set_defaults(func=cmd_enumerate)

@@ -100,39 +100,31 @@ class InvariantError(Error):
 DEFAULT_ENUMERATION_CAP = 10_000_000
 DEFAULT_SEARCH_CAP = 50_000
 
-_ENUM_ENV = "TSTAR_ENUM_CAP"
-_SEARCH_ENV = "TSTAR_SEARCH_CAP"
-
-
-def _cap_from_env(name: str, fallback: int) -> int:
-    raw = os.environ.get(name)
+def _resolve_cap(cap: int | None, env: str, default: int) -> int:
+    if cap is not None:
+        if cap < 1:
+            raise InvalidParametersError(f"cap must be positive, got {cap}")
+        return cap
+    raw = os.environ.get(env)
     if raw is None:
-        return fallback
+        return default
     try:
         value = int(raw)
     except ValueError:
-        raise InvalidParametersError(f"{name} must be an integer, got {raw!r}")
+        raise InvalidParametersError(f"{env} must be an integer, got {raw!r}")
     if value < 1:
-        raise InvalidParametersError(f"{name} must be positive, got {value}")
+        raise InvalidParametersError(f"{env} must be positive, got {value}")
     return value
 
 
 def enumeration_cap(cap: int | None = None) -> int:
     """Resolve an enumeration cap: explicit value, else env, else default."""
-    if cap is not None:
-        if cap < 1:
-            raise InvalidParametersError(f"cap must be positive, got {cap}")
-        return cap
-    return _cap_from_env(_ENUM_ENV, DEFAULT_ENUMERATION_CAP)
+    return _resolve_cap(cap, "TSTAR_ENUM_CAP", DEFAULT_ENUMERATION_CAP)
 
 
 def search_cap(cap: int | None = None) -> int:
     """Resolve a search vertex cap: explicit value, else env, else default."""
-    if cap is not None:
-        if cap < 1:
-            raise InvalidParametersError(f"cap must be positive, got {cap}")
-        return cap
-    return _cap_from_env(_SEARCH_ENV, DEFAULT_SEARCH_CAP)
+    return _resolve_cap(cap, "TSTAR_SEARCH_CAP", DEFAULT_SEARCH_CAP)
 
 
 # ---------------------------------------------------------------------------
@@ -418,27 +410,39 @@ def enumerate_block(ground: GroundSet, profile: tuple[int, ...],
     return Family(ground, frozenset(members))
 
 
+def _blocks_size(ground: GroundSet, profiles: Iterable[tuple[int, ...]]) -> int:
+    # the blocks of distinct profiles are pairwise disjoint
+    return sum(block_size(ground, r) for r in profiles)
+
+
+def _enumerate_blocks(ground: GroundSet, profiles: tuple[tuple[int, ...], ...],
+                      what: str, cap: int | None = None) -> Family:
+    """Union of the blocks of distinct profiles (zero entries allowed), named
+    `what` in errors and refused before any enumeration above the cap."""
+    size = _blocks_size(ground, profiles)
+    limit = enumeration_cap(cap)
+    if size > limit:
+        raise InstanceTooLargeError(f"{what} has {size} members, cap is {limit}")
+    members: set[int] = set()
+    for r in profiles:
+        members.update(enumerate_block(ground, r, cap=limit).members)
+    if len(members) != size:
+        raise InvariantError(
+            f"{what} enumerated {len(members)} members, expected {size}")
+    return Family(ground, frozenset(members))
+
+
 def union_size(ground: GroundSet, profiles: ProfileSet) -> int:
-    """Size of the profile-union family (blocks are pairwise disjoint)."""
+    """Size of the profile-union family."""
     profiles.check_against(ground)
-    return sum(block_size(ground, r) for r in profiles.profiles)
+    return _blocks_size(ground, profiles.profiles)
 
 
 def enumerate_profile_union(ground: GroundSet, profiles: ProfileSet,
                             cap: int | None = None) -> Family:
     """Union of the blocks of every profile in the set."""
-    size = union_size(ground, profiles)
-    limit = enumeration_cap(cap)
-    if size > limit:
-        raise InstanceTooLargeError(
-            f"profile union has {size} members, cap is {limit}")
-    members: set[int] = set()
-    for r in profiles.profiles:
-        members.update(enumerate_block(ground, r, cap=limit).members)
-    if len(members) != size:
-        raise InvariantError(
-            f"profile union enumerated {len(members)} members, expected {size}")
-    return Family(ground, frozenset(members))
+    profiles.check_against(ground)
+    return _enumerate_blocks(ground, profiles.profiles, "profile union", cap)
 
 
 def quota_profiles(ground: GroundSet, k: int,
@@ -460,25 +464,14 @@ def quota_profiles(ground: GroundSet, k: int,
 
 
 def quota_size(ground: GroundSet, k: int, quotas: tuple[int, ...]) -> int:
-    return sum(block_size(ground, r) for r in quota_profiles(ground, k, quotas))
+    return _blocks_size(ground, quota_profiles(ground, k, quotas))
 
 
 def enumerate_quota(ground: GroundSet, k: int, quotas: tuple[int, ...],
                     cap: int | None = None) -> Family:
     """All k-subsets of the ground set meeting every part's quota."""
-    profs = quota_profiles(ground, k, quotas)
-    size = sum(block_size(ground, r) for r in profs)
-    limit = enumeration_cap(cap)
-    if size > limit:
-        raise InstanceTooLargeError(
-            f"quota family has {size} members, cap is {limit}")
-    members: set[int] = set()
-    for r in profs:
-        members.update(enumerate_block(ground, r, cap=limit).members)
-    if len(members) != size:
-        raise InvariantError(
-            f"quota family enumerated {len(members)} members, expected {size}")
-    return Family(ground, frozenset(members))
+    return _enumerate_blocks(ground, quota_profiles(ground, k, quotas),
+                             "quota family", cap)
 
 
 # ---------------------------------------------------------------------------

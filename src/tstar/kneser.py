@@ -69,9 +69,14 @@ class KneserParams:
         return prod(comb(g, h) for g, h in self.pairs)
 
 
-def _coordinate_masks(g: int, h: int) -> list[int]:
+def _coordinates(params: KneserParams, cap: int | None) -> list[list[int]]:
+    limit = enumeration_cap(cap)
+    if params.vertex_count > limit:
+        raise InstanceTooLargeError(
+            f"product has {params.vertex_count} vertices, cap is {limit}")
     # numeric sort of bitmasks == colex order on the subsets
-    return sorted(mask_of(c) for c in combinations(range(1, g + 1), h))
+    return [sorted(mask_of(c) for c in combinations(range(1, g + 1), h))
+            for g, h in params.pairs]
 
 
 def vertices(params: KneserParams, cap: int | None = None) -> list[Vertex]:
@@ -79,12 +84,7 @@ def vertices(params: KneserParams, cap: int | None = None) -> list[Vertex]:
     fastest."""
     from itertools import product
 
-    limit = enumeration_cap(cap)
-    if params.vertex_count > limit:
-        raise InstanceTooLargeError(
-            f"product has {params.vertex_count} vertices, cap is {limit}")
-    coords = [_coordinate_masks(g, h) for g, h in params.pairs]
-    return [tuple(v) for v in product(*coords)]
+    return [tuple(v) for v in product(*_coordinates(params, cap))]
 
 
 def _check_vertex(u: Vertex, params: KneserParams) -> None:
@@ -114,22 +114,29 @@ def _neighbors(u: Vertex, coords: list[list[int]]) -> list[Vertex]:
     return [tuple(v) for v in product(*per)]
 
 
-def is_connected(params: KneserParams, cap: int | None = None) -> bool:
-    """Breadth-first reachability over the whole product."""
-    verts = vertices(params, cap)
-    coords = [_coordinate_masks(g, h) for g, h in params.pairs]
-    start = verts[0]
-    seen = {start}
+def _bfs(coords: list[list[int]], start: Vertex,
+         target: Vertex | None = None) -> dict[Vertex, Vertex]:
+    """Breadth-first parent links from start (its own parent) up to target."""
+    parents = {start: start}
     frontier = [start]
     while frontier:
         nxt = []
-        for u in frontier:
-            for v in _neighbors(u, coords):
-                if v not in seen:
-                    seen.add(v)
-                    nxt.append(v)
+        for x in frontier:
+            for y in _neighbors(x, coords):
+                if y not in parents:
+                    parents[y] = x
+                    if y == target:
+                        return parents
+                    nxt.append(y)
         frontier = nxt
-    return len(seen) == len(verts)
+    return parents
+
+
+def is_connected(params: KneserParams, cap: int | None = None) -> bool:
+    """Breadth-first reachability from the vertex of lowest masks."""
+    coords = _coordinates(params, cap)
+    start = tuple(coord[0] for coord in coords)
+    return len(_bfs(coords, start)) == params.vertex_count
 
 
 def is_connected_union_find(params: KneserParams, cap: int | None = None) -> bool:
@@ -163,25 +170,10 @@ def find_walk(params: KneserParams, u: Vertex, v: Vertex,
     _check_vertex(v, params)
     if u == v:
         return [u]
-    limit = enumeration_cap(cap)
-    if params.vertex_count > limit:
-        raise InstanceTooLargeError(
-            f"product has {params.vertex_count} vertices, cap is {limit}")
-    coords = [_coordinate_masks(g, h) for g, h in params.pairs]
-    parents: dict[Vertex, Vertex] = {u: u}
-    frontier = [u]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for y in _neighbors(x, coords):
-                if y not in parents:
-                    parents[y] = x
-                    if y == v:
-                        path = [y]
-                        while path[-1] != u:
-                            path.append(parents[path[-1]])
-                        path.reverse()
-                        return path
-                    nxt.append(y)
-        frontier = nxt
-    raise NoWalkError(f"no walk between {u} and {v}")
+    parents = _bfs(_coordinates(params, cap), u, v)
+    if v not in parents:
+        raise NoWalkError(f"no walk between {u} and {v}")
+    path = [v]
+    while path[-1] != u:
+        path.append(parents[path[-1]])
+    return path[::-1]

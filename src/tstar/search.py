@@ -18,22 +18,20 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from typing import Iterator
 
-import networkx as nx
-
-from .bounds import exchange_optimal, hypothesis_flags, max_star_size
+from .bounds import exchange_optimal, hypothesis_flags, max_star_size, union_star_sizes
 from .core import (
     Family,
     GroundSet,
     InstanceTooLargeError,
     InvalidParametersError,
     InvariantError,
-    binom,
+    _blocks_size,
+    _enumerate_blocks,
     block_size,
     enumerate_block,
-    enumerate_quota,
     quota_profiles,
-    quota_size,
     search_cap,
 )
 from .shifting import full_shift_closure
@@ -224,6 +222,13 @@ def max_t_intersecting(space: Family, t: int,
 # ---------------------------------------------------------------------------
 # independent oracle
 
+def _bits(mask: int) -> Iterator[int]:
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def brute_force_max(space: Family, t: int, mode: str = "auto",
                     subset_limit: int = DEFAULT_SUBSET_LIMIT,
                     clique_limit: int = DEFAULT_CLIQUE_LIMIT) -> SearchResult:
@@ -231,8 +236,9 @@ def brute_force_max(space: Family, t: int, mode: str = "auto",
 
     mode "subsets" explores the full include/exclude tree over the
     members (feasible up to about 24 of them); mode "cliques" enumerates
-    the maximal cliques of the intersection graph through networkx
-    (up to about 60); "auto" picks whichever applies.
+    the maximal cliques of the intersection graph (up to about 60),
+    counting them, and keeps the largest, ties going to the smallest
+    sorted tuple; "auto" picks whichever applies.
     """
     if t < 0:
         raise InvalidParametersError(f"t must be >= 0, got {t}")
@@ -279,22 +285,38 @@ def brute_force_max(space: Family, t: int, mode: str = "auto",
         if n > clique_limit:
             raise InstanceTooLargeError(
                 f"{n} members exceed the clique-mode limit {clique_limit}")
-        graph = nx.Graph()
-        graph.add_nodes_from(verts)
+        # Bron-Kerbosch, Tomita pivot, explicit stack of bitsets over indices
+        # into the ascending verts: (clique r, candidates p, excluded x)
+        adj = [0] * n
         for i in range(n):
             for j in range(i + 1, n):
                 if (verts[i] & verts[j]).bit_count() >= t:
-                    graph.add_edge(verts[i], verts[j])
-        best_members: tuple[int, ...] = ()
+                    adj[i] |= 1 << j
+                    adj[j] |= 1 << i
+        best_clique: tuple[int, ...] = ()
         seen = 0
-        for clique in nx.find_cliques(graph):
-            seen += 1
-            cand = tuple(sorted(clique))
-            if len(cand) > len(best_members) or (
-                    len(cand) == len(best_members) and cand < best_members):
-                best_members = cand
-        witness = Family(space.ground, frozenset(best_members))
-        return SearchResult(len(best_members), witness,
+        stack = [(0, (1 << n) - 1, 0)] if n else []   # no clique in an empty graph
+        while stack:
+            r, p, x = stack.pop()
+            if not p:
+                if not x:   # r is a maximal clique
+                    seen += 1
+                    if r.bit_count() >= len(best_clique):
+                        cand = tuple(_bits(r))
+                        if len(cand) > len(best_clique) or cand < best_clique:
+                            best_clique = cand
+                continue
+            u = most = -1
+            for v in _bits(p | x):
+                c = (p & adj[v]).bit_count()
+                if c > most:
+                    u, most = v, c
+            for v in _bits(p & ~adj[u]):
+                stack.append((r | 1 << v, p & adj[v], x & adj[v]))
+                p ^= 1 << v
+                x |= 1 << v
+        witness = Family(space.ground, frozenset(verts[i] for i in best_clique))
+        return SearchResult(len(best_clique), witness,
                             is_full_t_star(witness, space, t), seen, 0)
     raise InvalidParametersError(f"unknown mode {mode!r}")
 
@@ -327,6 +349,19 @@ def shifted_search(space: Family, t: int,
 # ---------------------------------------------------------------------------
 # report builders on top of the solver
 
+def _check_search_size(size: int, what: str, cap: int | None) -> None:
+    limit = search_cap(cap)
+    if size > limit:
+        raise InstanceTooLargeError(f"{what} has {size} members, search cap is {limit}")
+
+
+def block_space(ground: GroundSet, k: tuple[int, ...],
+                cap: int | None = None) -> Family:
+    """The block of profile k, refused before enumeration above the search cap."""
+    _check_search_size(block_size(ground, k), "block", cap)
+    return enumerate_block(ground, k)
+
+
 def check_block_maximum(ground: GroundSet, k: tuple[int, ...], t: int,
                         cap: int | None = None) -> dict:
     """Exact maximum for one block versus the best trivial t-star.
@@ -338,12 +373,7 @@ def check_block_maximum(ground: GroundSet, k: tuple[int, ...], t: int,
     general product hypothesis.
     """
     k = tuple(k)
-    size = block_size(ground, k)
-    limit = search_cap(cap)
-    if size > limit:
-        raise InstanceTooLargeError(
-            f"block has {size} members, search cap is {limit}")
-    space = enumerate_block(ground, k)
+    space = block_space(ground, k, cap)
     star_bound = max_star_size(t, ground, k)
     result = max_t_intersecting(space, t, cap=cap)
     flags = hypothesis_flags(t, ground, k=k)
@@ -373,25 +403,6 @@ def check_block_maximum(ground: GroundSet, k: tuple[int, ...], t: int,
     return report
 
 
-def _quota_star_sizes(ground: GroundSet, k: int,
-                      quotas: tuple[int, ...]) -> list[int]:
-    """Exact size of the single-element star per part: members of the
-    quota family through one fixed element of that part."""
-    sizes = []
-    for i in range(ground.p):
-        total = 0
-        for r in quota_profiles(ground, k, quotas):
-            if r[i] < 1:
-                continue
-            count = binom(ground.sizes[i] - 1, r[i] - 1)
-            for j, r_j in enumerate(r):
-                if j != i:
-                    count *= binom(ground.sizes[j], r_j)
-            total += count
-        sizes.append(total)
-    return sizes
-
-
 def check_quota_family(ground: GroundSet, k: int, quotas: tuple[int, ...],
                        cap: int | None = None) -> dict:
     """Exact maximum intersecting subfamily of a quota family versus its
@@ -404,13 +415,11 @@ def check_quota_family(ground: GroundSet, k: int, quotas: tuple[int, ...],
     "tie" when a non-star family merely matches the best star size.
     """
     quotas = tuple(quotas)
-    size = quota_size(ground, k, quotas)
-    limit = search_cap(cap)
-    if size > limit:
-        raise InstanceTooLargeError(
-            f"quota family has {size} members, search cap is {limit}")
-    space = enumerate_quota(ground, k, quotas)
-    star_sizes = _quota_star_sizes(ground, k, quotas)
+    profiles = quota_profiles(ground, k, quotas)
+    _check_search_size(_blocks_size(ground, profiles), "quota family", cap)
+    space = _enumerate_blocks(ground, profiles, "quota family")
+    units = [tuple(int(j == i) for j in range(ground.p)) for i in range(ground.p)]
+    star_sizes = union_star_sizes(ground, profiles, units)   # e_i: one element of part i
     star_best = max(star_sizes)
     star_part = star_sizes.index(star_best)
     result = max_t_intersecting(space, 1, cap=cap)

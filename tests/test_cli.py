@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from tstar import cli, search
 from tstar.cli import main
 from tstar.core import (Family, GroundSet, enumerate_block, parse_family, read_family,
                         write_family)
@@ -58,9 +59,6 @@ def test_bound_table_format(capsys):
 
 
 def test_bound_flag_conflicts(capsys):
-    code, _ = run(capsys, "bound", "--n", "5", "--k", "2",
-                  "--profiles", "2;3", "--t", "1")
-    assert code == 2
     code, _ = run(capsys, "bound", "--n", "5", "--k", "2")
     assert code == 2
 
@@ -71,9 +69,17 @@ def test_bound_length_mismatch_exits_2(capsys):
 
 
 def test_malformed_vector_usage_error(capsys):
-    with pytest.raises(SystemExit) as err:
-        main(["bound", "--n", "8,x", "--k", "4", "--t", "1"])
-    assert err.value.code == 2
+    # argparse refuses these before any subcommand runs
+    for argv in (["bound", "--n", "8,x", "--k", "4", "--t", "1"],
+                 ["bound", "--n", "5", "--k", "2", "--profiles", "2;3", "--t", "1"],
+                 ["bound", "--n", "5", "--t", "1"],
+                 ["bound", "--n", "5", "--k", "2", "--t", "1", "--enum-cap", "5"],
+                 ["enumerate", "--n", "4,4", "--k", "2,2", "--profiles", "2,2"],
+                 ["enumerate", "--n", "4,4"],
+                 ["search", "--n", "4,4", "--k", "4", "--quota", "1,1", "--shifted"]):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2, argv
 
 
 def test_search_block(tmp_path, capsys):
@@ -115,9 +121,6 @@ def test_search_quota_flag_conflicts(capsys):
     code, _ = run(capsys, "search", "--n", "4,4", "--k", "4",
                   "--quota", "1,1", "--t", "2")
     assert code == 2
-    code, _ = run(capsys, "search", "--n", "4,4", "--k", "4",
-                  "--quota", "1,1", "--shifted")
-    assert code == 2
     code, _ = run(capsys, "search", "--n", "4,4", "--k", "2,2",
                   "--quota", "1,1")
     assert code == 2
@@ -125,6 +128,20 @@ def test_search_quota_flag_conflicts(capsys):
 
 def test_search_cap_exit_3(capsys):
     code, _ = run(capsys, "search", "--n", "4,4", "--k", "2,2", "--t", "1",
+                  "--search-cap", "10")
+    assert code == 3
+
+
+def test_search_shifted_checks_the_cap_before_enumerating(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerated an over-cap block")
+
+    monkeypatch.setattr(search, "enumerate_block", refuse)
+    monkeypatch.setattr(cli, "enumerate_block", refuse)
+    # 853,776 members against the default search cap of 50,000
+    code, _ = run(capsys, "search", "--n", "12,12", "--k", "6,6", "--t", "1", "--shifted")
+    assert code == 3
+    code, _ = run(capsys, "search", "--n", "4,4", "--k", "2,2", "--t", "1", "--shifted",
                   "--search-cap", "10")
     assert code == 3
 
@@ -266,6 +283,14 @@ def test_stdout_closed_before_output_is_quiet():
     assert err == ""
 
 
+def test_cli_import_leaves_networkx_out():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    code = "import sys, tstar.cli; print('networkx' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out == "False\n"
+
+
 def test_kneser_cli(capsys):
     code, data = run_json(capsys, "kneser", "--params", "5:2,7:3")
     assert code == 0
@@ -289,9 +314,6 @@ def test_enumerate_quota_and_errors(tmp_path, capsys):
     assert code == 0
     assert data["size"] == "68"
     assert len(read_family(str(out_file)).members) == 68
-    code, _ = run(capsys, "enumerate", "--n", "4,4", "--k", "2,2",
-                  "--profiles", "2,2")
-    assert code == 2
     code, _ = run(capsys, "enumerate", "--n", "4,4", "--k", "2,2",
                   "--enum-cap", "10")
     assert code == 3

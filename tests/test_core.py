@@ -161,6 +161,23 @@ def test_block_cap():
         enumerate_block(g, (4, 4), cap=1000)
 
 
+def test_caps_resolve_from_argument_then_environment(monkeypatch):
+    for resolve, env, default in ((core.enumeration_cap, "TSTAR_ENUM_CAP", 10_000_000),
+                                  (core.search_cap, "TSTAR_SEARCH_CAP", 50_000)):
+        monkeypatch.delenv(env, raising=False)
+        assert resolve() == default
+        assert resolve(7) == 7
+        monkeypatch.setenv(env, "12")
+        assert resolve() == 12
+        assert resolve(7) == 7
+        for raw in ("0", "x"):
+            monkeypatch.setenv(env, raw)
+            with pytest.raises(InvalidParametersError, match=env):
+                resolve()
+        with pytest.raises(InvalidParametersError):
+            resolve(0)
+
+
 def test_profile_union_example():
     g = GroundSet((4, 4))
     ps = ProfileSet(((1, 1), (2, 2)))
@@ -335,13 +352,7 @@ def test_enumerate_block_checks_its_count(monkeypatch):
         enumerate_block(GroundSet((4,)), (2,))
 
 
-def test_enumerate_profile_union_checks_its_count(monkeypatch):
-    monkeypatch.setattr(core, "union_size", lambda ground, profiles: 7)
-    with pytest.raises(InvariantError, match="profile union enumerated 6 members"):
-        enumerate_profile_union(GroundSet((4,)), ProfileSet(((2,),)))
-
-
-def test_enumerate_quota_checks_its_count(monkeypatch):
+def _short_blocks(monkeypatch):
     real = core.enumerate_block
 
     def short_block(ground, profile, cap=None):
@@ -349,5 +360,15 @@ def test_enumerate_quota_checks_its_count(monkeypatch):
         return Family(ground, frozenset(members[1:]))
 
     monkeypatch.setattr(core, "enumerate_block", short_block)
+
+
+def test_enumerate_profile_union_checks_its_count(monkeypatch):
+    _short_blocks(monkeypatch)
+    with pytest.raises(InvariantError, match="profile union enumerated 5 members"):
+        enumerate_profile_union(GroundSet((4,)), ProfileSet(((2,),)))
+
+
+def test_enumerate_quota_checks_its_count(monkeypatch):
+    _short_blocks(monkeypatch)
     with pytest.raises(InvariantError, match="quota family enumerated"):
         enumerate_quota(GroundSet((3, 3)), 3, (1, 1))

@@ -5,12 +5,13 @@ import random
 import pytest
 
 from tstar import search
+from tstar.bounds import union_star_sizes
 from tstar.core import (Family, GroundSet, InstanceTooLargeError,
                         InvalidParametersError, InvariantError, block_size, enumerate_block,
-                        enumerate_quota, trivial_star)
+                        enumerate_quota, quota_profiles, trivial_star)
 from tstar.search import (brute_force_max, check_block_maximum,
                           check_quota_family, max_t_intersecting,
-                          shifted_search, _quota_star_sizes)
+                          shifted_search)
 from tstar.shifting import is_shifted
 from tstar.verify import is_t_intersecting
 
@@ -102,6 +103,17 @@ def test_matches_brute_force_on_small_grid():
     assert checked > 40
 
 
+def _seeded_subfamilies(seed, count, low, high):
+    rng = random.Random(seed)
+    for _ in range(count):
+        sizes, k, t = rng.choice((((6, 6), (2, 2), 1), ((5, 6), (2, 3), 2),
+                                  ((10,), (4,), 2), ((4, 4, 4), (2, 2, 2), 2),
+                                  ((9,), (2,), 1), ((5, 5), (2, 2), 1)))
+        members = sorted(enumerate_block(GroundSet(sizes), k).members)
+        chosen = rng.sample(members, rng.randint(low, min(high, len(members))))
+        yield Family(GroundSet(sizes), frozenset(chosen)), t
+
+
 def test_brute_force_modes_agree():
     for n, k, t in ((5, 2, 1), (4, 2, 1), (6, 2, 2)):
         space = enumerate_block(GroundSet((n,)), (k,))
@@ -109,6 +121,20 @@ def test_brute_force_modes_agree():
         b = brute_force_max(space, t, mode="cliques")
         assert a.max_size == b.max_size
         assert is_t_intersecting(b.witness, t)
+    for fam, t in _seeded_subfamilies(20261018, 40, 1, 24):
+        a = brute_force_max(fam, t, mode="subsets")
+        b = brute_force_max(fam, t, mode="cliques")
+        assert a.max_size == b.max_size, (sorted(fam.members), t)
+        assert b.witness.members <= fam.members
+        assert is_t_intersecting(b.witness, t)
+    for fam, t in _seeded_subfamilies(20261019, 12, 25, 60):
+        b = brute_force_max(fam, t, mode="cliques")
+        assert b.max_size == max_t_intersecting(fam, t).max_size, (sorted(fam.members), t)
+        assert b.witness.members <= fam.members
+        assert is_t_intersecting(b.witness, t)
+    empty = Family(GroundSet((5,)), frozenset())
+    b = brute_force_max(empty, 1, mode="cliques")
+    assert (b.max_size, b.witness.members, b.nodes_explored) == (0, frozenset(), 0)
 
 
 def test_brute_force_limits():
@@ -213,7 +239,8 @@ def test_quota_star_counts_match_enumeration():
         k = rng.randint(lo, hi)
         g = GroundSet(sizes)
         space = enumerate_quota(g, k, quotas)
-        counted = _quota_star_sizes(g, k, quotas)
+        units = [tuple(int(j == i) for j in range(p)) for i in range(p)]
+        counted = union_star_sizes(g, quota_profiles(g, k, quotas), units)
         for part in range(p):
             e = g.part_elements(part)[0]
             assert counted[part] == len(trivial_star(space, 1 << (e - 1)).members)
@@ -229,7 +256,7 @@ def test_shifted_search_checks_the_closure_size(monkeypatch):
 
 
 def test_check_quota_family_checks_the_star_bound(monkeypatch):
-    monkeypatch.setattr(search, "_quota_star_sizes",
-                        lambda ground, k, quotas: [10 ** 6] * ground.p)
+    monkeypatch.setattr(search, "union_star_sizes",
+                        lambda ground, profiles, dists: [10 ** 6 for _ in dists])
     with pytest.raises(InvariantError, match="below the star size"):
         check_quota_family(GroundSet((4, 4)), 4, (1, 1))
