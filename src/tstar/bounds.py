@@ -33,6 +33,7 @@ from .core import (
     InvalidParametersError,
     ProfileSet,
     binom,
+    block_size,
     bounded_compositions,
     star_size,
 )
@@ -196,34 +197,38 @@ def enumerate_distribution_argmax(t: int, ground: GroundSet,
 # ---------------------------------------------------------------------------
 # star densities and the exchange condition
 
-def star_density(ground: GroundSet, k: tuple[int, ...], center: int) -> Fraction:
-    """Fraction of the block contained in the full star at the center:
-    prod_i C(n_i - s_i, k_i - s_i) / prod_i C(n_i, k_i)."""
+def _center_profile(ground: GroundSet, k: tuple[int, ...], center: int,
+                    t: int | None) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Checked block profile k and the center's profile s, with s_i <= k_i;
+    when t is given, the center must also have t elements."""
     k = tuple(k)
     ground.check_profile(k)
     s = ground.profile(center)
+    if t is not None and sum(s) != t:
+        raise InvalidParametersError(f"center has {sum(s)} elements, expected t={t}")
     for s_i, k_i in zip(s, k):
         if s_i > k_i:
             raise InvalidParametersError(
                 f"center meets a part in {s_i} > k_i = {k_i} elements")
+    return k, s
+
+
+def star_density(ground: GroundSet, k: tuple[int, ...], center: int) -> Fraction:
+    """Fraction of the block contained in the full star at the center:
+    prod_i C(n_i - s_i, k_i - s_i) / prod_i C(n_i, k_i)."""
+    k, s = _center_profile(ground, k, center, None)
     num = math.prod(binom(n_i - s_i, k_i - s_i)
                     for n_i, k_i, s_i in zip(ground.sizes, k, s))
-    den = math.prod(binom(n_i, k_i) for n_i, k_i in zip(ground.sizes, k))
-    return Fraction(num, den)
+    return Fraction(num, block_size(ground, k))
 
 
 def star_density_chain_form(ground: GroundSet, k: tuple[int, ...],
                             center: int) -> Fraction:
     """Same density through the ratio chain: prod over parts i and
     levels j < s_i of (k_i - j)/(n_i - j).  Kept as a separate route."""
-    k = tuple(k)
-    ground.check_profile(k)
-    s = ground.profile(center)
+    k, s = _center_profile(ground, k, center, None)
     out = Fraction(1)
     for i, s_i in enumerate(s):
-        if s_i > k[i]:
-            raise InvalidParametersError(
-                f"center meets a part in {s_i} > k_i = {k[i]} elements")
         for j in range(s_i):
             out *= Fraction(k[i] - j, ground.sizes[i] - j)
     return out
@@ -238,15 +243,7 @@ def exchange_optimal(ground: GroundSet, k: tuple[int, ...], t: int,
     the next ratio of part i must not exceed the last taken ratio of
     part j:  (k_i - s_i)/(n_i - s_i) <= (k_j - s_j + 1)/(n_j - s_j + 1).
     """
-    k = tuple(k)
-    ground.check_profile(k)
-    s = ground.profile(center)
-    if sum(s) != t:
-        raise InvalidParametersError(f"center has {sum(s)} elements, expected t={t}")
-    for s_i, k_i in zip(s, k):
-        if s_i > k_i:
-            raise InvalidParametersError(
-                f"center meets a part in {s_i} > k_i = {k_i} elements")
+    k, s = _center_profile(ground, k, center, t)
     p = ground.p
     for jj in range(p):
         if s[jj] < 1:
@@ -268,12 +265,11 @@ def ratio_bound(ground: GroundSet, k: tuple[int, ...]) -> RatioBound:
     the absolute form is the density times the block size, rounded down.
     """
     k = tuple(k)
-    ground.check_profile(k)
+    blk = block_size(ground, k)
     for k_i in k:
         if k_i < 1:
             raise InvalidParametersError(f"need k_i >= 1, got {k_i}")
     r = max(Fraction(k_i, n_i) for k_i, n_i in zip(k, ground.sizes))
-    blk = math.prod(binom(n_i, k_i) for n_i, k_i in zip(ground.sizes, k))
     hyp = all(n_i >= 2 * k_i for n_i, k_i in zip(ground.sizes, k))
     return RatioBound(ratio=r, block=blk, absolute=(r.numerator * blk) // r.denominator,
                       hypothesis_ok=hyp)

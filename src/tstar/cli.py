@@ -34,6 +34,7 @@ from .core import (
     enumerate_quota,
     format_family,
     read_family,
+    search_cap,
     write_family,
 )
 
@@ -133,18 +134,9 @@ def _center_elements(mask: int | None) -> list[int] | None:
 
 def cmd_bound(args) -> int:
     ground = GroundSet(args.n)
-    if args.profiles is not None:
-        if args.t is None:
-            raise InvalidParametersError("--profiles needs --t")
-        report = bounds.max_union_star_size(args.t, ground,
-                                            ProfileSet(args.profiles))
-        emit_report({
-            "value": _count(report.value),
-            "optimal_distributions": _distribution_list(report.optimal_distributions),
-            "hypotheses": report.hypothesis_flags,
-        }, args.format)
-        return 0
     if args.ratio:
+        if args.k is None:
+            raise InvalidParametersError("--ratio takes --k, not --profiles")
         if args.t not in (None, 1):
             raise InvalidParametersError("the ratio bound is about t=1 only")
         rb = bounds.ratio_bound(ground, args.k)
@@ -157,11 +149,19 @@ def cmd_bound(args) -> int:
         return 0
     if args.t is None:
         raise InvalidParametersError("need --t")
-    dists = bounds.optimal_t_distributions(args.t, ground, args.k)
+    if args.profiles is not None:
+        report = bounds.max_union_star_size(args.t, ground,
+                                            ProfileSet(args.profiles))
+        value, dists, flags = (report.value, report.optimal_distributions,
+                               report.hypothesis_flags)
+    else:
+        dists = bounds.optimal_t_distributions(args.t, ground, args.k)
+        value = bounds.max_star_size(args.t, ground, args.k)
+        flags = bounds.hypothesis_flags(args.t, ground, k=args.k)
     emit_report({
-        "value": _count(bounds.max_star_size(args.t, ground, args.k)),
+        "value": _count(value),
         "optimal_distributions": _distribution_list(dists),
-        "hypotheses": bounds.hypothesis_flags(args.t, ground, k=args.k),
+        "hypotheses": flags,
     }, args.format)
     return 0
 
@@ -173,14 +173,19 @@ def _write_witness(witness: Family, path: str | None) -> str | None:
     return path
 
 
+def _quota_k(args) -> int:
+    if args.k is None or len(args.k) != 1:
+        raise InvalidParametersError("quota mode takes a single --k value")
+    return args.k[0]
+
+
 def cmd_search(args) -> int:
     ground = GroundSet(args.n)
     if args.quota is not None:
-        if len(args.k) != 1:
-            raise InvalidParametersError("quota mode takes a single --k value")
+        k = _quota_k(args)
         if args.t not in (None, 1):
             raise InvalidParametersError("the quota check is about t=1 only")
-        rep = search.check_quota_family(ground, args.k[0], args.quota,
+        rep = search.check_quota_family(ground, k, args.quota,
                                         cap=args.search_cap)
         emit_report({
             "max_size": _count(rep["max_size"]),
@@ -196,7 +201,7 @@ def cmd_search(args) -> int:
     if args.t is None:
         raise InvalidParametersError("need --t")
     if args.shifted:
-        space = search.block_space(ground, args.k, cap=args.search_cap)
+        space = enumerate_block(ground, args.k, cap=search_cap(args.search_cap))
         result = search.shifted_search(space, args.t, cap=args.search_cap)
         emit_report({
             "max_size": _count(result.max_size),
@@ -310,10 +315,8 @@ def cmd_kneser(args) -> int:
 
 def cmd_enumerate(args) -> int:
     ground = GroundSet(args.n)
-    if args.quota is not None and (args.k is None or len(args.k) != 1):
-        raise InvalidParametersError("quota mode takes a single --k value")
     if args.quota is not None:
-        fam = enumerate_quota(ground, args.k[0], args.quota, cap=args.enum_cap)
+        fam = enumerate_quota(ground, _quota_k(args), args.quota, cap=args.enum_cap)
     elif args.k is not None:
         fam = enumerate_block(ground, args.k, cap=args.enum_cap)
     else:
@@ -330,6 +333,12 @@ def cmd_enumerate(args) -> int:
 def cmd_repro(args) -> int:
     from . import acceptance
 
+    numbers = [check.number for check in acceptance.ACCEPTANCE_CHECKS]
+    for number in args.only or ():
+        if number not in numbers:
+            raise InvalidParametersError(
+                f"--only takes a criterion number {min(numbers)}-{max(numbers)}, "
+                f"got {number}")
     failures = 0
     for check in acceptance.ACCEPTANCE_CHECKS:
         if args.only is not None and check.number not in args.only:

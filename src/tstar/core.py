@@ -24,6 +24,7 @@ import math
 import os
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations, product
 from typing import Iterable, Iterator
 
 __all__ = [
@@ -378,11 +379,6 @@ def block_size(ground: GroundSet, profile: tuple[int, ...]) -> int:
     return math.prod(binom(n, r) for n, r in zip(ground.sizes, profile))
 
 
-def _part_masks_for(ground: GroundSet, part: int, r: int) -> list[int]:
-    from itertools import combinations
-    return [mask_of(c) for c in combinations(ground.part_elements(part), r)]
-
-
 def enumerate_block(ground: GroundSet, profile: tuple[int, ...],
                     cap: int | None = None) -> Family:
     """Materialize the block family for one profile.
@@ -390,24 +386,7 @@ def enumerate_block(ground: GroundSet, profile: tuple[int, ...],
     Fails fast with InstanceTooLargeError when the exact size (computed
     before any enumeration) exceeds the cap.
     """
-    from itertools import product
-
-    profile = tuple(profile)
-    size = block_size(ground, profile)
-    limit = enumeration_cap(cap)
-    if size > limit:
-        raise InstanceTooLargeError(
-            f"block has {size} members, cap is {limit}")
-    per_part = [_part_masks_for(ground, i, r) for i, r in enumerate(profile)]
-    members = set()
-    for combo in product(*per_part):
-        m = 0
-        for piece in combo:
-            m |= piece
-        members.add(m)
-    if len(members) != size:
-        raise InvariantError(f"block enumerated {len(members)} members, expected {size}")
-    return Family(ground, frozenset(members))
+    return _enumerate_blocks(ground, (tuple(profile),), "block", cap)
 
 
 def _blocks_size(ground: GroundSet, profiles: Iterable[tuple[int, ...]]) -> int:
@@ -418,14 +397,22 @@ def _blocks_size(ground: GroundSet, profiles: Iterable[tuple[int, ...]]) -> int:
 def _enumerate_blocks(ground: GroundSet, profiles: tuple[tuple[int, ...], ...],
                       what: str, cap: int | None = None) -> Family:
     """Union of the blocks of distinct profiles (zero entries allowed), named
-    `what` in errors and refused before any enumeration above the cap."""
+    `what` in errors and refused before any enumeration above the cap.
+
+    A member of a block is one r_i-subset of each part; the parts hold
+    disjoint bits, so summing the per-part masks is their union.
+    """
     size = _blocks_size(ground, profiles)
     limit = enumeration_cap(cap)
     if size > limit:
         raise InstanceTooLargeError(f"{what} has {size} members, cap is {limit}")
+    part_bits = [[1 << e for e in range(off, off + s)]
+                 for off, s in zip(ground.offsets, ground.sizes)]
     members: set[int] = set()
     for r in profiles:
-        members.update(enumerate_block(ground, r, cap=limit).members)
+        per_part = [[sum(c) for c in combinations(bits, r_i)]
+                    for bits, r_i in zip(part_bits, r)]
+        members.update(map(sum, product(*per_part)))
     if len(members) != size:
         raise InvariantError(
             f"{what} enumerated {len(members)} members, expected {size}")

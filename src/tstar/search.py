@@ -16,7 +16,6 @@ validation; it shares no data structures with the solver.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -27,10 +26,9 @@ from .core import (
     InstanceTooLargeError,
     InvalidParametersError,
     InvariantError,
-    _blocks_size,
-    _enumerate_blocks,
     block_size,
     enumerate_block,
+    enumerate_quota,
     quota_profiles,
     search_cap,
 )
@@ -152,10 +150,12 @@ def max_t_intersecting(space: Family, t: int,
                 pairs += 1
         return size - pairs
 
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 2 * n + 2000))
-
-    def bnb(r_mask: int, r_size: int, pmask: int) -> None:
-        nonlocal best_mask, best_size, nodes
+    # depth-first branch and bound on an explicit stack of nodes
+    # (solution so far, its size, candidates): a node takes its pick at
+    # once and leaves the drop-the-pick node on the stack below
+    stack = [(0, 0, (1 << n) - 1)]
+    while stack:
+        r_mask, r_size, pmask = stack.pop()
         while True:
             nodes += 1
             # reduction: conflict-free vertices always join the solution;
@@ -185,10 +185,8 @@ def max_t_intersecting(space: Family, t: int,
             if r_size > best_size:
                 best_size = r_size
                 best_mask = r_mask
-            if not pmask:
-                return
-            if r_size + matching_bound(pmask) <= best_size:
-                return
+            if not pmask or r_size + matching_bound(pmask) <= best_size:
+                break
             # branch on the most conflicted remaining vertex
             pick = -1
             pick_deg = -1
@@ -202,10 +200,10 @@ def max_t_intersecting(space: Family, t: int,
                     pick = v
                     pick_deg = d
             low = 1 << pick
-            bnb(r_mask | low, r_size + 1, pmask & ~(low | conflict[pick]))
-            pmask &= ~low
-
-    bnb(0, 0, (1 << n) - 1)
+            stack.append((r_mask, r_size, pmask & ~low))
+            r_mask |= low
+            r_size += 1
+            pmask &= ~(low | conflict[pick])
 
     chosen = set()
     rest = best_mask
@@ -229,16 +227,18 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def brute_force_max(space: Family, t: int, mode: str = "auto",
-                    subset_limit: int = DEFAULT_SUBSET_LIMIT,
-                    clique_limit: int = DEFAULT_CLIQUE_LIMIT) -> SearchResult:
+def brute_force_max(space: Family, t: int, mode: str = "auto") -> SearchResult:
     """Exhaustive maximum, for validating max_t_intersecting.
 
     mode "subsets" explores the full include/exclude tree over the
-    members (feasible up to about 24 of them); mode "cliques" enumerates
-    the maximal cliques of the intersection graph (up to about 60),
-    counting them, and keeps the largest, ties going to the smallest
-    sorted tuple; "auto" picks whichever applies.
+    members (at most DEFAULT_SUBSET_LIMIT = 24 of them); mode "cliques"
+    enumerates the maximal cliques of the intersection graph (at most
+    DEFAULT_CLIQUE_LIMIT = 60 members), counting them, and keeps the
+    largest, ties going to the smallest sorted tuple; "auto" picks
+    whichever applies.  The limits bound the member count, not the time:
+    the number of maximal cliques can grow exponentially (one 59-member
+    subfamily of the (3,6)/(1,3) block at t=1 has 7,812,500 of them), so
+    "cliques" mode has no time bound.
     """
     if t < 0:
         raise InvalidParametersError(f"t must be >= 0, got {t}")
@@ -249,17 +249,17 @@ def brute_force_max(space: Family, t: int, mode: str = "auto",
     verts = sorted(m for m in space.members if m.bit_count() >= t)
     n = len(verts)
     if mode == "auto":
-        if n <= subset_limit:
+        if n <= DEFAULT_SUBSET_LIMIT:
             mode = "subsets"
-        elif n <= clique_limit:
+        elif n <= DEFAULT_CLIQUE_LIMIT:
             mode = "cliques"
         else:
             raise InstanceTooLargeError(
-                f"{n} members exceed the brute-force limit {clique_limit}")
+                f"{n} members exceed the brute-force limit {DEFAULT_CLIQUE_LIMIT}")
     if mode == "subsets":
-        if n > subset_limit:
+        if n > DEFAULT_SUBSET_LIMIT:
             raise InstanceTooLargeError(
-                f"{n} members exceed the subset-mode limit {subset_limit}")
+                f"{n} members exceed the subset-mode limit {DEFAULT_SUBSET_LIMIT}")
         best: list[int] = []
         nodes = 0
 
@@ -282,9 +282,9 @@ def brute_force_max(space: Family, t: int, mode: str = "auto",
         return SearchResult(len(best), witness,
                             is_full_t_star(witness, space, t), nodes, 0)
     if mode == "cliques":
-        if n > clique_limit:
+        if n > DEFAULT_CLIQUE_LIMIT:
             raise InstanceTooLargeError(
-                f"{n} members exceed the clique-mode limit {clique_limit}")
+                f"{n} members exceed the clique-mode limit {DEFAULT_CLIQUE_LIMIT}")
         # Bron-Kerbosch, Tomita pivot, explicit stack of bitsets over indices
         # into the ascending verts: (clique r, candidates p, excluded x)
         adj = [0] * n
@@ -349,19 +349,6 @@ def shifted_search(space: Family, t: int,
 # ---------------------------------------------------------------------------
 # report builders on top of the solver
 
-def _check_search_size(size: int, what: str, cap: int | None) -> None:
-    limit = search_cap(cap)
-    if size > limit:
-        raise InstanceTooLargeError(f"{what} has {size} members, search cap is {limit}")
-
-
-def block_space(ground: GroundSet, k: tuple[int, ...],
-                cap: int | None = None) -> Family:
-    """The block of profile k, refused before enumeration above the search cap."""
-    _check_search_size(block_size(ground, k), "block", cap)
-    return enumerate_block(ground, k)
-
-
 def check_block_maximum(ground: GroundSet, k: tuple[int, ...], t: int,
                         cap: int | None = None) -> dict:
     """Exact maximum for one block versus the best trivial t-star.
@@ -373,7 +360,7 @@ def check_block_maximum(ground: GroundSet, k: tuple[int, ...], t: int,
     general product hypothesis.
     """
     k = tuple(k)
-    space = block_space(ground, k, cap)
+    space = enumerate_block(ground, k, cap=search_cap(cap))
     star_bound = max_star_size(t, ground, k)
     result = max_t_intersecting(space, t, cap=cap)
     flags = hypothesis_flags(t, ground, k=k)
@@ -416,8 +403,7 @@ def check_quota_family(ground: GroundSet, k: int, quotas: tuple[int, ...],
     """
     quotas = tuple(quotas)
     profiles = quota_profiles(ground, k, quotas)
-    _check_search_size(_blocks_size(ground, profiles), "quota family", cap)
-    space = _enumerate_blocks(ground, profiles, "quota family")
+    space = enumerate_quota(ground, k, quotas, cap=search_cap(cap))
     units = [tuple(int(j == i) for j in range(ground.p)) for i in range(ground.p)]
     star_sizes = union_star_sizes(ground, profiles, units)   # e_i: one element of part i
     star_best = max(star_sizes)

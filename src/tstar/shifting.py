@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .core import Family, GroundSet, InvalidParametersError
+from .core import Family, GroundSet, InvalidParametersError, elements_of
 
 __all__ = [
     "compress_member",
@@ -93,18 +93,7 @@ def compress_family(fam: Family, i: int, j: int) -> Family:
 
 def family_weight(fam: Family) -> int:
     """Total element sum over all members; strictly drops per productive move."""
-    total = 0
-    for m in fam.members:
-        for e in _iter_bits(m):
-            total += e
-    return total
-
-
-def _iter_bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length()
-        mask ^= low
+    return sum(sum(elements_of(m)) for m in fam.members)
 
 
 def _part_pairs(ground: GroundSet, parts) -> list[tuple[int, int]]:

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from tstar import cli, search
+from tstar import core
 from tstar.cli import main
 from tstar.core import (Family, GroundSet, enumerate_block, parse_family, read_family,
                         write_family)
@@ -60,6 +60,8 @@ def test_bound_table_format(capsys):
 
 def test_bound_flag_conflicts(capsys):
     code, _ = run(capsys, "bound", "--n", "5", "--k", "2")
+    assert code == 2
+    code, _ = run(capsys, "bound", "--n", "6,6", "--profiles", "2,2", "--t", "1", "--ratio")
     assert code == 2
 
 
@@ -133,11 +135,10 @@ def test_search_cap_exit_3(capsys):
 
 
 def test_search_shifted_checks_the_cap_before_enumerating(capsys, monkeypatch):
-    def refuse(*args, **kwargs):
+    def refuse(*pools):
         raise AssertionError("enumerated an over-cap block")
 
-    monkeypatch.setattr(search, "enumerate_block", refuse)
-    monkeypatch.setattr(cli, "enumerate_block", refuse)
+    monkeypatch.setattr(core, "product", refuse)
     # 853,776 members against the default search cap of 50,000
     code, _ = run(capsys, "search", "--n", "12,12", "--k", "6,6", "--t", "1", "--shifted")
     assert code == 3
@@ -329,3 +330,6 @@ def test_repro_subset(capsys):
     code, out = run(capsys, "repro", "--only", "10")
     assert code == 0
     assert "criterion 10: PASS" in out
+    for bad in ("0", "11", "99"):
+        code, out = run(capsys, "repro", "--only", "10", "--only", bad)
+        assert (code, out) == (2, "")

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import random
-from itertools import combinations
+from itertools import combinations, islice, product
 
 import pytest
 
@@ -184,9 +184,12 @@ def test_profile_union_example():
     fam = enumerate_profile_union(g, ps)
     assert len(fam) == 52
     assert union_size(g, ps) == 52
-    # singleton profile set degenerates to the block
-    one = ProfileSet(((2, 2),))
-    assert enumerate_profile_union(g, one).members == enumerate_block(g, (2, 2)).members
+    # a singleton profile set degenerates to the block
+    for sizes in ((4,), (3, 4), (2, 3, 2)):
+        g = GroundSet(sizes)
+        for k in product(*(range(1, s + 1) for s in sizes)):
+            one = ProfileSet((k,))
+            assert enumerate_profile_union(g, one).members == enumerate_block(g, k).members
 
 
 def test_profile_union_blocks_disjoint():
@@ -353,13 +356,9 @@ def test_enumerate_block_checks_its_count(monkeypatch):
 
 
 def _short_blocks(monkeypatch):
-    real = core.enumerate_block
-
-    def short_block(ground, profile, cap=None):
-        members = sorted(real(ground, profile, cap=cap).members)
-        return Family(ground, frozenset(members[1:]))
-
-    monkeypatch.setattr(core, "enumerate_block", short_block)
+    # every block's product of per-part subsets loses its first member
+    real = core.product
+    monkeypatch.setattr(core, "product", lambda *pools: islice(real(*pools), 1, None))
 
 
 def test_enumerate_profile_union_checks_its_count(monkeypatch):

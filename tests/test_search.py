@@ -1,6 +1,7 @@
 """Solver tests: oracle agreement, witness validity, report builders."""
 
 import random
+import sys
 
 import pytest
 
@@ -146,6 +147,16 @@ def test_brute_force_limits():
         brute_force_max(huge, 1, mode="auto")
     with pytest.raises(InvalidParametersError):
         brute_force_max(big, 1, mode="guess")
+
+
+def test_solver_leaves_the_recursion_limit_alone():
+    old = sys.getrecursionlimit()
+    try:
+        sys.setrecursionlimit(1000)
+        assert max_t_intersecting(enumerate_block(GroundSet((7,)), (3,)), 1).max_size == 15
+        assert sys.getrecursionlimit() == 1000
+    finally:
+        sys.setrecursionlimit(old)
 
 
 def test_search_cap():
