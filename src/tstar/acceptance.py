@@ -23,6 +23,7 @@ from .bounds import (
     max_union_star_size,
     optimal_t_distributions,
     ratio_bound,
+    union_star_sizes,
 )
 from .core import (
     Family,
@@ -168,12 +169,7 @@ def _criterion_exchange_condition() -> CriterionOutcome:
                 continue
             dists = list(bounded_compositions(
                 t, (0,) * len(ks), tuple(min(t, k_i) for k_i in ks)))
-            star = []
-            for dist in dists:
-                v = 1
-                for n_i, k_i, s_i in zip(sizes, ks, dist):
-                    v *= binom(n_i - s_i, k_i - s_i)
-                star.append(v)
+            star = union_star_sizes(ground, (ks,), dists)
             best = max(star)
             for dist, v in zip(dists, star):
                 center = 0

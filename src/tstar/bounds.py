@@ -10,11 +10,12 @@ Central objects:
   distributions bounds every t-intersecting subfamily of a block in the
   large-part regime.
 
-The greedy optimizer fills the center from the top of the merged ratio
-chain, taking whole equal-ratio groups while they fit and branching over
-the c-subsets of the group that overshoots.  A brute-force enumeration
-over all distributions is kept as an independent route and the two are
-compared in the test suite; neither calls the other.
+The greedy optimizer is one cut of the merged ratio chain: with `cut`
+the value of the t-th link, every link above the cut is taken and the
+links equal to it (at most one per part) fill the remaining places in
+every possible way.  A scan that counts the star of every distribution
+is kept as an independent route and the two are compared in the test
+suite; neither calls the other.
 
 Every count is an exact int and every ratio an exact Fraction.
 """
@@ -32,7 +33,6 @@ from .core import (
     GroundSet,
     InvalidParametersError,
     ProfileSet,
-    binom,
     block_size,
     bounded_compositions,
     star_size,
@@ -118,52 +118,28 @@ def optimal_t_distributions(t: int, ground: GroundSet,
                             k: tuple[int, ...]) -> frozenset[tuple[int, ...]]:
     """All t-distributions maximizing prod_i C(n_i - t_i, k_i - t_i).
 
-    Greedy over the merged ratio chain: whole equal-value groups are
-    taken while the running count stays at most t; the group that would
-    overshoot contributes every c-subset, c being the remaining budget.
-    Distributions from different subsets with equal part-counts collapse
-    to one.
+    A cut of the merged ratio chain at the value of its t-th link: every
+    link above the cut is taken, and the parts whose link equals the cut
+    (at most one link per part) fill the remaining places in every way.
     """
-    k = _check_block_params(ground, k)
+    entries = ratio_entries(ground, k)
     if t < 0:
         raise InvalidParametersError(f"t must be >= 0, got {t}")
-    if t > sum(k):
-        raise InvalidParametersError(f"t={t} exceeds the total profile {sum(k)}")
-    p = ground.p
+    if t > len(entries):
+        raise InvalidParametersError(f"t={t} exceeds the total profile {len(entries)}")
     if t == 0:
-        return frozenset({(0,) * p})
-
-    entries = ratio_entries(ground, k)
-    groups: list[list[RatioEntry]] = []
+        return frozenset({(0,) * ground.p})
+    cut = entries[t - 1].value
+    base, ties = [0] * ground.p, []
     for e in entries:
-        if groups and groups[-1][0].value == e.value:
-            groups[-1].append(e)
+        if e.value == cut:
+            ties.append(e.part)
+        elif ties:  # the chain decreases: the rest lies below the cut
+            break
         else:
-            groups.append([e])
-
-    taken: list[RatioEntry] = []
-    count = 0
-    for grp in groups:
-        if count + len(grp) <= t:
-            taken.extend(grp)
-            count += len(grp)
-            if count == t:
-                break
-        else:
-            c = t - count
-            out = set()
-            for extra in combinations(grp, c):
-                dist = [0] * p
-                for e in taken:
-                    dist[e.part] += 1
-                for e in extra:
-                    dist[e.part] += 1
-                out.add(tuple(dist))
-            return frozenset(out)
-    dist = [0] * p
-    for e in taken:
-        dist[e.part] += 1
-    return frozenset({tuple(dist)})
+            base[e.part] += 1
+    return frozenset(tuple(b + (i in extra) for i, b in enumerate(base))
+                     for extra in combinations(ties, t - sum(base)))
 
 
 def max_star_size(t: int, ground: GroundSet, k: tuple[int, ...]) -> int:
@@ -174,7 +150,8 @@ def max_star_size(t: int, ground: GroundSet, k: tuple[int, ...]) -> int:
 
 def enumerate_distribution_argmax(t: int, ground: GroundSet,
                                   k: tuple[int, ...]) -> BoundReport:
-    """Independent route: scan every t-distribution and keep the argmax.
+    """Independent route: count the star of every t-distribution and keep
+    the argmax.
 
     Deliberately shares no logic with the greedy optimizer; the test
     suite holds the two outputs equal across a parameter grid.
@@ -182,16 +159,15 @@ def enumerate_distribution_argmax(t: int, ground: GroundSet,
     k = _check_block_params(ground, k)
     if t < 0 or t > sum(k):
         raise InvalidParametersError(f"t={t} out of range [0, {sum(k)}]")
-    best = -1
-    arg: set[tuple[int, ...]] = set()
-    for dist in bounded_compositions(t, (0,) * ground.p, k):
-        v = star_size(ground, k, dist)
-        if v > best:
-            best = v
-            arg = {dist}
-        elif v == best:
-            arg.add(dist)
-    return BoundReport(best, frozenset(arg))
+    dists = list(bounded_compositions(t, (0,) * ground.p, k))
+    return _argmax_report(dists, union_star_sizes(ground, (k,), dists), {})
+
+
+def _argmax_report(dists: list[tuple[int, ...]], values: list[int],
+                   flags: dict[str, bool]) -> BoundReport:
+    best = max(values, default=-1)
+    return BoundReport(best, frozenset(d for d, v in zip(dists, values) if v == best),
+                       flags)
 
 
 # ---------------------------------------------------------------------------
@@ -217,9 +193,7 @@ def star_density(ground: GroundSet, k: tuple[int, ...], center: int) -> Fraction
     """Fraction of the block contained in the full star at the center:
     prod_i C(n_i - s_i, k_i - s_i) / prod_i C(n_i, k_i)."""
     k, s = _center_profile(ground, k, center, None)
-    num = math.prod(binom(n_i - s_i, k_i - s_i)
-                    for n_i, k_i, s_i in zip(ground.sizes, k, s))
-    return Fraction(num, block_size(ground, k))
+    return Fraction(star_size(ground, k, s), block_size(ground, k))
 
 
 def star_density_chain_form(ground: GroundSet, k: tuple[int, ...],
@@ -314,10 +288,8 @@ def max_union_star_size(t: int, ground: GroundSet, profiles: ProfileSet,
             f"pass strict=False to compute anyway")
     limits = tuple(min(t, n_i) for n_i in ground.sizes)
     dists = list(bounded_compositions(t, (0,) * ground.p, limits))
-    values = union_star_sizes(ground, profiles.profiles, dists)
-    best = max(values, default=-1)
-    arg = frozenset(d for d, v in zip(dists, values) if v == best)
-    return BoundReport(best, arg, hypothesis_flags(t, ground, profiles=profiles))
+    return _argmax_report(dists, union_star_sizes(ground, profiles.profiles, dists),
+                          hypothesis_flags(t, ground, profiles=profiles))
 
 
 # ---------------------------------------------------------------------------

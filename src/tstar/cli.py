@@ -257,39 +257,18 @@ def cmd_verify(args) -> int:
     if args.mode == "t-intersecting":
         holds = verify.is_t_intersecting(fam, args.t)
     elif args.mode == "cross":
-        if args.other is None:
-            raise InvalidParametersError("cross mode needs a second family file")
-        other = read_family(args.other)
-        if other.ground.sizes != fam.ground.sizes:
-            raise InvalidParametersError("the two families live on different grounds")
-        holds = verify.are_cross_t_intersecting(fam, other, args.t)
+        holds = verify.are_cross_t_intersecting(fam, read_family(args.other), args.t)
     elif args.mode == "star":
-        if args.space is None:
-            raise InvalidParametersError("star mode needs --space")
-        space = read_family(args.space)
-        center = verify.is_full_t_star(fam, space, args.t)
+        center = verify.is_full_t_star(fam, read_family(args.space), args.t)
         holds = center is not None
         extra["center"] = _center_elements(center)
     elif args.mode == "prefix":
-        if args.other is None:
-            raise InvalidParametersError("prefix mode needs a second family file")
-        if args.r is None or args.s is None:
-            raise InvalidParametersError("prefix mode needs --r and --s")
-        other = read_family(args.other)
-        holds = verify.check_prefix_intersection(fam, other, args.t,
+        holds = verify.check_prefix_intersection(fam, read_family(args.other), args.t,
                                                  args.r, args.s)
     elif args.mode == "prefix-parts":
-        if args.other is None:
-            raise InvalidParametersError("prefix-parts mode needs a second family file")
-        if args.profile_a is None or args.profile_b is None:
-            raise InvalidParametersError(
-                "prefix-parts mode needs --profile-a and --profile-b")
-        other = read_family(args.other)
         holds = verify.check_partwise_prefix_intersection(
-            fam, other, args.t, args.profile_a, args.profile_b)
+            fam, read_family(args.other), args.t, args.profile_a, args.profile_b)
     else:  # star-shift
-        if args.space is None or args.i is None or args.j is None:
-            raise InvalidParametersError("star-shift mode needs --space, --i and --j")
         space = read_family(args.space)
         ground = space.ground
         if ground.element_part(args.i) != ground.element_part(args.j):
@@ -345,7 +324,9 @@ def cmd_repro(args) -> int:
             continue
         outcome = check.run()
         status = "PASS" if outcome.passed else "FAIL"
-        print(f"criterion {check.number:2d}: {status}  {check.label}")
+        spent = f"{outcome.seconds:.1f} s"
+        spent += ", no budget" if check.budget is None else f" of {check.budget:.0f} s"
+        print(f"criterion {check.number:2d}: {status}  {check.label} ({spent})")
         if not outcome.passed:
             failures += 1
             for note in outcome.notes:
@@ -410,25 +391,32 @@ def build_parser() -> argparse.ArgumentParser:
                     help="write the closed family here instead of stdout")
     sh.set_defaults(func=cmd_shift)
 
-    v = sub.add_parser("verify", parents=[common],
-                       help="check a property of family files")
-    v.add_argument("mode", choices=("t-intersecting", "cross", "star",
-                                    "prefix", "prefix-parts", "star-shift"))
-    v.add_argument("family", help="family file to read")
-    v.add_argument("other", nargs="?", help="second family file (pair modes)")
-    v.add_argument("--t", type=int, required=True)
-    v.add_argument("--r", type=int, help="uniform size of the first family")
-    v.add_argument("--s", type=int, help="uniform size of the second family")
-    v.add_argument("--profile-a", type=_int_vector,
-                   help="profile of the first family")
-    v.add_argument("--profile-b", type=_int_vector,
-                   help="profile of the second family")
-    v.add_argument("--space", metavar="FILE",
-                   help="ambient family file (star modes)")
-    v.add_argument("--i", type=int, help="target element (1-based, star-shift)")
-    v.add_argument("--j", type=int,
-                   help="source element, in the part of --i (star-shift)")
+    v = sub.add_parser("verify", help="check a property of family files")
     v.set_defaults(func=cmd_verify)
+    modes = v.add_subparsers(dest="mode", required=True)
+    vm = {}
+    for name in ("t-intersecting", "cross", "star", "prefix", "prefix-parts",
+                 "star-shift"):
+        vm[name] = m = modes.add_parser(name, parents=[common])
+        m.add_argument("family", help="family file to read")
+        if name in ("cross", "prefix", "prefix-parts"):
+            m.add_argument("other", help="second family file")
+        if name in ("star", "star-shift"):
+            m.add_argument("--space", metavar="FILE", required=True,
+                           help="ambient family file")
+        m.add_argument("--t", type=int, required=True)
+    vm["prefix"].add_argument("--r", type=int, required=True,
+                              help="uniform size of the first family")
+    vm["prefix"].add_argument("--s", type=int, required=True,
+                              help="uniform size of the second family")
+    vm["prefix-parts"].add_argument("--profile-a", type=_int_vector, required=True,
+                                    help="profile of the first family")
+    vm["prefix-parts"].add_argument("--profile-b", type=_int_vector, required=True,
+                                    help="profile of the second family")
+    vm["star-shift"].add_argument("--i", type=int, required=True,
+                                  help="target element (1-based)")
+    vm["star-shift"].add_argument("--j", type=int, required=True,
+                                  help="source element, in the part of --i")
 
     kn = sub.add_parser("kneser", parents=[common, enum_cap],
                         help="connectivity of a product of Kneser graphs")
@@ -446,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--out", metavar="FILE")
     e.set_defaults(func=cmd_enumerate)
 
-    r = sub.add_parser("repro", parents=[common],
+    r = sub.add_parser("repro",
                        help="run the acceptance checks and print the matrix")
     r.add_argument("--only", type=int, action="append",
                    help="run only this criterion (repeatable)")

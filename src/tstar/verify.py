@@ -53,7 +53,9 @@ def is_t_intersecting(fam: Family, t: int) -> bool:
 
 def are_cross_t_intersecting(a: Family, b: Family, t: int) -> bool:
     """True iff every pair with one member from each family shares >= t
-    elements.  Both families must be non-empty."""
+    elements.  Both families must be non-empty and share a ground set."""
+    if a.ground != b.ground:
+        raise InvalidParametersError("the two families live on different grounds")
     if t < 0:
         raise InvalidParametersError(f"t must be >= 0, got {t}")
     if not a.members or not b.members:
@@ -73,8 +75,10 @@ def is_full_t_star(fam: Family, space: Family, t: int) -> int | None:
     Candidate centers are the t-subsets of the intersection of all
     members, so the check is finite; ties resolve to the lexicographically
     first center.  The empty family has no canonical center and yields
-    None.
+    None.  fam and space must share a ground set.
     """
+    if fam.ground != space.ground:
+        raise InvalidParametersError("family and space must share a ground set")
     if t < 0:
         raise InvalidParametersError(f"t must be >= 0, got {t}")
     if not fam.members <= space.members:

@@ -64,6 +64,13 @@ def test_greedy_examples():
     assert optimal_t_distributions(2, GroundSet((8, 10)), (4, 4)) == {(2, 0)}
     assert optimal_t_distributions(1, GroundSet((4, 8)), (2, 4)) == {(1, 0), (0, 1)}
     assert optimal_t_distributions(0, GroundSet((5, 5)), (2, 2)) == {(0, 0)}
+    # chains 1/2, 1/3 and 1/2, 3/7, 1/3, 1/5: the tie at 1/2 is taken
+    # whole at t=2, and the tie at 1/3 is split at t=4
+    g = GroundSet((4, 8))
+    assert optimal_t_distributions(2, g, (2, 4)) == {(1, 1)}
+    assert optimal_t_distributions(4, g, (2, 4)) == {(2, 2), (1, 3)}
+    assert optimal_t_distributions(2, GroundSet((4, 4, 4)), (2, 2, 2)) == {
+        (1, 1, 0), (1, 0, 1), (0, 1, 1)}
 
 
 def test_greedy_rejects_bad_t():

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -78,7 +79,14 @@ def test_malformed_vector_usage_error(capsys):
                  ["bound", "--n", "5", "--k", "2", "--t", "1", "--enum-cap", "5"],
                  ["enumerate", "--n", "4,4", "--k", "2,2", "--profiles", "2,2"],
                  ["enumerate", "--n", "4,4"],
-                 ["search", "--n", "4,4", "--k", "4", "--quota", "1,1", "--shifted"]):
+                 ["search", "--n", "4,4", "--k", "4", "--quota", "1,1", "--shifted"],
+                 # each verify mode takes only the inputs it reads, and needs them
+                 ["verify", "cross", "a.fam", "--t", "1"],
+                 ["verify", "star", "a.fam", "--t", "1"],
+                 ["verify", "prefix", "a.fam", "b.fam", "--t", "1", "--r", "2"],
+                 ["verify", "t-intersecting", "a.fam", "b.fam", "--t", "1"],
+                 ["verify", "t-intersecting", "a.fam", "--t", "1", "--r", "9", "--i", "3"],
+                 ["repro", "--format", "json"]):
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == 2, argv
@@ -200,8 +208,19 @@ def test_verify_cross_and_star(tmp_path, capsys):
                           "--space", str(space), "--t", "1")
     assert code == 0
     assert data["center"] == [1]
-    code, _ = run(capsys, "verify", "cross", str(a), "--t", "1")
-    assert code == 2
+
+
+def test_verify_refuses_two_grounds(tmp_path, capsys):
+    # the star at 1 of the (3,3) block (1,1), and the same masks on ground 6
+    split, whole = GroundSet((3, 3)), GroundSet((6,))
+    space = enumerate_block(split, (1, 1))
+    star, space_file = tmp_path / "star.fam", tmp_path / "space.fam"
+    write_family(Family(split, frozenset(m for m in space.members if m & 1)), str(star))
+    write_family(Family(whole, space.members), str(space_file))
+    for argv in (("star", str(star), "--space", str(space_file)),
+                 ("cross", str(star), str(space_file))):
+        code, out = run(capsys, "verify", *argv, "--t", "1")
+        assert (code, out) == (2, ""), argv
 
 
 def test_verify_prefix_hypothesis_exit_2(tmp_path, capsys):
@@ -327,9 +346,11 @@ def test_missing_file_exit_2(capsys):
 
 
 def test_repro_subset(capsys):
-    code, out = run(capsys, "repro", "--only", "10")
+    code, out = run(capsys, "repro", "--only", "10", "--only", "9")
     assert code == 0
-    assert "criterion 10: PASS" in out
+    # each line shows the criterion's time against its budget
+    assert re.fullmatch(r"criterion  9: PASS  .+ \(\d+\.\d s, no budget\)\n"
+                        r"criterion 10: PASS  .+ \(\d+\.\d s of 10 s\)\n", out)
     for bad in ("0", "11", "99"):
         code, out = run(capsys, "repro", "--only", "10", "--only", bad)
         assert (code, out) == (2, "")

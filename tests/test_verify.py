@@ -10,6 +10,7 @@ from tstar.core import (
     Family,
     GroundSet,
     HypothesisViolationError,
+    InvalidParametersError,
     enumerate_block,
     mask_of,
     trivial_star,
@@ -103,6 +104,21 @@ def test_star_detection_requires_subfamily():
     alien = _fam(g, [1, 2, 3])
     with pytest.raises(Exception):
         is_full_t_star(alien, blk, 1)
+
+
+def test_predicates_refuse_two_grounds():
+    # one set of masks on (3, 3) and on (6,): a star on the first ground
+    # must not pass for a star of a space on the second
+    split, whole = GroundSet((3, 3)), GroundSet((6,))
+    space = enumerate_block(split, (1, 1))
+    star = trivial_star(space, mask_of([1]))
+    assert is_full_t_star(star, space, 1) == mask_of([1])
+    for fam, other in ((Family(whole, star.members), space),
+                       (star, Family(whole, space.members))):
+        with pytest.raises(InvalidParametersError):
+            is_full_t_star(fam, other, 1)
+        with pytest.raises(InvalidParametersError):
+            are_cross_t_intersecting(fam, other, 1)
 
 
 # ---------------------------------------------------------------------------
