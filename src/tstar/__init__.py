@@ -45,15 +45,12 @@ from .search import (
     check_block_maximum,
     check_quota_family,
     max_t_intersecting,
-    shifted_search,
 )
 from .shifting import (
     compress_family,
     compress_member,
-    full_shift_closure,
     is_l_shifted,
     is_shifted,
-    l_shift_closure,
     shift_closure,
     simultaneous_closure,
 )

@@ -22,7 +22,6 @@ from fractions import Fraction
 from . import bounds, kneser, search, shifting, verify
 from .core import (
     EmptyFamilyError,
-    Family,
     GroundSet,
     HypothesisViolationError,
     InstanceTooLargeError,
@@ -34,7 +33,6 @@ from .core import (
     enumerate_quota,
     format_family,
     read_family,
-    search_cap,
     write_family,
 )
 
@@ -81,18 +79,16 @@ def _positive_int(text: str) -> int:
 # ---------------------------------------------------------------------------
 # report emission
 
-def _count(value: int) -> str:
-    """Counts travel as decimal strings; they outgrow JSON numbers."""
-    return str(value)
-
-
 def _jsonable(value):
+    """A count (an int that is not a bool) becomes a decimal string, as
+    counts outgrow JSON numbers; lists, such as distributions and
+    element lists, keep their numbers."""
     if isinstance(value, Fraction):
         return f"{value.numerator}/{value.denominator}"
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
+    if isinstance(value, int) and not isinstance(value, bool):
+        return str(value)
     return value
 
 
@@ -123,12 +119,6 @@ def _distribution_list(dists) -> list[list[int]]:
     return sorted(list(d) for d in dists)
 
 
-def _center_elements(mask: int | None) -> list[int] | None:
-    if mask is None:
-        return None
-    return list(elements_of(mask))
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -142,8 +132,8 @@ def cmd_bound(args) -> int:
         rb = bounds.ratio_bound(ground, args.k)
         emit_report({
             "ratio": rb.ratio,
-            "value": _count(rb.absolute),
-            "space": _count(rb.block),
+            "value": rb.absolute,
+            "space": rb.block,
             "hypotheses": {"ratio_bound": rb.hypothesis_ok},
         }, args.format)
         return 0
@@ -159,18 +149,11 @@ def cmd_bound(args) -> int:
         value = bounds.max_star_size(args.t, ground, args.k)
         flags = bounds.hypothesis_flags(args.t, ground, k=args.k)
     emit_report({
-        "value": _count(value),
+        "value": value,
         "optimal_distributions": _distribution_list(dists),
         "hypotheses": flags,
     }, args.format)
     return 0
-
-
-def _write_witness(witness: Family, path: str | None) -> str | None:
-    if path is None:
-        return None
-    write_family(witness, path)
-    return path
 
 
 def _quota_k(args) -> int:
@@ -185,45 +168,19 @@ def cmd_search(args) -> int:
         k = _quota_k(args)
         if args.t not in (None, 1):
             raise InvalidParametersError("the quota check is about t=1 only")
-        rep = search.check_quota_family(ground, k, args.quota,
-                                        cap=args.search_cap)
-        emit_report({
-            "max_size": _count(rep["max_size"]),
-            "star_size": _count(rep["star_size"]),
-            "star_center": [rep["star_center"]],
-            "verdict": rep["verdict"],
-            "hypotheses": rep["flags"],
-            "witness_center": _center_elements(rep["witness_center"]),
-            "nodes_explored": _count(rep["nodes_explored"]),
-            "witness_file": _write_witness(rep["witness"], args.witness_out),
-        }, args.format)
-        return 0
-    if args.t is None:
+        report = search.check_quota_family(ground, k, args.quota,
+                                           cap=args.search_cap)
+    elif args.t is None:
         raise InvalidParametersError("need --t")
-    if args.shifted:
-        space = enumerate_block(ground, args.k, cap=search_cap(args.search_cap))
-        result = search.shifted_search(space, args.t, cap=args.search_cap)
-        emit_report({
-            "max_size": _count(result.max_size),
-            "witness_center": _center_elements(result.is_trivial_star),
-            "nodes_explored": _count(result.nodes_explored),
-            "bound_used": _count(result.bound_used),
-            "witness_file": _write_witness(result.witness, args.witness_out),
-        }, args.format)
-        return 0
-    rep = search.check_block_maximum(ground, args.k, args.t,
-                                     cap=args.search_cap)
-    emit_report({
-        "max_size": _count(rep["max_size"]),
-        "star_bound": _count(rep["star_bound"]),
-        "gap": _count(rep["gap"]),
-        "witness_center": _center_elements(rep["witness_center"]),
-        "center_exchange_optimal": rep["center_exchange_optimal"],
-        "hypotheses": rep["flags"],
-        "consistent": rep["consistent"],
-        "nodes_explored": _count(rep["nodes_explored"]),
-        "witness_file": _write_witness(rep["witness"], args.witness_out),
-    }, args.format)
+    else:
+        report = search.check_block_maximum(ground, args.k, args.t,
+                                            cap=args.search_cap,
+                                            shifted=args.shifted)
+    witness = report.pop("witness")
+    if args.witness_out is not None:
+        write_family(witness, args.witness_out)
+    report["witness_file"] = args.witness_out
+    emit_report(report, args.format)
     return 0
 
 
@@ -242,8 +199,8 @@ def cmd_shift(args) -> int:
         with open(args.out, "w", encoding="ascii") as fh:
             fh.write(text)
         emit_report({
-            "steps": _count(steps),
-            "size": _count(len(closed.members)),
+            "steps": steps,
+            "size": len(closed.members),
             "out": args.out,
         }, args.format)
     else:
@@ -261,7 +218,7 @@ def cmd_verify(args) -> int:
     elif args.mode == "star":
         center = verify.is_full_t_star(fam, read_family(args.space), args.t)
         holds = center is not None
-        extra["center"] = _center_elements(center)
+        extra["center"] = None if center is None else list(elements_of(center))
     elif args.mode == "prefix":
         holds = verify.check_prefix_intersection(fam, read_family(args.other), args.t,
                                                  args.r, args.s)
@@ -287,7 +244,7 @@ def cmd_kneser(args) -> int:
     params = kneser.KneserParams(args.params)
     emit_report({
         "connected": kneser.is_connected(params, cap=args.enum_cap),
-        "vertices": _count(params.vertex_count),
+        "vertices": params.vertex_count,
     }, args.format)
     return 0
 
@@ -303,7 +260,7 @@ def cmd_enumerate(args) -> int:
                                       cap=args.enum_cap)
     if args.out is not None:
         write_family(fam, args.out)
-        emit_report({"size": _count(len(fam.members)), "out": args.out}, args.format)
+        emit_report({"size": len(fam.members), "out": args.out}, args.format)
     else:
         sys.stdout.write(format_family(fam))
     return 0

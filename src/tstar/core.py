@@ -552,10 +552,17 @@ def parse_family(text: str) -> Family:
 
 
 def write_family(fam: Family, path: str) -> None:
+    text = format_family(fam)   # before open, so a refused family leaves no file
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(format_family(fam))
+        fh.write(text)
 
 
 def read_family(path: str) -> Family:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_family(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise InvalidParametersError(
+            f"{path}: byte {exc.start} (0x{data[exc.start]:02x}) is not ASCII") from None
+    return parse_family(text)

@@ -10,6 +10,13 @@ cheap ingredients effective: degree reduction rules, and a matching
 upper bound (every maximal matching in the conflict graph forfeits one
 vertex per matched pair).
 
+The two report builders set the solver's answer beside the best star:
+check_block_maximum for one block, check_quota_family for a quota
+family.  Each returns the keys of its `tstar search` report, in order.
+`search --shifted` is check_block_maximum(..., shifted=True): the same
+search, whose witness is then closed under every in-part shift, which
+keeps its size (the maximum over shifted families is the maximum).
+
 A deliberately naive brute-force oracle is kept alongside for
 validation; it shares no data structures with the solver.
 """
@@ -26,13 +33,13 @@ from .core import (
     InstanceTooLargeError,
     InvalidParametersError,
     InvariantError,
-    block_size,
+    elements_of,
     enumerate_block,
     enumerate_quota,
     quota_profiles,
     search_cap,
 )
-from .shifting import full_shift_closure
+from .shifting import shift_closure
 from .verify import is_full_t_star
 
 DEFAULT_SUBSET_LIMIT = 24
@@ -158,20 +165,29 @@ def max_t_intersecting(space: Family, t: int,
         r_mask, r_size, pmask = stack.pop()
         while True:
             nodes += 1
-            # reduction: conflict-free vertices always join the solution;
-            # a single-conflict vertex joins at the expense of its rival
+            # one scan of the candidates per round gives each vertex's
+            # conflict degree d: a conflict-free vertex always joins the
+            # solution, a single-conflict vertex joins at the expense of
+            # its rival, and once neither is left the node branches on the
+            # most conflicted vertex (the first of largest d)
             while True:
                 free = 0
                 deg1 = -1
+                pick = -1
+                pick_deg = 0
                 rest = pmask
                 while rest:
                     low = rest & -rest
                     rest ^= low
-                    nb = conflict[low.bit_length() - 1] & pmask
-                    if nb == 0:
+                    v = low.bit_length() - 1
+                    d = (conflict[v] & pmask).bit_count()
+                    if d == 0:
                         free |= low
-                    elif deg1 < 0 and nb & (nb - 1) == 0:
-                        deg1 = low.bit_length() - 1
+                    elif d == 1 and deg1 < 0:
+                        deg1 = v
+                    elif d > pick_deg:
+                        pick = v
+                        pick_deg = d
                 if free:
                     r_mask |= free
                     r_size += free.bit_count()
@@ -187,18 +203,6 @@ def max_t_intersecting(space: Family, t: int,
                 best_mask = r_mask
             if not pmask or r_size + matching_bound(pmask) <= best_size:
                 break
-            # branch on the most conflicted remaining vertex
-            pick = -1
-            pick_deg = -1
-            rest = pmask
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                v = low.bit_length() - 1
-                d = (conflict[v] & pmask).bit_count()
-                if d > pick_deg:
-                    pick = v
-                    pick_deg = d
             low = 1 << pick
             stack.append((r_mask, r_size, pmask & ~low))
             r_mask |= low
@@ -321,36 +325,15 @@ def brute_force_max(space: Family, t: int, mode: str = "auto") -> SearchResult:
     raise InvalidParametersError(f"unknown mode {mode!r}")
 
 
-def shifted_search(space: Family, t: int,
-                   cap: int | None = None) -> SearchResult:
-    """Maximum over left-compressed t-intersecting subfamilies of a
-    full block; equals the unrestricted maximum size because compression
-    preserves both size and the t-intersection property.  The returned
-    witness is shifted in every part."""
-    if not space.members:
-        raise InvalidParametersError("search space must be one full block")
-    profiles = {space.ground.profile(m) for m in space.members}
-    if len(profiles) != 1:
-        raise InvalidParametersError("search space must be one full block")
-    profile = profiles.pop()
-    if len(space.members) != block_size(space.ground, profile):
-        raise InvalidParametersError("search space must be one full block")
-    result = max_t_intersecting(space, t, cap=cap)
-    shifted = full_shift_closure(result.witness)
-    if len(shifted.members) != result.max_size:
-        raise InvariantError(
-            f"shift closure changed the witness size from {result.max_size} "
-            f"to {len(shifted.members)}")
-    return SearchResult(result.max_size, shifted,
-                        is_full_t_star(shifted, space, t),
-                        result.nodes_explored, result.bound_used)
-
-
 # ---------------------------------------------------------------------------
 # report builders on top of the solver
 
+def _elements(center: int | None) -> list[int] | None:
+    return None if center is None else list(elements_of(center))
+
+
 def check_block_maximum(ground: GroundSet, k: tuple[int, ...], t: int,
-                        cap: int | None = None) -> dict:
+                        cap: int | None = None, shifted: bool = False) -> dict:
     """Exact maximum for one block versus the best trivial t-star.
 
     Under the large-part hypothesis the two must agree and the witness
@@ -358,36 +341,42 @@ def check_block_maximum(ground: GroundSet, k: tuple[int, ...], t: int,
     what was observed either way.  For p = 1 the classical threshold
     n > (t+1)(k-t+1) is reported as well, it is much weaker than the
     general product hypothesis.
+
+    With shifted=True the witness is replaced by its shift closure in
+    every part, which keeps its size and its t-intersection, and
+    witness_center and the verdicts after it describe that witness.
+    The report's keys and order are those of `tstar search`; the
+    witness Family stands where the CLI prints witness_file.
     """
     k = tuple(k)
     space = enumerate_block(ground, k, cap=search_cap(cap))
     star_bound = max_star_size(t, ground, k)
     result = max_t_intersecting(space, t, cap=cap)
-    flags = hypothesis_flags(t, ground, k=k)
-    report = {
+    witness, center = result.witness, result.is_trivial_star
+    if shifted:
+        witness = shift_closure(witness)[0]
+        if len(witness.members) != result.max_size:
+            raise InvariantError(
+                f"shift closure changed the witness size from {result.max_size} "
+                f"to {len(witness.members)}")
+        center = is_full_t_star(witness, space, t)
+    hypotheses = {"block_star": hypothesis_flags(t, ground, k=k)["block_star"]}
+    if ground.p == 1:
+        hypotheses["ekr_threshold"] = ground.sizes[0] > (t + 1) * (k[0] - t + 1)
+    gap = result.max_size - star_bound
+    optimal = None if center is None else exchange_optimal(ground, k, t, center)
+    return {
         "max_size": result.max_size,
         "star_bound": star_bound,
-        "gap": result.max_size - star_bound,
-        "witness_center": result.is_trivial_star,
-        "center_exchange_optimal": None,
-        "flags": {"block_star": flags["block_star"]},
+        "gap": gap,
+        "witness_center": _elements(center),
+        "center_exchange_optimal": optimal,
+        "hypotheses": hypotheses,
+        "consistent": (not hypotheses["block_star"]
+                       or (gap == 0 and center is not None and optimal)),
         "nodes_explored": result.nodes_explored,
-        "witness": result.witness,
+        "witness": witness,
     }
-    if ground.p == 1:
-        report["flags"]["ekr_threshold"] = (
-            ground.sizes[0] > (t + 1) * (k[0] - t + 1))
-    if result.is_trivial_star is not None:
-        report["center_exchange_optimal"] = exchange_optimal(
-            ground, k, t, result.is_trivial_star)
-    if flags["block_star"]:
-        report["consistent"] = (
-            report["gap"] == 0
-            and result.is_trivial_star is not None
-            and bool(report["center_exchange_optimal"]))
-    else:
-        report["consistent"] = True
-    return report
 
 
 def check_quota_family(ground: GroundSet, k: int, quotas: tuple[int, ...],
@@ -400,6 +389,7 @@ def check_quota_family(ground: GroundSet, k: int, quotas: tuple[int, ...],
     verdict is "non-trivial" when the maximum strictly beats every
     star, "trivial" when the witness found is itself a full star, and
     "tie" when a non-star family merely matches the best star size.
+    The report's keys and order are those of `tstar search --quota`.
     """
     quotas = tuple(quotas)
     profiles = quota_profiles(ground, k, quotas)
@@ -407,7 +397,6 @@ def check_quota_family(ground: GroundSet, k: int, quotas: tuple[int, ...],
     units = [tuple(int(j == i) for j in range(ground.p)) for i in range(ground.p)]
     star_sizes = union_star_sizes(ground, profiles, units)   # e_i: one element of part i
     star_best = max(star_sizes)
-    star_part = star_sizes.index(star_best)
     result = max_t_intersecting(space, 1, cap=cap)
     if result.max_size < star_best:
         raise InvariantError(
@@ -430,15 +419,14 @@ def check_quota_family(ground: GroundSet, k: int, quotas: tuple[int, ...],
     return {
         "max_size": result.max_size,
         "star_size": star_best,
-        "star_part": star_part,
-        "star_center": ground.part_elements(star_part)[0],
+        "star_center": [ground.part_elements(star_sizes.index(star_best))[0]],
         "verdict": verdict,
-        "flags": {
+        "hypotheses": {
             "parts_double_quota": double,
             "slack_all_but_one": slack,
             "applies": double and slack,
         },
-        "witness_center": result.is_trivial_star,
+        "witness_center": _elements(result.is_trivial_star),
         "nodes_explored": result.nodes_explored,
         "witness": result.witness,
     }

@@ -28,8 +28,6 @@ __all__ = [
     "compress_member",
     "compress_family",
     "shift_closure",
-    "l_shift_closure",
-    "full_shift_closure",
     "is_l_shifted",
     "is_shifted",
     "simultaneous_closure",
@@ -136,16 +134,6 @@ def shift_closure(fam: Family, parts: tuple[int, ...] | None = None) -> tuple[Fa
     """
     (closed,), steps = _closure([fam], parts)
     return closed, steps
-
-
-def l_shift_closure(fam: Family, part: int) -> Family:
-    """Fixed point under the moves of one part."""
-    return shift_closure(fam, (part,))[0]
-
-
-def full_shift_closure(fam: Family) -> Family:
-    """Fixed point under the moves of every part."""
-    return shift_closure(fam)[0]
 
 
 def is_l_shifted(fam: Family, part: int) -> bool:

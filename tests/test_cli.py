@@ -10,10 +10,10 @@ import pytest
 
 from tstar import core
 from tstar.cli import main
-from tstar.core import (Family, GroundSet, enumerate_block, parse_family, read_family,
-                        write_family)
+from tstar.core import (Family, GroundSet, elements_of, enumerate_block, parse_family,
+                        read_family, write_family)
 from tstar.shifting import is_shifted
-from tstar.verify import is_t_intersecting
+from tstar.verify import is_full_t_star, is_t_intersecting
 
 
 def run(capsys, *argv):
@@ -115,6 +115,19 @@ def test_search_shifted(tmp_path, capsys):
     witness = read_family(str(out_file))
     assert is_shifted(witness)
     assert is_t_intersecting(witness, 1)
+
+
+def test_search_shifted_prints_the_search_report(tmp_path, capsys):
+    argv = ("search", "--n", "4,4", "--k", "2,2", "--t", "1")
+    _, plain = run_json(capsys, *argv)
+    out_file = tmp_path / "w.fam"
+    code, data = run_json(capsys, *argv, "--shifted", "--witness-out", str(out_file))
+    assert code == 0
+    assert list(data) == list(plain)
+    assert data["consistent"] is True
+    space = enumerate_block(GroundSet((4, 4)), (2, 2))
+    center = is_full_t_star(read_family(str(out_file)), space, 1)
+    assert center is not None and data["witness_center"] == list(elements_of(center))
 
 
 def test_search_quota(capsys):
@@ -337,6 +350,24 @@ def test_enumerate_quota_and_errors(tmp_path, capsys):
     code, _ = run(capsys, "enumerate", "--n", "4,4", "--k", "2,2",
                   "--enum-cap", "10")
     assert code == 3
+
+
+def test_enumerate_refused_out_leaves_no_file(tmp_path, capsys):
+    out_file = tmp_path / "x.fam"
+    assert main(["enumerate", "--n", "3", "--k", "0", "--out", str(out_file)]) == 2
+    assert "empty set cannot be written" in capsys.readouterr().err
+    assert not out_file.exists()
+
+
+def test_non_ascii_family_file_exit_2(tmp_path, capsys):
+    path = tmp_path / "u.fam"
+    path.write_bytes("ground: 5\n# caf\u00e9\n1,2\n".encode("utf-8"))
+    for argv in (["verify", "t-intersecting", str(path), "--t", "1"],
+                 ["shift", str(path), "--all"]):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{path}: byte 15 (0xc3) is not ASCII" in captured.err
 
 
 def test_missing_file_exit_2(capsys):

@@ -11,8 +11,7 @@ from tstar.core import (Family, GroundSet, InstanceTooLargeError,
                         InvalidParametersError, InvariantError, block_size, enumerate_block,
                         enumerate_quota, quota_profiles, trivial_star)
 from tstar.search import (brute_force_max, check_block_maximum,
-                          check_quota_family, max_t_intersecting,
-                          shifted_search)
+                          check_quota_family, max_t_intersecting)
 from tstar.shifting import is_shifted
 from tstar.verify import is_t_intersecting
 
@@ -165,34 +164,32 @@ def test_search_cap():
         max_t_intersecting(space, 1, cap=10)
 
 
+def test_search_tree_is_pinned():
+    # (max_size, nodes_explored) of three full blocks; a change to the
+    # reductions or the branching order shows here first
+    for sizes, k, t, want in (((8,), (3,), 1, (21, 243)),
+                              ((10,), (4,), 2, (28, 15_363)),
+                              ((6, 6), (2, 2), 1, (75, 15_841))):
+        r = max_t_intersecting(enumerate_block(GroundSet(sizes), k), t)
+        assert (r.max_size, r.nodes_explored) == want, (sizes, k, t)
+
+
 def test_shifted_search_matches_unrestricted():
     for sizes, k, t in (((4, 4), (2, 2), 1), ((4, 4), (2, 2), 2),
                         ((5,), (2,), 1), ((3, 3), (2, 1), 1)):
         space = enumerate_block(GroundSet(sizes), k)
         plain = max_t_intersecting(space, t)
-        shifted = shifted_search(space, t)
-        assert shifted.max_size == plain.max_size
-        assert is_shifted(shifted.witness)
-        assert is_t_intersecting(shifted.witness, t)
-        assert shifted.witness.members <= space.members
+        shifted = check_block_maximum(GroundSet(sizes), k, t, shifted=True)
+        assert shifted["max_size"] == plain.max_size
+        assert is_shifted(shifted["witness"])
+        assert is_t_intersecting(shifted["witness"], t)
+        assert shifted["witness"].members <= space.members
 
 
 def test_shifted_search_t_zero_is_full_block():
     space = enumerate_block(GroundSet((3, 3)), (1, 1))
-    r = shifted_search(space, 0)
-    assert r.witness.members == space.members
-
-
-def test_shifted_search_rejects_non_block():
-    g = GroundSet((4,))
-    ragged = Family.from_iterables(g, [[1, 2], [1, 2, 3]])
-    with pytest.raises(InvalidParametersError):
-        shifted_search(ragged, 1)
-    partial = Family.from_iterables(g, [[1, 2], [1, 3]])
-    with pytest.raises(InvalidParametersError):
-        shifted_search(partial, 1)
-    with pytest.raises(InvalidParametersError):
-        shifted_search(Family(g, frozenset()), 1)
+    rep = check_block_maximum(GroundSet((3, 3)), (1, 1), 0, shifted=True)
+    assert rep["witness"].members == space.members
 
 
 def test_block_report_single_part():
@@ -202,7 +199,7 @@ def test_block_report_single_part():
     assert rep["gap"] == 0
     assert rep["witness_center"] is not None
     assert rep["center_exchange_optimal"] is True
-    assert rep["flags"] == {"block_star": False, "ekr_threshold": True}
+    assert rep["hypotheses"] == {"block_star": False, "ekr_threshold": True}
     assert rep["consistent"] is True
 
 
@@ -218,8 +215,8 @@ def test_quota_report_frozen_instance():
     assert rep["max_size"] == 34
     assert rep["star_size"] == 34
     assert rep["verdict"] == "trivial"
-    assert rep["flags"] == {"parts_double_quota": True,
-                            "slack_all_but_one": True, "applies": True}
+    assert rep["hypotheses"] == {"parts_double_quota": True,
+                                 "slack_all_but_one": True, "applies": True}
 
 
 def test_quota_report_zero_quotas_classical():
@@ -231,10 +228,10 @@ def test_quota_report_zero_quotas_classical():
 
 def test_quota_report_flag_violations():
     rep = check_quota_family(GroundSet((3, 4)), 4, (2, 1))
-    assert rep["flags"]["parts_double_quota"] is False
+    assert rep["hypotheses"]["parts_double_quota"] is False
     assert rep["max_size"] >= rep["star_size"]
     rep = check_quota_family(GroundSet((2, 2)), 3, (1, 1))
-    assert rep["flags"]["slack_all_but_one"] is False
+    assert rep["hypotheses"]["slack_all_but_one"] is False
 
 
 def test_quota_star_counts_match_enumeration():
@@ -259,11 +256,11 @@ def test_quota_star_counts_match_enumeration():
 
 def test_shifted_search_checks_the_closure_size(monkeypatch):
     def lossy_closure(fam):
-        return Family(fam.ground, frozenset(sorted(fam.members)[1:]))
+        return Family(fam.ground, frozenset(sorted(fam.members)[1:])), 0
 
-    monkeypatch.setattr(search, "full_shift_closure", lossy_closure)
+    monkeypatch.setattr(search, "shift_closure", lossy_closure)
     with pytest.raises(InvariantError, match="changed the witness size"):
-        shifted_search(enumerate_block(GroundSet((5,)), (2,)), 1)
+        check_block_maximum(GroundSet((5,)), (2,), 1, shifted=True)
 
 
 def test_check_quota_family_checks_the_star_bound(monkeypatch):

@@ -10,10 +10,8 @@ from tstar.shifting import (
     compress_family,
     compress_member,
     family_weight,
-    full_shift_closure,
     is_l_shifted,
     is_shifted,
-    l_shift_closure,
     shift_closure,
     simultaneous_closure,
 )
@@ -69,27 +67,27 @@ def test_size_preserved_randomized():
 def test_l_shift_closure_example():
     g = GroundSet((4,))
     fam = _fam(g, [2, 3])
-    assert out_sets(l_shift_closure(fam, 0)) == {(1, 2)}
+    assert out_sets(shift_closure(fam, (0,))[0]) == {(1, 2)}
 
 
 def test_closure_fixed_points():
     g = GroundSet((4,))
     shifted = _fam(g, [1, 2], [1, 3])
-    assert l_shift_closure(shifted, 0) == shifted
+    assert shift_closure(shifted, (0,))[0] == shifted
     blk = enumerate_block(g, (2,))
-    assert l_shift_closure(blk, 0) == blk
+    assert shift_closure(blk, (0,))[0] == blk
 
 
 def test_full_closure_singleton_goes_to_prefix():
     g = GroundSet((4, 4))
     fam = _fam(g, [3, 4, 7, 8])
-    assert out_sets(full_shift_closure(fam)) == {(1, 2, 5, 6)}
+    assert out_sets(shift_closure(fam)[0]) == {(1, 2, 5, 6)}
 
 
 def test_full_closure_empty():
     g = GroundSet((3, 3))
     empty = Family(g, frozenset())
-    assert full_shift_closure(empty) == empty
+    assert shift_closure(empty)[0] == empty
 
 
 def test_is_l_shifted_examples():
@@ -103,7 +101,7 @@ def test_block_is_shift_invariant():
     g = GroundSet((3, 4))
     blk = enumerate_block(g, (2, 2))
     assert is_shifted(blk)
-    assert full_shift_closure(blk) == blk
+    assert shift_closure(blk)[0] == blk
 
 
 def test_profile_preserved_by_in_part_moves():
