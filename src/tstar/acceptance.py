@@ -1,20 +1,23 @@
 """The numbered acceptance checks.
 
-Each criterion is one callable producing a CriterionOutcome with the
-observed numbers and, on failure, witness notes.  The repro subcommand
-and tests/test_acceptance.py both walk ACCEPTANCE_CHECKS, so the gate
-is runnable from either side.  Randomized criteria use fixed seeds;
-every run sees the same instances.  A criterion with a stated runtime
-budget fails when the budget is exceeded, even if the numbers agree.
+Each criterion body is a generator that yields one note per failed check
+and nothing when the criterion holds.  Criterion.run is the one runner:
+it times the body, keeps the first MAX_NOTES notes, and fails the
+criterion when a note was yielded, when the body raised (the exception
+becomes the note "raised <Type>: <message>") or when a stated runtime
+budget was exceeded, even if the numbers agree.  The repro subcommand
+and tests/test_acceptance.py both walk ACCEPTANCE_CHECKS and print each
+outcome through report(), so the gate reads the same from either side.
+Randomized criteria use fixed seeds; every run sees the same instances.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
-from typing import Callable
+from typing import Callable, Iterator
 
 from .bounds import (
     enumerate_distribution_argmax,
@@ -57,9 +60,8 @@ MAX_NOTES = 5
 @dataclass
 class CriterionOutcome:
     passed: bool
-    details: dict
-    notes: list[str] = field(default_factory=list)
-    seconds: float = 0.0
+    notes: list[str]
+    seconds: float
 
 
 @dataclass(frozen=True)
@@ -68,30 +70,38 @@ class Criterion:
     slug: str
     label: str
     budget: float | None
-    body: Callable[[], CriterionOutcome]
+    body: Callable[[], Iterator[str]]
 
     def run(self) -> CriterionOutcome:
+        notes: list[str] = []
         start = time.perf_counter()
-        outcome = self.body()
-        outcome.seconds = time.perf_counter() - start
-        if self.budget is not None and outcome.seconds > self.budget:
-            outcome.passed = False
-            outcome.notes.append(
-                f"runtime {outcome.seconds:.1f}s exceeds the "
-                f"{self.budget:.0f}s budget")
-        return outcome
+        try:
+            for note in self.body():
+                if len(notes) < MAX_NOTES:
+                    notes.append(note)
+        except Exception as exc:
+            # a check that cannot finish is a failed check, not bad input
+            notes.append(f"raised {type(exc).__name__}: {exc}")
+        seconds = time.perf_counter() - start
+        if self.budget is not None and seconds > self.budget:
+            notes.append(f"runtime {seconds:.1f}s exceeds the {self.budget:.0f}s budget")
+        # every failure leaves a note: the first yielded one is always kept
+        return CriterionOutcome(not notes, notes, seconds)
 
 
-def _note(notes: list[str], message: str) -> None:
-    if len(notes) < MAX_NOTES:
-        notes.append(message)
+def report(check: Criterion, outcome: CriterionOutcome) -> str:
+    """The criterion's matrix line, then its notes indented."""
+    status = "PASS" if outcome.passed else "FAIL"
+    spent = f"{outcome.seconds:.1f} s"
+    spent += ", no budget" if check.budget is None else f" of {check.budget:.0f} s"
+    return "\n".join([f"criterion {check.number:2d}: {status}  {check.label} ({spent})",
+                      *(f"    {note}" for note in outcome.notes)])
 
 
 # ---------------------------------------------------------------------------
 # 1: the large non-trivial family beats the best star bound
 
-def _criterion_counterexample() -> CriterionOutcome:
-    notes: list[str] = []
+def _criterion_counterexample() -> Iterator[str]:
     ground = GroundSet((8, 10))
     k = (4, 4)
     bound = max_star_size(2, ground, k)
@@ -100,20 +110,14 @@ def _criterion_counterexample() -> CriterionOutcome:
     head = mask_of(range(1, 5))
     fam = Family(ground, frozenset(
         m for m in space.members if (m & head).bit_count() >= 3))
-    intersecting = is_t_intersecting(fam, 2)
     if bound != 3150:
-        _note(notes, f"star bound is {bound}, expected 3150")
+        yield f"star bound is {bound}, expected 3150"
     if dists != {(2, 0)}:
-        _note(notes, f"optimal distributions {sorted(dists)}, expected [(2, 0)]")
+        yield f"optimal distributions {sorted(dists)}, expected [(2, 0)]"
     if len(fam.members) != 3570:
-        _note(notes, f"family has {len(fam.members)} members, expected 3570")
-    if not intersecting:
-        _note(notes, "the half-prefix family is not 2-intersecting")
-    return CriterionOutcome(
-        passed=not notes,
-        details={"star_bound": bound, "family_size": len(fam.members),
-                 "is_2_intersecting": intersecting},
-        notes=notes)
+        yield f"family has {len(fam.members)} members, expected 3570"
+    if not is_t_intersecting(fam, 2):
+        yield "the half-prefix family is not 2-intersecting"
 
 
 # ---------------------------------------------------------------------------
@@ -126,41 +130,27 @@ def _grid_instances():
             yield (tuple(n for n, _ in combo), tuple(k for _, k in combo))
 
 
-def _criterion_distribution_oracle() -> CriterionOutcome:
-    notes: list[str] = []
-    checked = excluded = mismatches = 0
+def _criterion_distribution_oracle() -> Iterator[str]:
     for sizes, ks in _grid_instances():
         ground = GroundSet(sizes)
         total = sum(ks)
         for t in range(1, 5):
             if t > total:
-                excluded += 1
                 for fn in (optimal_t_distributions, enumerate_distribution_argmax):
                     try:
                         fn(t, ground, ks)
-                        mismatches += 1
-                        _note(notes, f"{fn.__name__} accepted t={t} > {total} "
-                                     f"on n={sizes} k={ks}")
                     except InvalidParametersError:
-                        pass
+                        continue
+                    yield f"{fn.__name__} accepted t={t} > {total} on n={sizes} k={ks}"
                 continue
             greedy = optimal_t_distributions(t, ground, ks)
             exact = enumerate_distribution_argmax(t, ground, ks)
-            checked += 1
             if greedy != exact.optimal_distributions:
-                mismatches += 1
-                _note(notes, f"n={sizes} k={ks} t={t}: greedy {sorted(greedy)} "
-                             f"!= scan {sorted(exact.optimal_distributions)}")
-    return CriterionOutcome(
-        passed=mismatches == 0,
-        details={"instances": checked, "excluded": excluded,
-                 "mismatches": mismatches},
-        notes=notes)
+                yield (f"n={sizes} k={ks} t={t}: greedy {sorted(greedy)} "
+                       f"!= scan {sorted(exact.optimal_distributions)}")
 
 
-def _criterion_exchange_condition() -> CriterionOutcome:
-    notes: list[str] = []
-    centers = mismatches = 0
+def _criterion_exchange_condition() -> Iterator[str]:
     for sizes, ks in _grid_instances():
         ground = GroundSet(sizes)
         total = sum(ks)
@@ -176,27 +166,17 @@ def _criterion_exchange_condition() -> CriterionOutcome:
                 for part, s_i in enumerate(dist):
                     center |= ground.prefix_mask(part, s_i)
                 balanced = exchange_optimal(ground, ks, t, center)
-                centers += 1
                 if (v == best) != balanced:
-                    mismatches += 1
-                    _note(notes, f"n={sizes} k={ks} t={t} dist={dist}: "
-                                 f"size {v} of best {best} but exchange "
-                                 f"condition says {balanced}")
-    return CriterionOutcome(
-        passed=mismatches == 0,
-        details={"centers": centers, "mismatches": mismatches},
-        notes=notes)
+                    yield (f"n={sizes} k={ks} t={t} dist={dist}: size {v} of "
+                           f"best {best} but exchange condition says {balanced}")
 
 
 # ---------------------------------------------------------------------------
 # 4: compression properties at scale
 
-def _criterion_shifting() -> CriterionOutcome:
-    notes: list[str] = []
+def _criterion_shifting() -> Iterator[str]:
     rng = random.Random(1009)
-    trials = 10_000
-    failures = 0
-    for _ in range(trials):
+    for _ in range(10_000):
         p = rng.randint(1, 3)
         sizes = tuple(rng.randint(1, 5) for _ in range(p))
         ground = GroundSet(sizes)
@@ -211,43 +191,28 @@ def _criterion_shifting() -> CriterionOutcome:
             i, j = rng.sample(range(1, ground.n + 1), 2)
             moved = compress_family(fam, i, j)
             if len(moved.members) != len(fam.members):
-                failures += 1
-                _note(notes, f"size changed under ({i},{j}) on {sorted(ms)}")
+                yield f"size changed under ({i},{j}) on {sorted(ms)}"
             if not is_t_intersecting(moved, t):
-                failures += 1
-                _note(notes, f"{t}-intersection lost under ({i},{j}) "
-                             f"on {sorted(ms)}")
+                yield f"{t}-intersection lost under ({i},{j}) on {sorted(ms)}"
 
         w0 = family_weight(fam)
         closed, steps = shift_closure(fam)
         if steps > w0 - family_weight(closed):
-            failures += 1
-            _note(notes, f"{steps} steps exceed the weight drop on {sorted(ms)}")
+            yield f"{steps} steps exceed the weight drop on {sorted(ms)}"
         if len(closed.members) != len(fam.members):
-            failures += 1
-            _note(notes, f"closure changed the size on {sorted(ms)}")
+            yield f"closure changed the size on {sorted(ms)}"
         for part in range(p):
             if not is_l_shifted(closed, part):
-                failures += 1
-                _note(notes, f"closure not shifted in part {part} "
-                             f"on {sorted(ms)}")
+                yield f"closure not shifted in part {part} on {sorted(ms)}"
                 break
-    return CriterionOutcome(
-        passed=failures == 0,
-        details={"trials": trials, "failures": failures},
-        notes=notes)
 
 
 # ---------------------------------------------------------------------------
 # 5: prefix-window inequalities for shifted cross-intersecting pairs
 
-def _criterion_prefix_windows() -> CriterionOutcome:
-    notes: list[str] = []
-    failures = 0
-
+def _criterion_prefix_windows() -> Iterator[str]:
     rng = random.Random(2003)
-    single = 0
-    while single < 5000:
+    for _ in range(5000):
         n = rng.randint(4, 10)
         ground = GroundSet((n,))
         t = rng.randint(1, 2)
@@ -262,11 +227,9 @@ def _criterion_prefix_windows() -> CriterionOutcome:
             mask_of(core) | mask_of(rng.sample(rest, s - t))
             for _ in range(rng.randint(1, 4))))
         sa, sb = simultaneous_closure([a, b])
-        single += 1
         if not check_prefix_intersection(sa, sb, t, r, s):
-            failures += 1
-            _note(notes, f"window failed: n={n} t={t} r={r} s={s} "
-                         f"a={sorted(sa.members)} b={sorted(sb.members)}")
+            yield (f"window failed: n={n} t={t} r={r} s={s} "
+                   f"a={sorted(sa.members)} b={sorted(sb.members)}")
 
     rng = random.Random(2011)
     multi = 0
@@ -294,52 +257,35 @@ def _criterion_prefix_windows() -> CriterionOutcome:
         sa, sb = simultaneous_closure([a, b])
         multi += 1
         if not check_partwise_prefix_intersection(sa, sb, t, ra, rb):
-            failures += 1
-            _note(notes, f"partwise window failed: n={sizes} t={t} "
-                         f"ra={ra} rb={rb} a={sorted(sa.members)} "
-                         f"b={sorted(sb.members)}")
+            yield (f"partwise window failed: n={sizes} t={t} ra={ra} rb={rb} "
+                   f"a={sorted(sa.members)} b={sorted(sb.members)}")
 
     # sensitivity: without shiftedness the partwise conclusion can fail
     tail = Family(GroundSet((7, 7)), frozenset({mask_of([6, 7, 13, 14])}))
-    violated = not check_partwise_prefix_intersection(
-        tail, tail, 2, (2, 2), (2, 2), require_shifted=False)
-    if not violated:
-        failures += 1
-        _note(notes, "the tail-located pair satisfied the windows; "
-                     "expected a violation without shiftedness")
-    return CriterionOutcome(
-        passed=failures == 0,
-        details={"single_part_instances": single, "partwise_instances": multi,
-                 "non_shifted_violation_shown": violated,
-                 "failures": failures},
-        notes=notes)
+    if check_partwise_prefix_intersection(tail, tail, 2, (2, 2), (2, 2),
+                                          require_shifted=False):
+        yield ("the tail-located pair satisfied the windows; "
+               "expected a violation without shiftedness")
 
 
 # ---------------------------------------------------------------------------
 # 6: classical single-part maxima via the solver
 
-def _criterion_classical_maxima() -> CriterionOutcome:
-    notes: list[str] = []
-    observed = {}
+def _criterion_classical_maxima() -> Iterator[str]:
     for n, k in ((5, 2), (7, 3), (9, 4)):
         space = enumerate_block(GroundSet((n,)), (k,))
         result = max_t_intersecting(space, 1)
         expected = binom(n - 1, k - 1)
-        observed[f"{n},{k}"] = result.max_size
         if result.max_size != expected:
-            _note(notes, f"(n,k)=({n},{k}): got {result.max_size}, "
-                         f"expected {expected}")
+            yield f"(n,k)=({n},{k}): got {result.max_size}, expected {expected}"
         if result.is_trivial_star is None:
-            _note(notes, f"(n,k)=({n},{k}): witness is not a full star")
-    return CriterionOutcome(passed=not notes, details=observed, notes=notes)
+            yield f"(n,k)=({n},{k}): witness is not a full star"
 
 
 # ---------------------------------------------------------------------------
 # 7: solver against the exhaustive oracle
 
-def _criterion_solver_oracle() -> CriterionOutcome:
-    notes: list[str] = []
-    checked = mismatches = 0
+def _criterion_solver_oracle() -> Iterator[str]:
     per_part = [(n, k) for n in range(1, 7) for k in range(1, min(3, n) + 1)]
     for p in (1, 2):
         for combo in product(per_part, repeat=p):
@@ -352,64 +298,41 @@ def _criterion_solver_oracle() -> CriterionOutcome:
             for t in (1, 2):
                 got = max_t_intersecting(space, t)
                 want = brute_force_max(space, t, mode="subsets")
-                checked += 1
                 if got.max_size != want.max_size:
-                    mismatches += 1
-                    _note(notes, f"n={sizes} k={ks} t={t}: solver "
-                                 f"{got.max_size} != oracle {want.max_size}")
+                    yield (f"n={sizes} k={ks} t={t}: solver "
+                           f"{got.max_size} != oracle {want.max_size}")
                 elif not is_t_intersecting(got.witness, t):
-                    mismatches += 1
-                    _note(notes, f"n={sizes} k={ks} t={t}: witness invalid")
-    return CriterionOutcome(
-        passed=mismatches == 0,
-        details={"instances": checked, "mismatches": mismatches},
-        notes=notes)
+                    yield f"n={sizes} k={ks} t={t}: witness invalid"
 
 
 # ---------------------------------------------------------------------------
 # 8: disjointness-graph connectivity, two independent routes
 
-def _criterion_kneser() -> CriterionOutcome:
-    notes: list[str] = []
-    connected_set = [((5, 2),), ((7, 3),), ((5, 2), (5, 2)), ((5, 2), (7, 3))]
-    details = {}
-    failures = 0
-    for pairs in connected_set:
+def _criterion_kneser() -> Iterator[str]:
+    # the 2-subset disjointness graph on [4] is a perfect matching
+    for pairs, connected in ((((5, 2),), True), (((7, 3),), True),
+                             (((5, 2), (5, 2)), True), (((5, 2), (7, 3)), True),
+                             (((4, 2),), False)):
         params = KneserParams(pairs)
         got = is_connected(params)
-        details[str(pairs)] = got
-        if not got:
-            failures += 1
-            _note(notes, f"{pairs} reported disconnected")
-    lone = KneserParams(((4, 2),))
-    if is_connected(lone):
-        failures += 1
-        _note(notes, "the 2-subset disjointness graph on [4] reported "
-                     "connected; it is a perfect matching")
-    for pairs in connected_set + [((4, 2),)]:
-        params = KneserParams(pairs)
-        if params.vertex_count > 10_000:
-            continue
-        if is_connected(params) != is_connected_union_find(params):
-            failures += 1
-            _note(notes, f"{pairs}: search and union-find disagree")
-    return CriterionOutcome(passed=failures == 0, details=details, notes=notes)
+        if got != connected:
+            yield f"{pairs} reported {'connected' if got else 'disconnected'}"
+        if params.vertex_count <= 10_000 and got != is_connected_union_find(params):
+            yield f"{pairs}: search and union-find disagree"
 
 
 # ---------------------------------------------------------------------------
 # 9: union-space star bound, frozen value plus block consistency
 
-def _criterion_union_bound() -> CriterionOutcome:
-    notes: list[str] = []
-    report = max_union_star_size(1, GroundSet((6, 6)),
-                                 ProfileSet(((2, 2), (3, 2))))
-    if report.value != 225:
-        _note(notes, f"union bound {report.value}, expected 225")
-    if report.optimal_distributions != {(1, 0)}:
-        _note(notes, f"distributions {sorted(report.optimal_distributions)}, "
-                     f"expected [(1, 0)]")
+def _criterion_union_bound() -> Iterator[str]:
+    union = max_union_star_size(1, GroundSet((6, 6)),
+                                ProfileSet(((2, 2), (3, 2))))
+    if union.value != 225:
+        yield f"union bound {union.value}, expected 225"
+    if union.optimal_distributions != {(1, 0)}:
+        yield (f"distributions {sorted(union.optimal_distributions)}, "
+               f"expected [(1, 0)]")
     rng = random.Random(3019)
-    agreements = 0
     for _ in range(100):
         p = rng.randint(1, 3)
         ks = tuple(rng.randint(1, 4) for _ in range(p))
@@ -419,35 +342,23 @@ def _criterion_union_bound() -> CriterionOutcome:
         single = max_union_star_size(t, ground, ProfileSet((ks,)))
         block = max_star_size(t, ground, ks)
         if single.value != block:
-            _note(notes, f"n={sizes} k={ks} t={t}: union route "
-                         f"{single.value} != block route {block}")
-        else:
-            agreements += 1
-    return CriterionOutcome(
-        passed=not notes,
-        details={"value": report.value, "singleton_agreements": agreements},
-        notes=notes)
+            yield (f"n={sizes} k={ks} t={t}: union route "
+                   f"{single.value} != block route {block}")
 
 
 # ---------------------------------------------------------------------------
 # 10: density bound versus the exact maximum
 
-def _criterion_density_bound() -> CriterionOutcome:
-    notes: list[str] = []
+def _criterion_density_bound() -> Iterator[str]:
     ground = GroundSet((4, 4))
     k = (2, 2)
     rb = ratio_bound(ground, k)
     space = enumerate_block(ground, k)
     result = max_t_intersecting(space, 1)
     if rb.absolute != 18:
-        _note(notes, f"density bound {rb.absolute}, expected 18")
+        yield f"density bound {rb.absolute}, expected 18"
     if result.max_size > rb.absolute:
-        _note(notes, f"exact maximum {result.max_size} exceeds the "
-                     f"bound {rb.absolute}")
-    return CriterionOutcome(
-        passed=not notes,
-        details={"bound": rb.absolute, "exact_maximum": result.max_size},
-        notes=notes)
+        yield f"exact maximum {result.max_size} exceeds the bound {rb.absolute}"
 
 
 ACCEPTANCE_CHECKS = [

@@ -119,6 +119,19 @@ def _distribution_list(dists) -> list[list[int]]:
     return sorted(list(d) for d in dists)
 
 
+def _check_out(path: str | None) -> None:
+    """Refuse an output path before the work whose result it would hold:
+    a directory, or a file this process cannot create or overwrite."""
+    if path is None:
+        return
+    if not path or os.path.isdir(path):
+        raise InvalidParametersError(f"cannot write {path!r}: not a file name")
+    if not (os.access(path, os.W_OK) if os.path.exists(path)
+            else os.access(os.path.dirname(path) or ".", os.W_OK | os.X_OK)):
+        raise InvalidParametersError(
+            f"cannot write {path!r}: no such directory or permission denied")
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -163,6 +176,7 @@ def _quota_k(args) -> int:
 
 
 def cmd_search(args) -> int:
+    _check_out(args.witness_out)
     ground = GroundSet(args.n)
     if args.quota is not None:
         k = _quota_k(args)
@@ -185,6 +199,7 @@ def cmd_search(args) -> int:
 
 
 def cmd_shift(args) -> int:
+    _check_out(args.out)
     fam = read_family(args.family)
     if args.all:
         parts = None
@@ -250,6 +265,7 @@ def cmd_kneser(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    _check_out(args.out)
     ground = GroundSet(args.n)
     if args.quota is not None:
         fam = enumerate_quota(ground, _quota_k(args), args.quota, cap=args.enum_cap)
@@ -280,14 +296,8 @@ def cmd_repro(args) -> int:
         if args.only is not None and check.number not in args.only:
             continue
         outcome = check.run()
-        status = "PASS" if outcome.passed else "FAIL"
-        spent = f"{outcome.seconds:.1f} s"
-        spent += ", no budget" if check.budget is None else f" of {check.budget:.0f} s"
-        print(f"criterion {check.number:2d}: {status}  {check.label} ({spent})")
-        if not outcome.passed:
-            failures += 1
-            for note in outcome.notes:
-                print(f"    {note}")
+        print(acceptance.report(check, outcome))
+        failures += not outcome.passed
     return 0 if failures == 0 else 1
 
 

@@ -206,10 +206,6 @@ class GroundSet:
     def full_mask(self) -> int:
         return (1 << self.n) - 1
 
-    @cached_property
-    def part_masks(self) -> tuple[int, ...]:
-        return tuple(((1 << s) - 1) << off for s, off in zip(self.sizes, self.offsets))
-
     def part_elements(self, part: int) -> range:
         """1-based elements of the given part, ascending."""
         self._check_part(part)

@@ -100,6 +100,25 @@ def is_full_t_star(fam: Family, space: Family, t: int) -> int | None:
 # ---------------------------------------------------------------------------
 # prefix-window checks for shifted cross-intersecting pairs
 
+def _meet_inside(a: Family, b: Family, t: int, window: int) -> bool:
+    """Whether every cross pair shares >= t elements inside window.
+
+    One pass over the pairs also checks the hypothesis that every pair
+    shares >= t elements at all; it walks every pair, so a violation
+    anywhere raises even after a window miss.
+    """
+    inside = True
+    bs = sorted(b.members)
+    for x in a.members:
+        for y in bs:
+            common = x & y
+            if common.bit_count() < t:
+                raise HypothesisViolationError("families must be cross t-intersecting")
+            if inside and (common & window).bit_count() < t:
+                inside = False
+    return inside
+
+
 def _uniform_size(fam: Family) -> int | None:
     sizes = {m.bit_count() for m in fam.members}
     if len(sizes) > 1:
@@ -130,14 +149,7 @@ def check_prefix_intersection(a: Family, b: Family, t: int, r: int, s: int,
         return True
     if require_shifted and not (is_l_shifted(a, 0) and is_l_shifted(b, 0)):
         raise HypothesisViolationError("both families must be shifted")
-    if not are_cross_t_intersecting(a, b, t):
-        raise HypothesisViolationError("families must be cross t-intersecting")
-    window = (1 << (r + s - t)) - 1
-    for x in a.members:
-        for y in b.members:
-            if (x & y & window).bit_count() < t:
-                return False
-    return True
+    return _meet_inside(a, b, t, (1 << (r + s - t)) - 1)
 
 
 def check_partwise_prefix_intersection(a: Family, b: Family, t: int,
@@ -175,16 +187,11 @@ def check_partwise_prefix_intersection(a: Family, b: Family, t: int,
         return True
     if require_shifted and not (is_shifted(a) and is_shifted(b)):
         raise HypothesisViolationError("both families must be l-shifted for every l")
-    if not are_cross_t_intersecting(a, b, t):
-        raise HypothesisViolationError("families must be cross t-intersecting")
     window = 0
     for i in range(ground.p):
-        window |= ground.prefix_mask(i, profile_a[i] + profile_b[i] - 1)
-    for x in a.members:
-        for y in b.members:
-            if (x & y & window).bit_count() < t:
-                return False
-    return True
+        # a part that both profiles leave empty has an empty window
+        window |= ground.prefix_mask(i, max(0, profile_a[i] + profile_b[i] - 1))
+    return _meet_inside(a, b, t, window)
 
 
 # ---------------------------------------------------------------------------

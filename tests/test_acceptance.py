@@ -1,12 +1,13 @@
 """Acceptance gate: one test per numbered criterion.
 
 Run `pytest tests/test_acceptance.py -v -s` for the live matrix, or
-`tstar repro` for the same checks through the CLI.
+`tstar repro` for the same checks through the CLI; both print the same
+lines.
 """
 
 import pytest
 
-from tstar.acceptance import ACCEPTANCE_CHECKS
+from tstar.acceptance import ACCEPTANCE_CHECKS, report
 
 
 @pytest.mark.parametrize(
@@ -14,9 +15,5 @@ from tstar.acceptance import ACCEPTANCE_CHECKS
     ids=[f"c{c.number:02d}-{c.slug}" for c in ACCEPTANCE_CHECKS])
 def test_criterion(check):
     outcome = check.run()
-    status = "PASS" if outcome.passed else "FAIL"
-    print(f"criterion {check.number:2d}: {status}  {check.label}  "
-          f"({outcome.seconds:.1f}s)")
-    for note in outcome.notes:
-        print(f"    {note}")
+    print(report(check, outcome))
     assert outcome.passed, (check.label, outcome.notes)

@@ -1,5 +1,6 @@
 """End-to-end CLI tests: flag handling, JSON schemas, exit codes."""
 
+import dataclasses
 import json
 import os
 import re
@@ -8,7 +9,7 @@ import sys
 
 import pytest
 
-from tstar import core
+from tstar import acceptance, cli, core, search, shifting
 from tstar.cli import main
 from tstar.core import (Family, GroundSet, elements_of, enumerate_block, parse_family,
                         read_family, write_family)
@@ -385,3 +386,58 @@ def test_repro_subset(capsys):
     for bad in ("0", "11", "99"):
         code, out = run(capsys, "repro", "--only", "10", "--only", bad)
         assert (code, out) == (2, "")
+
+
+@pytest.mark.parametrize("error", [core.InvariantError, core.HypothesisViolationError])
+def test_repro_criterion_that_raises_fails_and_the_gate_goes_on(capsys, monkeypatch, error):
+    def body():
+        yield "a failed check"
+        raise error("the check broke")
+
+    checks = list(acceptance.ACCEPTANCE_CHECKS)
+    checks[8] = dataclasses.replace(checks[8], body=body)
+    monkeypatch.setattr(acceptance, "ACCEPTANCE_CHECKS", checks)
+    code, out = run(capsys, "repro", "--only", "9", "--only", "10")
+    assert code == 1
+    assert re.fullmatch(r"criterion  9: FAIL  .+ \(\d+\.\d s, no budget\)\n"
+                        r"    a failed check\n"
+                        rf"    raised {error.__name__}: the check broke\n"
+                        r"criterion 10: PASS  .+ \(\d+\.\d s of 10 s\)\n", out)
+
+
+def test_repro_fail_keeps_max_notes_then_the_budget_note(capsys, monkeypatch):
+    def body():
+        for i in range(7):
+            yield f"note {i}"
+
+    checks = [acceptance.Criterion(10, "noisy", "seven notes", 0.0, body)]
+    monkeypatch.setattr(acceptance, "ACCEPTANCE_CHECKS", checks)
+    code, out = run(capsys, "repro", "--only", "10")
+    assert code == 1
+    lines = out.splitlines()
+    assert re.fullmatch(r"criterion 10: FAIL  seven notes \(\d+\.\d s of 0 s\)", lines[0])
+    assert lines[1:-1] == [f"    note {i}" for i in range(acceptance.MAX_NOTES)]
+    assert re.fullmatch(r"    runtime \d+\.\ds exceeds the 0s budget", lines[-1])
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("did the work before checking the output path")
+
+
+@pytest.mark.parametrize("where", ["missing directory", "directory", "empty"])
+def test_output_path_is_checked_before_the_work(tmp_path, capsys, monkeypatch, where):
+    monkeypatch.setattr(search, "check_block_maximum", _refuse)
+    monkeypatch.setattr(cli, "enumerate_block", _refuse)
+    monkeypatch.setattr(shifting, "shift_closure", _refuse)
+    family = tmp_path / "in.fam"
+    write_family(Family.from_iterables(GroundSet((4,)), [[2, 3]]), str(family))
+    out = {"missing directory": str(tmp_path / "missing" / "x.fam"),
+           "directory": str(tmp_path), "empty": ""}[where]
+    for argv in (["search", "--n", "6,6", "--k", "2,2", "--t", "1", "--witness-out", out],
+                 ["enumerate", "--n", "4,4", "--k", "2,2", "--out", out],
+                 ["shift", str(family), "--all", "--out", out]):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {out!r}: "), argv
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.fam"]

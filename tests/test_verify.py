@@ -195,6 +195,17 @@ def test_partwise_prefix_flags_small_parts():
         check_partwise_prefix_intersection(a, a, 2, (2, 2), (3, 2))
 
 
+def test_partwise_prefix_part_left_empty_by_both_profiles():
+    # rA_0 = rB_0 = 0: part 0's window Q_0(-1) is empty, not an error
+    g = GroundSet((3, 6))
+    a = _fam(g, [4, 5])
+    assert check_partwise_prefix_intersection(a, a, 2, (0, 2), (0, 2))
+    b = _fam(g, [6, 7])
+    with pytest.raises(HypothesisViolationError, match="cross t-intersecting"):
+        check_partwise_prefix_intersection(a, b, 1, (0, 2), (0, 2),
+                                           require_shifted=False)
+
+
 def test_partwise_prefix_randomized():
     rng = random.Random(23)
     for _ in range(200):
