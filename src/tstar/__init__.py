@@ -28,6 +28,7 @@ from .core import (
     read_family,
 )
 from .bounds import (
+    delsarte_bound,
     exchange_optimal,
     hypothesis_flags,
     max_star_size,

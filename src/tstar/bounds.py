@@ -8,7 +8,10 @@ Central objects:
   across the parts;
 * the star objective prod_i C(n_i - t_i, k_i - t_i), whose maximum over
   distributions bounds every t-intersecting subfamily of a block in the
-  large-part regime.
+  large-part regime;
+* Delsarte's linear-programming bound over the block's product Johnson
+  scheme, an upper bound on every t-intersecting subfamily of a block
+  with no hypothesis, solved exactly.
 
 The greedy optimizer is one cut of the merged ratio chain: with `cut`
 the value of the t-th link, every link above the cut is taken and the
@@ -25,13 +28,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 from .core import (
     EmptyFamilyError,
     Family,
     GroundSet,
     InvalidParametersError,
+    InvariantError,
     ProfileSet,
     block_size,
     bounded_compositions,
@@ -50,6 +54,7 @@ __all__ = [
     "star_density_chain_form",
     "exchange_optimal",
     "ratio_bound",
+    "delsarte_bound",
     "union_star_sizes",
     "max_union_star_size",
     "prefix_core",
@@ -247,6 +252,85 @@ def ratio_bound(ground: GroundSet, k: tuple[int, ...]) -> RatioBound:
     hyp = all(n_i >= 2 * k_i for n_i, k_i in zip(ground.sizes, k))
     return RatioBound(ratio=r, block=blk, absolute=(r.numerator * blk) // r.denominator,
                       hypothesis_ok=hyp)
+
+
+# ---------------------------------------------------------------------------
+# Delsarte linear-programming bound for t-intersecting subfamilies of a block
+
+def _eberlein(n: int, k: int, j: int, x: int) -> int:
+    """Eigenvalue of the distance-j relation of the Johnson scheme J(n, k)
+    on its x-th eigenspace: the Eberlein polynomial
+    E_j(x) = sum_h (-1)^h C(x, h) C(k - x, j - h) C(n - k - x, j - h)."""
+    return sum((-1) ** h * math.comb(x, h) * math.comb(k - x, j - h)
+               * math.comb(n - k - x, j - h) for h in range(j + 1))
+
+
+def delsarte_bound(ground: GroundSet, k: tuple[int, ...], t: int) -> Fraction:
+    """Delsarte's LP bound on a t-intersecting subfamily of the block k.
+
+    The block is the product of the Johnson schemes J(n_i, k_i): two
+    members are at distance d = (d_1, ..., d_p) when they share k_i - d_i
+    elements of part i, 0 <= d_i <= min(k_i, n_i - k_i).  A t-intersecting
+    family uses only the distances d != 0 with sum(k_i - d_i) >= t, and its
+    inner distribution a_d (pairs at distance d per member) satisfies
+    a_d >= 0 and 1 + sum_d a_d P_d(e) / v_d >= 0 for every eigenspace
+    e != 0, where P_d(e) is the product of the parts' Eberlein eigenvalues
+    and v_d = P_d(0) is the valency (Delsarte 1973).  The bound is
+    1 + max sum_d a_d, solved exactly in y_d = a_d / v_d, whose
+    coefficients are integers; 0 when t > sum(k), as then no member is
+    t-intersecting with itself.
+    """
+    k = tuple(k)
+    ground.check_profile(k)
+    if t < 0:
+        raise InvalidParametersError(f"t must be >= 0, got {t}")
+    if t > sum(k):
+        return Fraction(0)
+    tops = [range(min(k_i, n_i - k_i) + 1) for k_i, n_i in zip(k, ground.sizes)]
+    classes = list(product(*tops))
+    dists = [d for d in classes[1:] if sum(k) - sum(d) >= t]
+    eig = [[[_eberlein(n_i, k_i, j, x) for x in top] for j in top]
+           for n_i, k_i, top in zip(ground.sizes, k, tops)]
+
+    def eigenvalue(d, e):
+        return math.prod(eig[i][d_i][e_i] for i, (d_i, e_i) in enumerate(zip(d, e)))
+
+    rows = [[-eigenvalue(d, e) for d in dists] for e in classes[1:]]
+    return 1 + _simplex_max([eigenvalue(d, classes[0]) for d in dists], rows)
+
+
+def _simplex_max(c: list[int], rows: list[list[int]]) -> Fraction:
+    """max c.y subject to row.y <= 1 for every row and y >= 0, exactly.
+
+    The origin is feasible, so the tableau starts from the slack basis;
+    Bland's rule (lowest-index entering column, lowest-index basic
+    variable among tied ratios) keeps degenerate pivots from cycling.
+    """
+    n, m = len(c), len(rows)
+    tab = [[Fraction(v) for v in row] + [Fraction(int(r == i)) for i in range(m)]
+           + [Fraction(1)] for r, row in enumerate(rows)]
+    cost = [Fraction(-v) for v in c] + [Fraction(0)] * (m + 1)
+    basis = list(range(n, n + m))
+    while True:
+        col = next((j for j in range(n + m) if cost[j] < 0), None)
+        if col is None:
+            return cost[-1]
+        pivot = None
+        for r, row in enumerate(tab):
+            if row[col] > 0:
+                ratio = row[-1] / row[col]
+                if pivot is None or (ratio, basis[r]) < (best, basis[pivot]):
+                    pivot, best = r, ratio
+        if pivot is None:
+            raise InvariantError("the Delsarte LP is unbounded")
+        prow = tab[pivot]
+        a = prow[col]
+        prow[:] = [v / a for v in prow]
+        for row in tab + [cost]:
+            f = row[col]
+            if row is not prow and f:
+                row[:] = [v - f * w for v, w in zip(row, prow)]
+        basis[pivot] = col
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -152,6 +153,12 @@ def cmd_bound(args) -> int:
         return 0
     if args.t is None:
         raise InvalidParametersError("need --t")
+    if args.lp:
+        if args.k is None:
+            raise InvalidParametersError("--lp takes --k, not --profiles")
+        lp = bounds.delsarte_bound(ground, args.k, args.t)
+        emit_report({"lp": lp, "value": math.floor(lp)}, args.format)
+        return 0
     if args.profiles is not None:
         report = bounds.max_union_star_size(args.t, ground,
                                             ProfileSet(args.profiles))
@@ -328,8 +335,12 @@ def build_parser() -> argparse.ArgumentParser:
     space.add_argument("--k", type=_int_vector)
     space.add_argument("--profiles", type=_profile_list)
     b.add_argument("--t", type=int)
-    b.add_argument("--ratio", action="store_true",
-                   help="density bound for intersecting subfamilies")
+    kind = b.add_mutually_exclusive_group()
+    kind.add_argument("--ratio", action="store_true",
+                      help="density bound for intersecting subfamilies")
+    kind.add_argument("--lp", action="store_true",
+                      help="Delsarte LP bound for t-intersecting subfamilies "
+                           "of the block, exact and its floor")
     b.set_defaults(func=cmd_bound)
 
     s = sub.add_parser("search", parents=[common, search_cap],

@@ -13,6 +13,12 @@ vertex per matched pair).
 The two report builders set the solver's answer beside the best star:
 check_block_maximum for one block, check_quota_family for a quota
 family.  Each returns the keys of its `tstar search` report, in order.
+A block is the vertex set of a product of Johnson schemes, so
+check_block_maximum hands the solver the floor of Delsarte's LP bound
+(bounds.delsarte_bound) as `upper`: the search stops as soon as its
+incumbent meets it, at the root when the greedy star seed does.  Quota
+spaces, unions and arbitrary subfamilies are not such vertex sets and
+are searched without it.
 `search --shifted` is check_block_maximum(..., shifted=True): the same
 search, whose witness is then closed under every in-part shift, which
 keeps its size (the maximum over shifted families is the maximum).
@@ -23,10 +29,12 @@ validation; it shares no data structures with the solver.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
-from .bounds import exchange_optimal, hypothesis_flags, max_star_size, union_star_sizes
+from .bounds import (delsarte_bound, exchange_optimal, hypothesis_flags,
+                     max_star_size, union_star_sizes)
 from .core import (
     Family,
     GroundSet,
@@ -86,14 +94,25 @@ def _greedy_star(space: Family, t: int) -> Family:
     return Family(space.ground, frozenset(members))
 
 
-def max_t_intersecting(space: Family, t: int,
-                       cap: int | None = None) -> SearchResult:
+def _check_upper(size: int, upper: int | None) -> None:
+    if upper is not None and size > upper:
+        raise InvariantError(
+            f"a {size}-member t-intersecting family beats the upper bound {upper}")
+
+
+def max_t_intersecting(space: Family, t: int, cap: int | None = None,
+                       upper: int | None = None) -> SearchResult:
     """Exact maximum t-intersecting subfamily of `space`.
 
     Members with fewer than t elements cannot appear in any solution
     (they fail the requirement against themselves) and are dropped up
     front.  Deterministic: the branching order is fixed by conflict
     degree, ties by position in ascending mask order.
+
+    `upper` is a proven upper bound on the answer.  The search stops as
+    soon as the incumbent reaches it, which leaves the witness as it is
+    (the incumbent changes only on a strict improvement), and an
+    incumbent above it raises InvariantError.
     """
     if t < 0:
         raise InvalidParametersError(f"t must be >= 0, got {t}")
@@ -102,6 +121,7 @@ def max_t_intersecting(space: Family, t: int,
         raise InstanceTooLargeError(
             f"search space has {len(space.members)} members, cap is {limit}")
     if t == 0:
+        _check_upper(len(space.members), upper)
         return SearchResult(len(space.members), space,
                             is_full_t_star(space, space, 0),
                             0, len(space.members))
@@ -141,6 +161,7 @@ def max_t_intersecting(space: Family, t: int,
         best_mask |= 1 << index_of[m]
     best_size = seed_size
     nodes = 0
+    goal = n + 1 if upper is None else upper   # n + 1: never reached
 
     def matching_bound(pmask: int) -> int:
         # greedy maximal matching in the conflict graph restricted to P;
@@ -160,7 +181,7 @@ def max_t_intersecting(space: Family, t: int,
     # depth-first branch and bound on an explicit stack of nodes
     # (solution so far, its size, candidates): a node takes its pick at
     # once and leaves the drop-the-pick node on the stack below
-    stack = [(0, 0, (1 << n) - 1)]
+    stack = [(0, 0, (1 << n) - 1)] if best_size < goal else []
     while stack:
         r_mask, r_size, pmask = stack.pop()
         while True:
@@ -201,6 +222,9 @@ def max_t_intersecting(space: Family, t: int,
             if r_size > best_size:
                 best_size = r_size
                 best_mask = r_mask
+                if best_size >= goal:
+                    stack.clear()
+                    break
             if not pmask or r_size + matching_bound(pmask) <= best_size:
                 break
             low = 1 << pick
@@ -209,6 +233,7 @@ def max_t_intersecting(space: Family, t: int,
             r_size += 1
             pmask &= ~(low | conflict[pick])
 
+    _check_upper(best_size, upper)
     chosen = set()
     rest = best_mask
     while rest:
@@ -342,6 +367,10 @@ def check_block_maximum(ground: GroundSet, k: tuple[int, ...], t: int,
     n > (t+1)(k-t+1) is reported as well, it is much weaker than the
     general product hypothesis.
 
+    The solver stops once its incumbent meets lp_bound, the floor of
+    delsarte_bound for the block, so nodes_explored is 0 when the star
+    seed already meets it.
+
     With shifted=True the witness is replaced by its shift closure in
     every part, which keeps its size and its t-intersection, and
     witness_center and the verdicts after it describe that witness.
@@ -351,7 +380,8 @@ def check_block_maximum(ground: GroundSet, k: tuple[int, ...], t: int,
     k = tuple(k)
     space = enumerate_block(ground, k, cap=search_cap(cap))
     star_bound = max_star_size(t, ground, k)
-    result = max_t_intersecting(space, t, cap=cap)
+    lp_bound = math.floor(delsarte_bound(ground, k, t))
+    result = max_t_intersecting(space, t, cap=cap, upper=lp_bound)
     witness, center = result.witness, result.is_trivial_star
     if shifted:
         witness = shift_closure(witness)[0]
@@ -374,6 +404,7 @@ def check_block_maximum(ground: GroundSet, k: tuple[int, ...], t: int,
         "hypotheses": hypotheses,
         "consistent": (not hypotheses["block_star"]
                        or (gap == 0 and center is not None and optimal)),
+        "lp_bound": lp_bound,
         "nodes_explored": result.nodes_explored,
         "witness": witness,
     }

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -11,12 +13,15 @@ from tstar.core import (
     GroundSet,
     InvalidParametersError,
     ProfileSet,
+    block_size,
     elements_of,
+    enumerate_block,
     mask_of,
     star_size,
     union_size,
 )
 from tstar.bounds import (
+    delsarte_bound,
     enumerate_distribution_argmax,
     exchange_optimal,
     hypothesis_flags,
@@ -30,6 +35,7 @@ from tstar.bounds import (
     star_density,
     star_density_chain_form,
 )
+from tstar.search import brute_force_max, max_t_intersecting
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +172,82 @@ def test_ratio_bound_flags_small_parts():
     rb = ratio_bound(GroundSet((3, 8)), (2, 2))
     assert not rb.hypothesis_ok
     assert rb.ratio == Fraction(2, 3)
+
+
+# ---------------------------------------------------------------------------
+# Delsarte LP bound
+
+def test_delsarte_golden_values():
+    for sizes, k, t, want in (((9,), (4,), 1, 56), ((11,), (5,), 1, 210),
+                              ((6, 6), (2, 2), 1, 75), ((5, 6), (2, 3), 2, Fraction(400, 7)),
+                              ((6, 6), (3, 3), 2, 150), ((7, 7), (3, 3), 2, Fraction(2975, 11)),
+                              ((8, 10), (4, 4), 2, 4410)):
+        assert delsarte_bound(GroundSet(sizes), k, t) == want, (sizes, k, t)
+
+
+def test_delsarte_bounds_every_small_block():
+    # every block with p <= 2, n_i <= 6 and at most 60 members, edge parts
+    # k_i = 0 and k_i = n_i included, at every 1 <= t <= sum(k)
+    checked = 0
+    for p in (1, 2):
+        for sizes in product(range(1, 7), repeat=p):
+            g = GroundSet(sizes)
+            for k in product(*(range(n + 1) for n in sizes)):
+                if block_size(g, k) > 60:
+                    continue
+                space = enumerate_block(g, k)
+                for t in range(1, sum(k) + 1):
+                    if len(space.members) <= 24:
+                        exact = brute_force_max(space, t, mode="subsets").max_size
+                    else:
+                        exact = max_t_intersecting(space, t).max_size
+                    assert delsarte_bound(g, k, t) >= exact, (sizes, k, t)
+                    checked += 1
+    assert checked == 2752
+
+
+def test_delsarte_meets_wilson_threshold():
+    # Wilson (1984): C(n-t, k-t) is the maximum once n >= (t+1)(k-t+1),
+    # and the LP proves it
+    checked = 0
+    for n in range(1, 15):
+        for k in range(n + 1):
+            for t in range(1, k + 1):
+                if n >= (t + 1) * (k - t + 1):
+                    lp = delsarte_bound(GroundSet((n,)), (k,), t)
+                    assert math.floor(lp) == math.comb(n - t, k - t), (n, k, t)
+                    checked += 1
+    assert checked == 164
+
+
+def test_delsarte_at_least_ahlswede_khachatrian():
+    # each Frankl family {F : |F & [t+2r]| >= t+r} is t-intersecting
+    for n in range(1, 15):
+        for k in range(n + 1):
+            for t in range(1, k + 1):
+                ak = max(sum(math.comb(t + 2 * r, i) * math.comb(n - t - 2 * r, k - i)
+                             for i in range(t + r, k + 1))
+                         for r in range((n - t) // 2 + 1))
+                assert delsarte_bound(GroundSet((n,)), (k,), t) >= ak, (n, k, t)
+
+
+def test_delsarte_edge_parts():
+    lp = delsarte_bound(GroundSet((6,)), (2,), 1)
+    # a part with k_i = 0 adds nothing, one with k_i = n_i adds n_i to every
+    # intersection
+    assert delsarte_bound(GroundSet((4, 6)), (0, 2), 1) == lp
+    assert delsarte_bound(GroundSet((3, 6)), (3, 2), 4) == lp
+    assert delsarte_bound(GroundSet((3, 6)), (3, 2), 2) == 15
+    assert delsarte_bound(GroundSet((4, 4)), (0, 4), 4) == 1
+    # t > sum(k): no member is t-intersecting with itself
+    assert delsarte_bound(GroundSet((4, 4)), (2, 2), 5) == 0
+    assert delsarte_bound(GroundSet((4, 4)), (2, 2), 4) == 1
+    # without the t-intersection constraint the LP bound is the block
+    assert delsarte_bound(GroundSet((5, 6)), (2, 3), 0) == 200
+    with pytest.raises(InvalidParametersError):
+        delsarte_bound(GroundSet((4, 4)), (2, 2), -1)
+    with pytest.raises(InvalidParametersError):
+        delsarte_bound(GroundSet((4, 4)), (2, 5), 1)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,8 @@ def run_json(capsys, *argv):
     return code, json.loads(out)
 
 
-def test_bound_block(capsys):
+def test_bound_block(capsys, monkeypatch):
+    monkeypatch.setattr(cli.bounds, "delsarte_bound", None)   # plain bound runs no LP
     code, data = run_json(capsys, "bound", "--n", "8,10", "--k", "4,4", "--t", "2")
     assert code == 0
     assert data["value"] == "3150"
@@ -52,6 +53,12 @@ def test_bound_ratio(capsys):
                     "hypotheses": {"ratio_bound": True}}
 
 
+def test_bound_lp(capsys):
+    code, data = run_json(capsys, "bound", "--n", "7,7", "--k", "3,3", "--t", "2", "--lp")
+    assert code == 0
+    assert data == {"lp": "2975/11", "value": "270"}
+
+
 def test_bound_table_format(capsys):
     code, out = run(capsys, "bound", "--n", "5", "--k", "2", "--t", "1",
                     "--format", "table")
@@ -64,6 +71,8 @@ def test_bound_flag_conflicts(capsys):
     code, _ = run(capsys, "bound", "--n", "5", "--k", "2")
     assert code == 2
     code, _ = run(capsys, "bound", "--n", "6,6", "--profiles", "2,2", "--t", "1", "--ratio")
+    assert code == 2
+    code, _ = run(capsys, "bound", "--n", "6,6", "--profiles", "2,2", "--t", "1", "--lp")
     assert code == 2
 
 
@@ -78,6 +87,7 @@ def test_malformed_vector_usage_error(capsys):
                  ["bound", "--n", "5", "--k", "2", "--profiles", "2;3", "--t", "1"],
                  ["bound", "--n", "5", "--t", "1"],
                  ["bound", "--n", "5", "--k", "2", "--t", "1", "--enum-cap", "5"],
+                 ["bound", "--n", "5", "--k", "2", "--t", "1", "--lp", "--ratio"],
                  ["enumerate", "--n", "4,4", "--k", "2,2", "--profiles", "2,2"],
                  ["enumerate", "--n", "4,4"],
                  ["search", "--n", "4,4", "--k", "4", "--quota", "1,1", "--shifted"],
@@ -102,6 +112,7 @@ def test_search_block(tmp_path, capsys):
     assert data["gap"] == "0"
     assert data["witness_center"] == [1]
     assert data["consistent"] is True
+    assert (data["lp_bound"], data["nodes_explored"]) == ("4", "0")
     witness = read_family(str(out_file))
     assert len(witness.members) == 4
     assert is_t_intersecting(witness, 1)

@@ -2,6 +2,8 @@
 
 import random
 import sys
+from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -172,6 +174,52 @@ def test_search_tree_is_pinned():
                               ((6, 6), (2, 2), 1, (75, 15_841))):
         r = max_t_intersecting(enumerate_block(GroundSet(sizes), k), t)
         assert (r.max_size, r.nodes_explored) == want, (sizes, k, t)
+
+
+def test_block_report_matches_the_plain_solver():
+    # the LP stop may only cut the search short: same maximum, same witness
+    checked = 0
+    for p in (1, 2):
+        for sizes in product(range(2, 7), repeat=p):
+            g = GroundSet(sizes)
+            for k in product(*(range(1, n) for n in sizes)):
+                if block_size(g, k) > 60:
+                    continue
+                space = enumerate_block(g, k)
+                for t in range(1, sum(k) + 1):
+                    plain = max_t_intersecting(space, t)
+                    rep = check_block_maximum(g, k, t)
+                    assert rep["max_size"] == plain.max_size, (sizes, k, t)
+                    assert rep["witness"] == plain.witness, (sizes, k, t)
+                    assert rep["nodes_explored"] <= plain.nodes_explored
+                    assert rep["lp_bound"] >= plain.max_size
+                    checked += 1
+    assert checked == 757
+
+
+def test_block_report_closes_at_the_root():
+    for sizes, k, t, size in (((9,), (4,), 1, 56), ((6, 6), (2, 2), 1, 75)):
+        rep = check_block_maximum(GroundSet(sizes), k, t)
+        assert (rep["max_size"], rep["lp_bound"], rep["nodes_explored"]) == (size, size, 0)
+        assert list(rep)[-3:] == ["lp_bound", "nodes_explored", "witness"]
+
+
+def test_block_report_refuses_a_bound_below_the_seed(monkeypatch):
+    # the greedy star seed of (5,)/(2,) at t=1 has 4 members
+    monkeypatch.setattr(search, "delsarte_bound", lambda ground, k, t: Fraction(3))
+    with pytest.raises(InvariantError, match="beats the upper bound 3"):
+        check_block_maximum(GroundSet((5,)), (2,), 1)
+
+
+def test_upper_below_an_improvement_raises():
+    # (5,)/(3,) at t=1: the greedy seed has 6 members, and the root takes
+    # all 10, as any two members meet
+    space = enumerate_block(GroundSet((5,)), (3,))
+    assert max_t_intersecting(space, 1, upper=10).max_size == 10
+    with pytest.raises(InvariantError, match="beats the upper bound 7"):
+        max_t_intersecting(space, 1, upper=7)
+    with pytest.raises(InvariantError, match="beats the upper bound 9"):
+        max_t_intersecting(space, 0, upper=9)
 
 
 def test_shifted_search_matches_unrestricted():
