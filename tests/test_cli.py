@@ -57,6 +57,13 @@ def test_bound_lp(capsys):
     code, data = run_json(capsys, "bound", "--n", "7,7", "--k", "3,3", "--t", "2", "--lp")
     assert code == 0
     assert data == {"lp": "2975/11", "value": "270"}
+    # 16 parts of (2, 1): a closed-form plain bound, but 2^16 distance
+    # classes, far above the LP's cap
+    n, k = ",".join(["2"] * 16), ",".join(["1"] * 16)
+    code, data = run_json(capsys, "bound", "--n", n, "--k", k, "--t", "1")
+    assert (code, data["value"]) == (0, "32768")
+    code, _ = run(capsys, "bound", "--n", n, "--k", k, "--t", "1", "--lp")
+    assert code == 3
 
 
 def test_bound_table_format(capsys):

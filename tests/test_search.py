@@ -1,5 +1,6 @@
 """Solver tests: oracle agreement, witness validity, report builders."""
 
+import math
 import random
 import sys
 from fractions import Fraction
@@ -8,7 +9,7 @@ from itertools import product
 import pytest
 
 from tstar import search
-from tstar.bounds import union_star_sizes
+from tstar.bounds import delsarte_bound, union_star_sizes
 from tstar.core import (Family, GroundSet, InstanceTooLargeError,
                         InvalidParametersError, InvariantError, block_size, enumerate_block,
                         enumerate_quota, quota_profiles, trivial_star)
@@ -176,25 +177,46 @@ def test_search_tree_is_pinned():
         assert (r.max_size, r.nodes_explored) == want, (sizes, k, t)
 
 
-def test_block_report_matches_the_plain_solver():
-    # the LP stop may only cut the search short: same maximum, same witness
-    checked = 0
+def test_lp_and_block_report_on_every_small_block():
+    # every block with p <= 2, n_i <= 6 and at most 60 members, edge parts
+    # k_i = 0 and k_i = n_i included, at every 1 <= t <= sum(k): the LP
+    # bounds the maximum, and on blocks without edge parts the report's LP
+    # stop only cuts the search short (same maximum, same witness)
+    checked = reported = 0
     for p in (1, 2):
-        for sizes in product(range(2, 7), repeat=p):
+        for sizes in product(range(1, 7), repeat=p):
             g = GroundSet(sizes)
-            for k in product(*(range(1, n) for n in sizes)):
+            for k in product(*(range(n + 1) for n in sizes)):
                 if block_size(g, k) > 60:
                     continue
                 space = enumerate_block(g, k)
+                interior = all(0 < k_i < n for k_i, n in zip(k, sizes))
                 for t in range(1, sum(k) + 1):
                     plain = max_t_intersecting(space, t)
-                    rep = check_block_maximum(g, k, t)
-                    assert rep["max_size"] == plain.max_size, (sizes, k, t)
-                    assert rep["witness"] == plain.witness, (sizes, k, t)
-                    assert rep["nodes_explored"] <= plain.nodes_explored
-                    assert rep["lp_bound"] >= plain.max_size
+                    if len(space.members) <= 24:
+                        exact = brute_force_max(space, t, mode="subsets").max_size
+                        assert plain.max_size == exact, (sizes, k, t)
+                    lp = delsarte_bound(g, k, t)
+                    assert lp >= plain.max_size, (sizes, k, t)
                     checked += 1
-    assert checked == 757
+                    if interior:
+                        rep = check_block_maximum(g, k, t)
+                        assert rep["lp_bound"] == math.floor(lp), (sizes, k, t)
+                        assert rep["max_size"] == plain.max_size, (sizes, k, t)
+                        assert rep["witness"] == plain.witness, (sizes, k, t)
+                        assert rep["nodes_explored"] <= plain.nodes_explored
+                        reported += 1
+    assert (checked, reported) == (2752, 757)
+
+
+def test_block_report_searches_without_the_lp_above_its_cap():
+    # (2,)^6 has 64 distance classes, above the LP's cap
+    g, k = GroundSet((2,) * 6), (1,) * 6
+    plain = max_t_intersecting(enumerate_block(g, k), 2)
+    rep = check_block_maximum(g, k, 2)
+    assert rep["lp_bound"] is None
+    assert (rep["max_size"], rep["witness"]) == (22, plain.witness)
+    assert rep["nodes_explored"] == plain.nodes_explored
 
 
 def test_block_report_closes_at_the_root():
