@@ -440,6 +440,9 @@ def quota_profiles(ground: GroundSet, k: int,
             raise InvalidParametersError(f"quota {q} out of [0, {n})")
     if k < 0:
         raise InvalidParametersError(f"k must be >= 0, got {k}")
+    if k > ground.n:
+        raise InvalidParametersError(
+            f"k={k} exceeds the ground set size {ground.n}")
     if sum(quotas) > k:
         raise InvalidParametersError(
             f"quotas sum to {sum(quotas)} which exceeds k={k}")

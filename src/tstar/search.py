@@ -62,8 +62,9 @@ class SearchResult:
     max_size is the exact optimum.  witness is one optimal subfamily;
     is_trivial_star is its center mask when the witness happens to be a
     full t-star of the search space, else None.  nodes_explored counts
-    branch decision points, bound_used records the initial lower bound
-    the solver started from.
+    branch decision points; it is 0, and no conflict graph is built,
+    when the greedy star seed meets `upper` or holds every candidate.
+    bound_used records the initial lower bound the solver started from.
     """
 
     max_size: int
@@ -113,7 +114,9 @@ def max_t_intersecting(space: Family, t: int, cap: int | None = None,
     `upper` is a proven upper bound on the answer.  The search stops as
     soon as the incumbent reaches it, which leaves the witness as it is
     (the incumbent changes only on a strict improvement), and an
-    incumbent above it raises InvariantError.
+    incumbent above it raises InvariantError.  When the greedy star seed
+    already meets `upper` or holds every candidate, it is the answer:
+    nodes_explored is 0 and no conflict graph is built.
     """
     if t < 0:
         raise InvalidParametersError(f"t must be >= 0, got {t}")
@@ -121,48 +124,32 @@ def max_t_intersecting(space: Family, t: int, cap: int | None = None,
     if len(space.members) > limit:
         raise InstanceTooLargeError(
             f"search space has {len(space.members)} members, cap is {limit}")
-    if t == 0:
-        _check_upper(len(space.members), upper)
-        return SearchResult(len(space.members), space,
-                            is_full_t_star(space, space, 0),
-                            0, len(space.members))
-
     verts = sorted(m for m in space.members if m.bit_count() >= t)
     n = len(verts)
-    conflict = [0] * n
+    seed = _greedy_star(space, t)
+    best_size = seed_size = len(seed.members)
+    goal = n if upper is None else min(upper, n)   # the n candidates bound it too
+    if seed_size >= goal:
+        # the seed is optimal, which covers t = 0: nothing to search
+        _check_upper(seed_size, upper)
+        return SearchResult(seed_size, seed, is_full_t_star(seed, space, t),
+                            0, seed_size)
+
+    # the conflict graph, built in branching order: ascending conflict
+    # degree (descending intersection degree), ties by ascending mask order
+    nbrs: list[list[int]] = [[] for _ in range(n)]
     for a in range(n):
         ma = verts[a]
         for b in range(a + 1, n):
             if (ma & verts[b]).bit_count() < t:
-                conflict[a] |= 1 << b
-                conflict[b] |= 1 << a
-
-    # ascending conflict degree = descending intersection degree
-    perm = sorted(range(n), key=lambda v: (conflict[v].bit_count(), v))
-    inv = [0] * n
-    for new, old in enumerate(perm):
-        inv[old] = new
-    reordered = [0] * n
-    for new, old in enumerate(perm):
-        mask = 0
-        rest = conflict[old]
-        while rest:
-            low = rest & -rest
-            mask |= 1 << inv[low.bit_length() - 1]
-            rest ^= low
-        reordered[new] = mask
-    conflict = reordered
+                nbrs[a].append(b)
+                nbrs[b].append(a)
+    perm = sorted(range(n), key=lambda v: (len(nbrs[v]), v))
+    inv = {old: new for new, old in enumerate(perm)}
     verts = [verts[old] for old in perm]
-    index_of = {m: i for i, m in enumerate(verts)}
-
-    seed = _greedy_star(space, t)
-    seed_size = len(seed.members)
-    best_mask = 0
-    for m in seed.members:
-        best_mask |= 1 << index_of[m]
-    best_size = seed_size
+    conflict = [sum(1 << inv[b] for b in nbrs[old]) for old in perm]
+    best_mask = 0       # stays 0 while the seed is the incumbent
     nodes = 0
-    goal = n + 1 if upper is None else upper   # n + 1: never reached
 
     def matching_bound(pmask: int) -> int:
         # greedy maximal matching in the conflict graph restricted to P;
@@ -182,7 +169,7 @@ def max_t_intersecting(space: Family, t: int, cap: int | None = None,
     # depth-first branch and bound on an explicit stack of nodes
     # (solution so far, its size, candidates): a node takes its pick at
     # once and leaves the drop-the-pick node on the stack below
-    stack = [(0, 0, (1 << n) - 1)] if best_size < goal else []
+    stack = [(0, 0, (1 << n) - 1)]
     while stack:
         r_mask, r_size, pmask = stack.pop()
         while True:
@@ -235,13 +222,8 @@ def max_t_intersecting(space: Family, t: int, cap: int | None = None,
             pmask &= ~(low | conflict[pick])
 
     _check_upper(best_size, upper)
-    chosen = set()
-    rest = best_mask
-    while rest:
-        low = rest & -rest
-        chosen.add(verts[low.bit_length() - 1])
-        rest ^= low
-    witness = Family(space.ground, frozenset(chosen))
+    witness = seed if not best_mask else Family(
+        space.ground, frozenset(verts[i - 1] for i in elements_of(best_mask)))
     return SearchResult(best_size, witness,
                         is_full_t_star(witness, space, t),
                         nodes, seed_size)

@@ -166,6 +166,9 @@ def test_search_quota_flag_conflicts(capsys):
     code, _ = run(capsys, "search", "--n", "4,4", "--k", "2,2",
                   "--quota", "1,1")
     assert code == 2
+    code, _ = run(capsys, "search", "--n", "3,3", "--k", "7",
+                  "--quota", "1,1")
+    assert code == 2
 
 
 def test_search_cap_exit_3(capsys):
@@ -369,6 +372,8 @@ def test_enumerate_quota_and_errors(tmp_path, capsys):
     code, _ = run(capsys, "enumerate", "--n", "4,4", "--k", "2,2",
                   "--enum-cap", "10")
     assert code == 3
+    code, _ = run(capsys, "enumerate", "--n", "3,3", "--k", "7", "--quota", "1,1")
+    assert code == 2
 
 
 def test_enumerate_refused_out_leaves_no_file(tmp_path, capsys):

@@ -236,6 +236,8 @@ def test_quota_validation():
         enumerate_quota(g, 2, (2, 1))  # quotas exceed k
     with pytest.raises(InvalidParametersError):
         enumerate_quota(g, 4, (4, 0))  # quota must stay below part size
+    with pytest.raises(InvalidParametersError, match="exceeds the ground set size 8"):
+        enumerate_quota(g, 9, (1, 1))  # no 9-set in 8 elements
 
 
 # ---------------------------------------------------------------------------

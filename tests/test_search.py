@@ -3,6 +3,7 @@
 import math
 import random
 import sys
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -56,6 +57,21 @@ def test_t_zero_returns_whole_space():
     assert r.nodes_explored == 0
     b = brute_force_max(space, 0)
     assert b.max_size == 6
+    r = max_t_intersecting(space, 0, upper=6)
+    assert (r.max_size, r.witness.members, r.nodes_explored) == (6, space.members, 0)
+    with pytest.raises(InvariantError, match="beats the upper bound 5"):
+        max_t_intersecting(space, 0, upper=5)
+
+
+def test_root_check_closes_without_a_search():
+    g = GroundSet((4,))
+    star = Family.from_iterables(g, [[1, 2], [1, 3], [1, 4]])
+    r = max_t_intersecting(star, 1)
+    assert (r.max_size, r.witness, r.nodes_explored) == (3, star, 0)
+    assert r.is_trivial_star == 1
+    # no member has t elements: nothing is a candidate
+    r = max_t_intersecting(Family.from_iterables(g, [[1], [2, 3]]), 3)
+    assert (r.max_size, r.witness.members, r.nodes_explored) == (0, frozenset(), 0)
 
 
 def test_members_below_t_are_dropped():
@@ -224,6 +240,15 @@ def test_block_report_closes_at_the_root():
         rep = check_block_maximum(GroundSet(sizes), k, t)
         assert (rep["max_size"], rep["lp_bound"], rep["nodes_explored"]) == (size, size, 0)
         assert list(rep)[-3:] == ["lp_bound", "nodes_explored", "witness"]
+
+
+def test_block_report_closes_a_large_block_at_the_root():
+    # 12,870 members: the star seed meets the LP, so no conflict graph is built
+    start = time.perf_counter()
+    rep = check_block_maximum(GroundSet((16,)), (8,), 1)
+    elapsed = time.perf_counter() - start
+    assert (rep["max_size"], rep["lp_bound"], rep["nodes_explored"]) == (6435, 6435, 0)
+    assert elapsed < 2.0, elapsed
 
 
 def test_block_report_refuses_a_bound_below_the_seed(monkeypatch):
