@@ -260,8 +260,10 @@ def ratio_bound(ground: GroundSet, k: tuple[int, ...]) -> RatioBound:
 # Delsarte linear-programming bound for t-intersecting subfamilies of a block
 
 # The exact simplex grows about as the cube of the block's number of
-# distance classes: at most about 0.2 s up to 32 classes, 0.7 s at 36,
-# 1.5-2.2 s at 64 and 16-26 s at 125-128 (2-core VM, Python 3.11).
+# distance classes.  Worst over t: at most about 0.02 s up to 32
+# classes, 0.13 s at 36 and 0.15-0.5 s at 64 (2-core VM, Python 3.11).
+# A cap of 64 would fit a 0.5 s budget, but it changes check_block_maximum's
+# report on blocks of 33-64 classes (ROADMAP direction 2).
 DELSARTE_CLASS_CAP = 32
 
 def _eberlein(n: int, k: int, j: int, x: int) -> int:
@@ -284,9 +286,11 @@ def delsarte_bound(ground: GroundSet, k: tuple[int, ...], t: int) -> Fraction:
     e != 0, where P_d(e) is the product of the parts' Eberlein eigenvalues
     and v_d = P_d(0) is the valency (Delsarte 1973).  The bound is
     1 + max sum_d a_d, solved exactly in y_d = a_d / v_d, whose
-    coefficients are integers; 0 when t > sum(k), as then no member is
-    t-intersecting with itself.  A block with more than
-    DELSARTE_CLASS_CAP distance classes raises InstanceTooLargeError.
+    coefficients are integers, on an integer fraction-free tableau whose
+    optimum is checked by a primal-dual certificate (_simplex_max); 0
+    when t > sum(k), as then no member is t-intersecting with itself.
+    A block with more than DELSARTE_CLASS_CAP distance classes raises
+    InstanceTooLargeError.
     """
     k = tuple(k)
     ground.check_profile(k)
@@ -317,32 +321,70 @@ def _simplex_max(c: list[int], rows: list[list[int]]) -> Fraction:
     The origin is feasible, so the tableau starts from the slack basis;
     Bland's rule (lowest-index entering column, lowest-index basic
     variable among tied ratios) keeps degenerate pivots from cycling.
+
+    The tableau is fraction-free (Edmonds 1967, Bareiss 1968): every
+    entry is the true entry times det, the last pivot, and stays an int.
+    Pivoting on a = prow[col] > 0 leaves prow as it is and replaces each
+    entry v of every other row by (v*a - f*w) // det, where f is that
+    row's entry in the pivot column and w the entry of prow in v's
+    column; the division is exact by Sylvester's identity.  det stays
+    positive, so signs and ratios compare in integers.  The answer is
+    checked by a primal-dual certificate (_check_certificate) before it
+    is returned.
     """
     n, m = len(c), len(rows)
-    tab = [[Fraction(v) for v in row] + [Fraction(int(r == i)) for i in range(m)]
-           + [Fraction(1)] for r, row in enumerate(rows)]
-    cost = [Fraction(-v) for v in c] + [Fraction(0)] * (m + 1)
+    tab = [list(row) + [int(r == i) for i in range(m)] + [1]
+           for r, row in enumerate(rows)]
+    cost = [-v for v in c] + [0] * (m + 1)
     basis = list(range(n, n + m))
+    det = 1
     while True:
         col = next((j for j in range(n + m) if cost[j] < 0), None)
         if col is None:
-            return cost[-1]
-        pivot = None
+            break
+        pivot = None    # the smallest ratio so far is num/den
         for r, row in enumerate(tab):
-            if row[col] > 0:
-                ratio = row[-1] / row[col]
-                if pivot is None or (ratio, basis[r]) < (best, basis[pivot]):
-                    pivot, best = r, ratio
+            e = row[col]
+            if e > 0 and (pivot is None or row[-1] * den < num * e or (
+                    row[-1] * den == num * e and basis[r] < basis[pivot])):
+                pivot, num, den = r, row[-1], e
         if pivot is None:
             raise InvariantError("the Delsarte LP is unbounded")
         prow = tab[pivot]
         a = prow[col]
-        prow[:] = [v / a for v in prow]
         for row in tab + [cost]:
-            f = row[col]
-            if row is not prow and f:
-                row[:] = [v - f * w for v, w in zip(row, prow)]
+            if row is not prow:
+                f = row[col]
+                if f:
+                    row[:] = [(v * a - f * w) // det for v, w in zip(row, prow)]
+                elif a != det:
+                    row[:] = [v * a // det for v in row]
+        det = a
         basis[pivot] = col
+    y = [0] * n
+    for r, b in enumerate(basis):
+        if b < n:
+            y[b] = tab[r][-1]
+    _check_certificate(c, rows, y, cost[n:n + m], cost[-1], det)
+    return Fraction(cost[-1], det)
+
+
+def _check_certificate(c: list[int], rows: list[list[int]], y: list[int],
+                       z: list[int], value: int, det: int) -> None:
+    """Raise InvariantError unless y/det and z/det are optimal for
+    max c.y, row.y <= 1, y >= 0 and its dual min sum(z), z.A >= c, z >= 0,
+    both worth value/det: y and z feasible with equal objectives proves
+    both optimal by weak duality.  All in integers; det > 0."""
+    if min(y, default=0) < 0 or min(z, default=0) < 0:
+        raise InvariantError("LP certificate: a negative primal or dual entry")
+    for row in rows:
+        if sum(a * v for a, v in zip(row, y)) > det:
+            raise InvariantError("LP certificate: the primal breaks a row")
+    for j, c_j in enumerate(c):
+        if sum(row[j] * w for row, w in zip(rows, z)) < c_j * det:
+            raise InvariantError("LP certificate: the dual breaks a column")
+    if not sum(a * v for a, v in zip(c, y)) == value == sum(z):
+        raise InvariantError("LP certificate: primal, dual and value differ")
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -12,12 +13,14 @@ from tstar.core import (
     GroundSet,
     InstanceTooLargeError,
     InvalidParametersError,
+    InvariantError,
     ProfileSet,
     elements_of,
     mask_of,
     star_size,
     union_size,
 )
+from tstar import bounds
 from tstar.bounds import (
     DELSARTE_CLASS_CAP,
     delsarte_bound,
@@ -235,6 +238,87 @@ def test_delsarte_refuses_too_many_distance_classes():
         delsarte_bound(GroundSet((2,) * 6), (1,) * 6, 1)
     # t > sum(k) needs no LP
     assert delsarte_bound(GroundSet((2,) * 16), (1,) * 16, 17) == 0
+
+
+def _solve_exactly(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction] | None:
+    """The unique solution of a.y = b by Gaussian elimination, None when a
+    is singular."""
+    aug = [row + [v] for row, v in zip(a, b)]
+    n = len(aug)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if aug[r][col]), None)
+        if piv is None:
+            return None
+        aug[col], aug[piv] = aug[piv], aug[col]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                f = aug[r][col] / aug[col][col]
+                aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
+    return [aug[i][-1] / aug[i][i] for i in range(n)]
+
+
+def _vertex_max(c: list[int], rows: list[list[int]]) -> Fraction:
+    """Slow independent route for a bounded LP max c.y, row.y <= 1, y >= 0:
+    the largest c.y over its vertices, each the feasible solution of n
+    constraints made tight, chosen among the rows and y_j >= 0."""
+    n = len(c)
+    tight = ([([Fraction(v) for v in row], Fraction(1)) for row in rows]
+             + [([Fraction(int(i == j)) for i in range(n)], Fraction(0)) for j in range(n)])
+    best = None
+    for chosen in combinations(tight, n):
+        y = _solve_exactly([a for a, _ in chosen], [b for _, b in chosen])
+        if (y is not None and min(y, default=0) >= 0
+                and all(sum(a * v for a, v in zip(row, y)) <= 1 for row in rows)):
+            value = sum(c_j * v for c_j, v in zip(c, y))
+            best = value if best is None else max(best, value)
+    return best
+
+
+def test_simplex_matches_vertex_enumeration_on_delsarte_lps(monkeypatch):
+    lps = []
+
+    def capture(c, rows):
+        lps.append((c, rows))
+        return solve(c, rows)
+
+    solve = bounds._simplex_max
+    monkeypatch.setattr(bounds, "_simplex_max", capture)
+    for sizes, k in [((n,), (j,)) for n in range(2, 13) for j in range(1, n)] + [
+            ((a, b), (i, j)) for a in range(2, 5) for b in range(a, 5)
+            for i in range(1, a) for j in range(1, b)]:
+        for t in range(1, sum(k) + 1):
+            delsarte_bound(GroundSet(sizes), k, t)
+    monkeypatch.undo()
+    small = {(tuple(c), tuple(map(tuple, rows))) for c, rows in lps if len(c) <= 6}
+    assert len(small) >= 60
+    for c, rows in small:
+        c, rows = list(c), [list(row) for row in rows]
+        assert bounds._simplex_max(c, rows) == _vertex_max(c, rows), (c, rows)
+
+
+def test_simplex_hand_lps():
+    # fractional optimum y = (2/5, 1/5)
+    assert bounds._simplex_max([1, 1], [[2, 1], [1, 3]]) == Fraction(3, 5)
+    # both rows tie on the first ratio; the second pivot is degenerate
+    tied = ([1, 1], [[1, 0], [1, 1]])
+    assert bounds._simplex_max(*tied) == 1 == _vertex_max(*tied)
+    with pytest.raises(InvariantError, match="unbounded"):
+        bounds._simplex_max([1, 1], [[-1, 1]])
+
+
+def test_lp_certificate_rejects_wrong_answers():
+    # max y1 + y2, 2y1 + y2 <= 1, y1 + 3y2 <= 1: y = z = (2/5, 1/5), value 3/5,
+    # every entry times det = 5
+    c, rows = [1, 1], [[2, 1], [1, 3]]
+    bounds._check_certificate(c, rows, [2, 1], [2, 1], 3, 5)
+    with pytest.raises(InvariantError, match="primal breaks a row"):
+        bounds._check_certificate(c, rows, [3, 0], [2, 1], 3, 5)
+    with pytest.raises(InvariantError, match="dual breaks a column"):
+        bounds._check_certificate(c, rows, [2, 1], [3, 0], 3, 5)
+    with pytest.raises(InvariantError, match="primal, dual and value differ"):
+        bounds._check_certificate(c, rows, [2, 1], [2, 1], 4, 5)
+    with pytest.raises(InvariantError, match="negative"):
+        bounds._check_certificate(c, rows, [4, -1], [2, 1], 3, 5)
 
 
 # ---------------------------------------------------------------------------
