@@ -6,7 +6,6 @@ from .core import (
     InstanceTooLargeError,
     EmptyFamilyError,
     HypothesisViolationError,
-    NoWalkError,
     InvariantError,
     GroundSet,
     Family,
@@ -33,13 +32,10 @@ from .bounds import (
     hypothesis_flags,
     max_star_size,
     max_union_star_size,
-    min_core_overlap,
     optimal_t_distributions,
-    prefix_core,
     ratio_bound,
-    star_density,
 )
-from .kneser import KneserParams, find_walk, is_connected
+from .kneser import KneserParams, is_connected
 from .search import (
     SearchResult,
     brute_force_max,

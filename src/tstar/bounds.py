@@ -31,8 +31,6 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from .core import (
-    EmptyFamilyError,
-    Family,
     GroundSet,
     InstanceTooLargeError,
     InvalidParametersError,
@@ -51,16 +49,12 @@ __all__ = [
     "optimal_t_distributions",
     "max_star_size",
     "enumerate_distribution_argmax",
-    "star_density",
-    "star_density_chain_form",
     "exchange_optimal",
     "ratio_bound",
     "DELSARTE_CLASS_CAP",
     "delsarte_bound",
     "union_star_sizes",
     "max_union_star_size",
-    "prefix_core",
-    "min_core_overlap",
     "hypothesis_flags",
 ]
 
@@ -178,42 +172,7 @@ def _argmax_report(dists: list[tuple[int, ...]], values: list[int],
 
 
 # ---------------------------------------------------------------------------
-# star densities and the exchange condition
-
-def _center_profile(ground: GroundSet, k: tuple[int, ...], center: int,
-                    t: int | None) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Checked block profile k and the center's profile s, with s_i <= k_i;
-    when t is given, the center must also have t elements."""
-    k = tuple(k)
-    ground.check_profile(k)
-    s = ground.profile(center)
-    if t is not None and sum(s) != t:
-        raise InvalidParametersError(f"center has {sum(s)} elements, expected t={t}")
-    for s_i, k_i in zip(s, k):
-        if s_i > k_i:
-            raise InvalidParametersError(
-                f"center meets a part in {s_i} > k_i = {k_i} elements")
-    return k, s
-
-
-def star_density(ground: GroundSet, k: tuple[int, ...], center: int) -> Fraction:
-    """Fraction of the block contained in the full star at the center:
-    prod_i C(n_i - s_i, k_i - s_i) / prod_i C(n_i, k_i)."""
-    k, s = _center_profile(ground, k, center, None)
-    return Fraction(star_size(ground, k, s), block_size(ground, k))
-
-
-def star_density_chain_form(ground: GroundSet, k: tuple[int, ...],
-                            center: int) -> Fraction:
-    """Same density through the ratio chain: prod over parts i and
-    levels j < s_i of (k_i - j)/(n_i - j).  Kept as a separate route."""
-    k, s = _center_profile(ground, k, center, None)
-    out = Fraction(1)
-    for i, s_i in enumerate(s):
-        for j in range(s_i):
-            out *= Fraction(k[i] - j, ground.sizes[i] - j)
-    return out
-
+# the exchange condition
 
 def exchange_optimal(ground: GroundSet, k: tuple[int, ...], t: int,
                      center: int) -> bool:
@@ -224,7 +183,15 @@ def exchange_optimal(ground: GroundSet, k: tuple[int, ...], t: int,
     the next ratio of part i must not exceed the last taken ratio of
     part j:  (k_i - s_i)/(n_i - s_i) <= (k_j - s_j + 1)/(n_j - s_j + 1).
     """
-    k, s = _center_profile(ground, k, center, t)
+    k = tuple(k)
+    ground.check_profile(k)
+    s = ground.profile(center)
+    if sum(s) != t:
+        raise InvalidParametersError(f"center has {sum(s)} elements, expected t={t}")
+    for s_i, k_i in zip(s, k):
+        if s_i > k_i:
+            raise InvalidParametersError(
+                f"center meets a part in {s_i} > k_i = {k_i} elements")
     p = ground.p
     for jj in range(p):
         if s[jj] < 1:
@@ -422,37 +389,11 @@ def max_union_star_size(t: int, ground: GroundSet, profiles: ProfileSet,
     t_le_c = t <= profiles.c
     if strict and not t_le_c:
         raise InvalidParametersError(
-            f"t={t} exceeds the smallest profile entry c={profiles.c}; "
-            f"pass strict=False to compute anyway")
+            f"t={t} exceeds the smallest profile entry c={profiles.c}")
     limits = tuple(min(t, n_i) for n_i in ground.sizes)
     dists = list(bounded_compositions(t, (0,) * ground.p, limits))
     return _argmax_report(dists, union_star_sizes(ground, profiles.profiles, dists),
                           hypothesis_flags(t, ground, profiles=profiles))
-
-
-# ---------------------------------------------------------------------------
-# prefix core and minimum overlap
-
-def prefix_core(ground: GroundSet, profiles: ProfileSet) -> int:
-    """Union over parts of the first 2 b_i - 1 elements, b_i being the
-    largest i-th entry over the profiles."""
-    profiles.check_against(ground)
-    core = 0
-    for i, b_i in enumerate(profiles.b_vector):
-        width = 2 * b_i - 1
-        if width > ground.sizes[i]:
-            raise InvalidParametersError(
-                f"core width {width} exceeds part size {ground.sizes[i]}")
-        core |= ground.prefix_mask(i, width)
-    return core
-
-
-def min_core_overlap(fam: Family, profiles: ProfileSet) -> int:
-    """Minimum over members of the overlap with the prefix core."""
-    if not fam.members:
-        raise EmptyFamilyError("minimum overlap needs a non-empty family")
-    core = prefix_core(fam.ground, profiles)
-    return min((m & core).bit_count() for m in fam.members)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ floating point is used anywhere in a comparison.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, product
@@ -33,7 +32,6 @@ __all__ = [
     "InstanceTooLargeError",
     "EmptyFamilyError",
     "HypothesisViolationError",
-    "NoWalkError",
     "InvariantError",
     "DEFAULT_ENUMERATION_CAP",
     "DEFAULT_SEARCH_CAP",
@@ -86,10 +84,6 @@ class HypothesisViolationError(Error):
     fault, not the property being checked)."""
 
 
-class NoWalkError(Error):
-    """No walk exists between the requested vertices."""
-
-
 class InvariantError(Error):
     """An internal consistency check failed: a defect in tstar, not in
     the input."""
@@ -101,31 +95,22 @@ class InvariantError(Error):
 DEFAULT_ENUMERATION_CAP = 10_000_000
 DEFAULT_SEARCH_CAP = 50_000
 
-def _resolve_cap(cap: int | None, env: str, default: int) -> int:
-    if cap is not None:
-        if cap < 1:
-            raise InvalidParametersError(f"cap must be positive, got {cap}")
-        return cap
-    raw = os.environ.get(env)
-    if raw is None:
+def _resolve_cap(cap: int | None, default: int) -> int:
+    if cap is None:
         return default
-    try:
-        value = int(raw)
-    except ValueError:
-        raise InvalidParametersError(f"{env} must be an integer, got {raw!r}")
-    if value < 1:
-        raise InvalidParametersError(f"{env} must be positive, got {value}")
-    return value
+    if cap < 1:
+        raise InvalidParametersError(f"cap must be positive, got {cap}")
+    return cap
 
 
 def enumeration_cap(cap: int | None = None) -> int:
-    """Resolve an enumeration cap: explicit value, else env, else default."""
-    return _resolve_cap(cap, "TSTAR_ENUM_CAP", DEFAULT_ENUMERATION_CAP)
+    """Resolve an enumeration cap: explicit value, else the default."""
+    return _resolve_cap(cap, DEFAULT_ENUMERATION_CAP)
 
 
 def search_cap(cap: int | None = None) -> int:
-    """Resolve a search vertex cap: explicit value, else env, else default."""
-    return _resolve_cap(cap, "TSTAR_SEARCH_CAP", DEFAULT_SEARCH_CAP)
+    """Resolve a search vertex cap: explicit value, else the default."""
+    return _resolve_cap(cap, DEFAULT_SEARCH_CAP)
 
 
 # ---------------------------------------------------------------------------
@@ -296,8 +281,8 @@ class Family:
 class ProfileSet:
     """A finite set of everywhere-positive profiles over a common p.
 
-    Carries the coordinate maxima b_i, their maximum b, and the overall
-    minimum entry c used by the union-space bounds.
+    Carries the largest entry b and the smallest entry c over all the
+    profiles, used by the union-space bounds.
     """
 
     profiles: tuple[tuple[int, ...], ...]
@@ -321,13 +306,9 @@ class ProfileSet:
         return len(self.profiles[0])
 
     @cached_property
-    def b_vector(self) -> tuple[int, ...]:
-        """Coordinatewise maximum over the profiles."""
-        return tuple(max(r[i] for r in self.profiles) for i in range(self.p))
-
-    @property
     def b(self) -> int:
-        return max(self.b_vector)
+        """Largest entry appearing in any profile."""
+        return max(max(r) for r in self.profiles)
 
     @cached_property
     def c(self) -> int:

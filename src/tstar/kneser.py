@@ -21,7 +21,6 @@ from math import comb, prod
 from .core import (
     InstanceTooLargeError,
     InvalidParametersError,
-    NoWalkError,
     enumeration_cap,
     mask_of,
 )
@@ -32,7 +31,6 @@ __all__ = [
     "product_adjacent",
     "is_connected",
     "is_connected_union_find",
-    "find_walk",
 ]
 
 Vertex = tuple[int, ...]
@@ -114,22 +112,19 @@ def _neighbors(u: Vertex, coords: list[list[int]]) -> list[Vertex]:
     return [tuple(v) for v in product(*per)]
 
 
-def _bfs(coords: list[list[int]], start: Vertex,
-         target: Vertex | None = None) -> dict[Vertex, Vertex]:
-    """Breadth-first parent links from start (its own parent) up to target."""
-    parents = {start: start}
+def _bfs(coords: list[list[int]], start: Vertex) -> set[Vertex]:
+    """Every vertex reachable from start, by breadth-first search."""
+    seen = {start}
     frontier = [start]
     while frontier:
         nxt = []
         for x in frontier:
             for y in _neighbors(x, coords):
-                if y not in parents:
-                    parents[y] = x
-                    if y == target:
-                        return parents
+                if y not in seen:
+                    seen.add(y)
                     nxt.append(y)
         frontier = nxt
-    return parents
+    return seen
 
 
 def is_connected(params: KneserParams, cap: int | None = None) -> bool:
@@ -162,18 +157,3 @@ def is_connected_union_find(params: KneserParams, cap: int | None = None) -> boo
     roots = {find(x) for x in range(len(verts))}
     return len(roots) == 1
 
-
-def find_walk(params: KneserParams, u: Vertex, v: Vertex,
-              cap: int | None = None) -> list[Vertex]:
-    """Shortest u-v walk by BFS; NoWalkError when v is unreachable."""
-    _check_vertex(u, params)
-    _check_vertex(v, params)
-    if u == v:
-        return [u]
-    parents = _bfs(_coordinates(params, cap), u, v)
-    if v not in parents:
-        raise NoWalkError(f"no walk between {u} and {v}")
-    path = [v]
-    while path[-1] != u:
-        path.append(parents[path[-1]])
-    return path[::-1]

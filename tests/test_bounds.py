@@ -8,14 +8,11 @@ from itertools import combinations
 import pytest
 
 from tstar.core import (
-    EmptyFamilyError,
-    Family,
     GroundSet,
     InstanceTooLargeError,
     InvalidParametersError,
     InvariantError,
     ProfileSet,
-    elements_of,
     mask_of,
     star_size,
     union_size,
@@ -29,13 +26,9 @@ from tstar.bounds import (
     hypothesis_flags,
     max_star_size,
     max_union_star_size,
-    min_core_overlap,
     optimal_t_distributions,
-    prefix_core,
     ratio_bound,
     ratio_entries,
-    star_density,
-    star_density_chain_form,
 )
 
 
@@ -117,30 +110,7 @@ def test_greedy_equals_enumeration_random_grid():
 
 
 # ---------------------------------------------------------------------------
-# densities and the exchange condition
-
-def test_density_examples():
-    g = GroundSet((8, 10))
-    k = (4, 4)
-    assert star_density(g, k, 0) == 1
-    assert star_density(g, k, mask_of([1, 2])) == Fraction(3, 14)
-    assert star_density(g, k, mask_of([1, 9])) == Fraction(1, 5)
-    with pytest.raises(InvalidParametersError):
-        star_density(GroundSet((4,)), (2,), mask_of([1, 2, 3]))
-
-
-def test_density_forms_agree():
-    rng = random.Random(37)
-    for _ in range(300):
-        p = rng.randint(1, 3)
-        k = tuple(rng.randint(1, 4) for _ in range(p))
-        g = GroundSet(tuple(k_i + rng.randint(1, 5) for k_i in k))
-        center = 0
-        for i in range(p):
-            s_i = rng.randint(0, k[i])
-            center |= mask_of(rng.sample(list(g.part_elements(i)), s_i))
-        assert star_density(g, k, center) == star_density_chain_form(g, k, center)
-
+# the exchange condition
 
 def test_exchange_condition_examples():
     g = GroundSet((8, 10))
@@ -361,36 +331,6 @@ def test_union_star_strictness():
     rep = max_union_star_size(3, g, ps, strict=False)
     assert not rep.hypothesis_flags["t_le_c"]
     assert rep.value > 0
-
-
-# ---------------------------------------------------------------------------
-# prefix core and overlap
-
-def test_prefix_core_examples():
-    g = GroundSet((8, 10))
-    core = prefix_core(g, ProfileSet(((4, 4),)))
-    assert elements_of(core) == tuple(range(1, 8)) + tuple(range(9, 16))
-    assert elements_of(prefix_core(GroundSet((5,)), ProfileSet(((1,),)))) == (1,)
-    g2 = GroundSet((6, 6))
-    core2 = prefix_core(g2, ProfileSet(((2, 2), (3, 2))))
-    assert elements_of(core2) == (1, 2, 3, 4, 5, 7, 8, 9)
-
-
-def test_prefix_core_width_guard():
-    g = GroundSet((4, 10))
-    with pytest.raises(InvalidParametersError):
-        prefix_core(g, ProfileSet(((3, 3),)))  # width 5 > part size 4
-
-
-def test_min_core_overlap():
-    g = GroundSet((8, 10))
-    ps = ProfileSet(((4, 4),))
-    fam = Family.from_iterables(g, [[1, 2, 9, 10]])
-    assert min_core_overlap(fam, ps) == 4
-    lone = Family.from_iterables(GroundSet((5,)), [[2, 3]])
-    assert min_core_overlap(lone, ProfileSet(((1,),))) == 0
-    with pytest.raises(EmptyFamilyError):
-        min_core_overlap(Family(g, frozenset()), ps)
 
 
 # ---------------------------------------------------------------------------

@@ -83,6 +83,14 @@ def test_bound_flag_conflicts(capsys):
     assert code == 2
 
 
+def test_bound_union_t_above_c_exits_2(capsys):
+    code = main(["bound", "--n", "8,8", "--profiles", "2,2;3,2", "--t", "3"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "t=3" in err and "c=2" in err
+    assert "strict" not in err   # a library keyword the CLI has no flag for
+
+
 def test_bound_length_mismatch_exits_2(capsys):
     code, _ = run(capsys, "bound", "--n", "8", "--k", "4,4", "--t", "2")
     assert code == 2

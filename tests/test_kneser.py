@@ -2,10 +2,9 @@ from __future__ import annotations
 
 import pytest
 
-from tstar.core import InstanceTooLargeError, InvalidParametersError, NoWalkError, mask_of
+from tstar.core import InstanceTooLargeError, InvalidParametersError, mask_of
 from tstar.kneser import (
     KneserParams,
-    find_walk,
     is_connected,
     is_connected_union_find,
     product_adjacent,
@@ -95,31 +94,3 @@ def test_vertex_cap():
     with pytest.raises(InstanceTooLargeError):
         vertices(KneserParams(((5, 2), (5, 2))), cap=50)
 
-
-def test_walks():
-    pr = KneserParams(((5, 2),))
-    u = (mask_of([1, 2]),)
-    assert find_walk(pr, u, u) == [u]
-    v = (mask_of([2, 3]),)
-    walk = find_walk(pr, u, v)
-    assert walk[0] == u and walk[-1] == v
-    for a, b in zip(walk, walk[1:]):
-        assert product_adjacent(a, b, pr)
-
-
-def test_walks_in_product():
-    pr = KneserParams(((5, 2), (7, 3)))
-    verts = vertices(pr)
-    u, v = verts[0], verts[-1]
-    walk = find_walk(pr, u, v)
-    assert walk[0] == u and walk[-1] == v
-    for a, b in zip(walk, walk[1:]):
-        assert product_adjacent(a, b, pr)
-
-
-def test_no_walk_between_components():
-    pr = KneserParams(((4, 2),))
-    u = (mask_of([1, 2]),)
-    v = (mask_of([1, 3]),)
-    with pytest.raises(NoWalkError):
-        find_walk(pr, u, v)
