@@ -9,6 +9,8 @@ Central objects:
 * the star objective prod_i C(n_i - t_i, k_i - t_i), whose maximum over
   distributions bounds every t-intersecting subfamily of a block in the
   large-part regime;
+* window families |F & W| >= t + r (Ahlswede-Khachatrian 1997, lifted to
+  products), counted in closed form; r = 0 gives the stars;
 * Delsarte's linear-programming bound over the block's product Johnson
   scheme, an upper bound on every t-intersecting subfamily of a block
   with no hypothesis, solved exactly.
@@ -48,6 +50,7 @@ __all__ = [
     "ratio_entries",
     "optimal_t_distributions",
     "max_star_size",
+    "max_window_family",
     "enumerate_distribution_argmax",
     "exchange_optimal",
     "ratio_bound",
@@ -147,6 +150,38 @@ def max_star_size(t: int, ground: GroundSet, k: tuple[int, ...]) -> int:
     """Largest full-star size over all t-distributions for one block."""
     dists = optimal_t_distributions(t, ground, k)
     return star_size(ground, tuple(k), next(iter(dists)))
+
+
+def max_window_family(t: int, ground: GroundSet,
+                      k: tuple[int, ...]) -> tuple[int, int, tuple[int, ...]]:
+    """Largest window family of the block k, as (size, r, w).
+
+    The window W is the union of the per-part prefixes of lengths w_i,
+    sum(w_i) = t + 2r, and the family holds the members meeting W in at
+    least t + r elements: any two of them share at least t elements of
+    W.  r = 0 gives the stars.  Each family is counted by convolving the
+    parts' C(w_i, j) C(n_i - w_i, k_i - j) over j; nothing is enumerated.
+    Ties keep the smallest r, then the first w of bounded_compositions,
+    so a star is reported whenever one is best.
+    """
+    k = tuple(k)
+    ground.check_profile(k)
+    if not 0 <= t <= sum(k):
+        raise InvalidParametersError(f"t={t} out of range [0, {sum(k)}]")
+    best = None
+    for r in range(sum(k) - t + 1):
+        for w in bounded_compositions(t + 2 * r, (0,) * ground.p, ground.sizes):
+            counts = [1]    # counts[j]: members meeting W in j elements
+            for n_i, k_i, w_i in zip(ground.sizes, k, w):
+                merged = [0] * (len(counts) + k_i)
+                for a, c in enumerate(counts):
+                    for j in range(k_i + 1):
+                        merged[a + j] += c * math.comb(w_i, j) * math.comb(n_i - w_i, k_i - j)
+                counts = merged
+            size = sum(counts[t + r:])
+            if best is None or size > best[0]:
+                best = (size, r, w)
+    return best
 
 
 def enumerate_distribution_argmax(t: int, ground: GroundSet,

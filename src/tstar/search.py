@@ -14,15 +14,19 @@ The two report builders set the solver's answer beside the best star:
 check_block_maximum for one block, check_quota_family for a quota
 family.  Each returns the keys of its `tstar search` report, in order.
 A block is the vertex set of a product of Johnson schemes, so
-check_block_maximum hands the solver the floor of Delsarte's LP bound
-(bounds.delsarte_bound) as `upper`: the search stops as soon as its
-incumbent meets it, at the root when the greedy star seed does (blocks
-with more distance classes than the LP's cap are searched without it).  Quota
-spaces, unions and arbitrary subfamilies are not such vertex sets and
-are searched without it.
-`search --shifted` is check_block_maximum(..., shifted=True): the same
-search, whose witness is then closed under every in-part shift, which
-keeps its size (the maximum over shifted families is the maximum).
+check_block_maximum stops as soon as its incumbent meets the floor of
+Delsarte's LP bound (bounds.delsarte_bound); blocks with more distance
+classes than the LP's cap are searched without it.  When the best star
+meets it, max_t_intersecting's root check returns the greedy star.
+Otherwise the block is searched over shifted families only: every
+in-part shift keeps a family's size and t-intersection, so some maximum
+family is a down-set of the product shifting order, and
+_search_down_sets branches on down-sets, seeded by the best window
+family (bounds.max_window_family).  Quota spaces, unions and arbitrary
+subfamilies have neither the LP nor the shifting argument and are
+searched by max_t_intersecting.  `search --shifted` is
+check_block_maximum(..., shifted=True), which checks that the witness is
+shifted.
 
 A deliberately naive brute-force oracle is kept alongside for
 validation; it shares no data structures with the solver.
@@ -32,10 +36,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations, product
 from typing import Iterator
 
 from .bounds import (delsarte_bound, exchange_optimal, hypothesis_flags,
-                     max_star_size, union_star_sizes)
+                     max_star_size, max_window_family, union_star_sizes)
 from .core import (
     Family,
     GroundSet,
@@ -48,7 +53,7 @@ from .core import (
     quota_profiles,
     search_cap,
 )
-from .shifting import shift_closure
+from .shifting import is_shifted
 from .verify import is_full_t_star
 
 DEFAULT_SUBSET_LIMIT = 24
@@ -62,9 +67,11 @@ class SearchResult:
     max_size is the exact optimum.  witness is one optimal subfamily;
     is_trivial_star is its center mask when the witness happens to be a
     full t-star of the search space, else None.  nodes_explored counts
-    branch decision points; it is 0, and no conflict graph is built,
-    when the greedy star seed meets `upper` or holds every candidate.
-    bound_used records the initial lower bound the solver started from.
+    branch decision points: of max_t_intersecting, or of the down-set
+    search for a block that check_block_maximum searches.  It is 0, and
+    no conflict graph or table is built, when the seed meets `upper` or
+    holds every candidate.  bound_used records the seed's size, the
+    initial lower bound the search started from.
     """
 
     max_size: int
@@ -100,6 +107,22 @@ def _check_upper(size: int, upper: int | None) -> None:
     if upper is not None and size > upper:
         raise InvariantError(
             f"a {size}-member t-intersecting family beats the upper bound {upper}")
+
+
+def _matching_bound(conflict: list[int], pmask: int) -> int:
+    """Greedy maximal matching in the conflict graph restricted to the
+    candidates pmask: an independent set keeps at most one vertex per
+    matched pair."""
+    pairs = 0
+    rest = pmask
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        nb = conflict[low.bit_length() - 1] & rest
+        if nb:
+            rest ^= nb & -nb
+            pairs += 1
+    return pmask.bit_count() - pairs
 
 
 def max_t_intersecting(space: Family, t: int, cap: int | None = None,
@@ -151,21 +174,6 @@ def max_t_intersecting(space: Family, t: int, cap: int | None = None,
     best_mask = 0       # stays 0 while the seed is the incumbent
     nodes = 0
 
-    def matching_bound(pmask: int) -> int:
-        # greedy maximal matching in the conflict graph restricted to P;
-        # an independent set keeps at most one vertex per matched pair
-        size = pmask.bit_count()
-        pairs = 0
-        rest = pmask
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            nb = conflict[low.bit_length() - 1] & rest
-            if nb:
-                rest ^= nb & -nb
-                pairs += 1
-        return size - pairs
-
     # depth-first branch and bound on an explicit stack of nodes
     # (solution so far, its size, candidates): a node takes its pick at
     # once and leaves the drop-the-pick node on the stack below
@@ -213,7 +221,7 @@ def max_t_intersecting(space: Family, t: int, cap: int | None = None,
                 if best_size >= goal:
                     stack.clear()
                     break
-            if not pmask or r_size + matching_bound(pmask) <= best_size:
+            if not pmask or r_size + _matching_bound(conflict, pmask) <= best_size:
                 break
             low = 1 << pick
             stack.append((r_mask, r_size, pmask & ~low))
@@ -334,6 +342,170 @@ def brute_force_max(space: Family, t: int, mode: str = "auto") -> SearchResult:
 
 
 # ---------------------------------------------------------------------------
+# down-set search on a full block
+
+def _part_tables(n: int, k: int, t: int) -> tuple[list, ...]:
+    """Tables over the k-subsets of an n-element part, as bit masks over
+    their indices in ascending mask order, an order that extends the
+    shifting order (a <= b when a's sorted elements are at most b's, one
+    by one).
+
+    Returns (subsets, down, up, meet, fewer, least): down[j] and up[j]
+    hold the subsets below and above subset j, meet[s][j] those sharing
+    exactly s elements with it, fewer[x][j] (x <= t) those sharing fewer
+    than x, and least[j] is the fewest elements two subsets below j share.
+    """
+    subsets = sorted(sum(1 << e for e in c) for c in combinations(range(n), k))
+    index = {m: j for j, m in enumerate(subsets)}
+    size = len(subsets)
+    # a cover of the order moves one element to the free place beside it
+    down, up = [0] * size, [0] * size
+    for j, m in enumerate(subsets):
+        down[j] = 1 << j
+        for b in range(1, n):
+            if m >> b & 1 and not m >> (b - 1) & 1:
+                down[j] |= down[index[m ^ (3 << (b - 1))]]
+    for j in reversed(range(size)):
+        m = subsets[j]
+        up[j] = 1 << j
+        for b in range(n - 1):
+            if m >> b & 1 and not m >> (b + 1) & 1:
+                up[j] |= up[index[m ^ (3 << b)]]
+    meet = [[0] * size for _ in range(k + 1)]
+    for j, a in enumerate(subsets):
+        for i, b in enumerate(subsets):
+            meet[(a & b).bit_count()][j] |= 1 << i
+    fewer = [[0] * size]
+    for x in range(min(t, k + 1)):
+        fewer.append([lo | eq for lo, eq in zip(fewer[-1], meet[x])])
+    fewer += [fewer[-1]] * (t + 1 - len(fewer))
+    # two subsets below j sharing s elements make j share at most s with
+    # one of them (the lemma in _search_down_sets), so pairs with j suffice
+    least = [min((m & subsets[x]).bit_count() for x in _bits(down[j]))
+             for j, m in enumerate(subsets)]
+    return subsets, down, up, meet, fewer, least
+
+
+def _kron(masks: list[int], sizes: list[int]) -> int:
+    """Kronecker product of per-part index masks: bit v of the result is
+    set when every part's index in the mixed-radix index v (part 0 most
+    significant) is set in that part's mask."""
+    out, width = masks[-1], sizes[-1]
+    for m, size in zip(masks[-2::-1], sizes[-2::-1]):
+        out = sum(out << (a * width) for a in _bits(m))
+        width *= size
+    return out
+
+
+def _search_down_sets(space: Family, ground: GroundSet, k: tuple[int, ...],
+                      t: int, upper: int | None) -> SearchResult:
+    """max_t_intersecting for the full block space of profile k, searched
+    over the down-sets of the product shifting order only.
+
+    Every in-part shift keeps a family's size, its block and its
+    t-intersection, so some maximum family is a down-set.  The seed is
+    the best window family (bounds.max_window_family), itself a down-set.
+    Taking a vertex v brings in all of down(v) and drops what conflicts
+    with it; dropping v drops up(v).  The root drops every vertex whose
+    down-set holds a conflicting pair, a free vertex whose candidates
+    below are all free joins without a branch, the matching bound
+    prunes, and the search stops once it meets `upper`.  The masks are
+    Kronecker products of per-part tables (_part_tables), in mixed-radix
+    index order; no pair of members is compared.
+
+    Lemma: what conflicts with a down-set S is an up-set.  If u meets
+    s in S in fewer than t elements and u' is u with a replaced by b > a
+    of the same part, then u' meets s in fewer than t too, unless b is in
+    s and a is not; then s' = s with b replaced by a is in S and u' meets
+    s' as u meets s.  So the taken set and the candidates always form a
+    down-set, and dropping the conflicts of a take drops their up-sets.
+    """
+    size, r, w = max_window_family(t, ground, k)
+    window = sum(ground.prefix_mask(i, w_i) for i, w_i in enumerate(w))
+    seed = Family(ground, frozenset(m for m in space.members
+                                    if (m & window).bit_count() >= t + r))
+    if len(seed.members) != size:
+        raise InvariantError(
+            f"the window family has {len(seed.members)} members, counted {size}")
+    best_size = seed_size = size
+    goal = len(space.members) if upper is None else min(upper, len(space.members))
+    best_mask = nodes = 0
+    if best_size < goal:
+        subsets, downs, ups, meets, fewers, leasts = zip(
+            *(_part_tables(n_i, k_i, t) for n_i, k_i in zip(ground.sizes, k)))
+        sizes = [len(part) for part in subsets]
+        verts = [sum(m << off for m, off in zip(parts, ground.offsets))
+                 for parts in product(*subsets)]
+        # conflicts split the t-1 or fewer shared elements among the parts:
+        # exactly s_i in each part but the last, fewer than the rest there
+        splits = [s for s in product(*(range(min(k_i, t - 1) + 1) for k_i in k[:-1]))
+                  if sum(s) < t]
+        n = len(verts)
+        down, up, conflict = [0] * n, [0] * n, [0] * n
+        alive = 0
+        for v, a in enumerate(product(*map(range, sizes))):
+            if sum(least[a_i] for least, a_i in zip(leasts, a)) < t:
+                continue    # down(v) holds a conflicting pair
+            alive |= 1 << v
+            down[v] = _kron([part[a_i] for part, a_i in zip(downs, a)], sizes)
+            up[v] = _kron([part[a_i] for part, a_i in zip(ups, a)], sizes)
+            for s in splits:
+                conflict[v] |= _kron([meet[s_i][a_i] for meet, s_i, a_i in zip(meets, s, a)]
+                                     + [fewers[-1][t - sum(s)][a[-1]]], sizes)
+
+        # depth-first, as in max_t_intersecting: (down-set taken, its size,
+        # candidates); the candidates and the taken set form a down-set
+        stack = [(0, 0, alive)]
+        while stack:
+            r_mask, r_size, pmask = stack.pop()
+            while True:
+                nodes += 1
+                free = 0
+                pick = -1
+                pick_deg = 0
+                rest = pmask
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    v = low.bit_length() - 1
+                    d = (conflict[v] & pmask).bit_count()
+                    if d == 0:
+                        free |= low
+                    elif d > pick_deg:
+                        pick, pick_deg = v, d
+                take = 0
+                for v in _bits(free):
+                    if not down[v] & pmask & ~free:
+                        take |= 1 << v
+                r_mask |= take
+                r_size += take.bit_count()
+                pmask &= ~take
+                if r_size > best_size:
+                    best_size = r_size
+                    best_mask = r_mask
+                    if best_size >= goal:
+                        stack.clear()
+                        break
+                if not pmask or r_size + _matching_bound(conflict, pmask) <= best_size:
+                    break
+                stack.append((r_mask, r_size, pmask & ~up[pick]))
+                new = down[pick] & pmask
+                r_mask |= new
+                r_size += new.bit_count()
+                pmask &= ~new
+                hit = 0
+                for x in _bits(new):
+                    hit |= conflict[x]
+                pmask &= ~hit
+
+    _check_upper(best_size, upper)
+    witness = seed if not best_mask else Family(
+        ground, frozenset(verts[v] for v in _bits(best_mask)))
+    return SearchResult(best_size, witness, is_full_t_star(witness, space, t),
+                        nodes, seed_size)
+
+
+# ---------------------------------------------------------------------------
 # report builders on top of the solver
 
 def _elements(center: int | None) -> list[int] | None:
@@ -350,15 +522,17 @@ def check_block_maximum(ground: GroundSet, k: tuple[int, ...], t: int,
     n > (t+1)(k-t+1) is reported as well, it is much weaker than the
     general product hypothesis.
 
-    The solver stops once its incumbent meets lp_bound, the floor of
-    delsarte_bound for the block, so nodes_explored is 0 when the star
-    seed already meets it.  lp_bound is None, and the search runs
-    without it, when the block has more than DELSARTE_CLASS_CAP distance
-    classes.
+    The search stops once its incumbent meets lp_bound, the floor of
+    delsarte_bound for the block.  When the best star meets it,
+    max_t_intersecting returns the greedy star with 0 nodes; otherwise
+    _search_down_sets searches the shifted families, from the best
+    window family, and nodes_explored counts its nodes (0 when the
+    window family meets lp_bound).  lp_bound is None, and the search
+    runs without it, when the block has more than DELSARTE_CLASS_CAP
+    distance classes.
 
-    With shifted=True the witness is replaced by its shift closure in
-    every part, which keeps its size and its t-intersection, and
-    witness_center and the verdicts after it describe that witness.
+    The witness is a down-set of the shifting order either way; with
+    shifted=True that is checked, and InvariantError raised if not.
     The report's keys and order are those of `tstar search`; the
     witness Family stands where the CLI prints witness_file.
     """
@@ -369,15 +543,15 @@ def check_block_maximum(ground: GroundSet, k: tuple[int, ...], t: int,
         lp_bound = math.floor(delsarte_bound(ground, k, t))
     except InstanceTooLargeError:
         lp_bound = None     # too many distance classes: search without it
-    result = max_t_intersecting(space, t, cap=cap, upper=lp_bound)
+    goal = len(space.members) if lp_bound is None else min(lp_bound, len(space.members))
+    if star_bound >= goal:
+        # the greedy star closes it at max_t_intersecting's root check
+        result = max_t_intersecting(space, t, cap=cap, upper=lp_bound)
+    else:
+        result = _search_down_sets(space, ground, k, t, lp_bound)
     witness, center = result.witness, result.is_trivial_star
-    if shifted:
-        witness = shift_closure(witness)[0]
-        if len(witness.members) != result.max_size:
-            raise InvariantError(
-                f"shift closure changed the witness size from {result.max_size} "
-                f"to {len(witness.members)}")
-        center = is_full_t_star(witness, space, t)
+    if shifted and not is_shifted(witness):
+        raise InvariantError("the witness is not shifted")
     hypotheses = {"block_star": hypothesis_flags(t, ground, k=k)["block_star"]}
     if ground.p == 1:
         hypotheses["ekr_threshold"] = ground.sizes[0] > (t + 1) * (k[0] - t + 1)

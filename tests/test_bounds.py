@@ -3,7 +3,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -13,6 +13,7 @@ from tstar.core import (
     InvalidParametersError,
     InvariantError,
     ProfileSet,
+    enumerate_block,
     mask_of,
     star_size,
     union_size,
@@ -26,6 +27,7 @@ from tstar.bounds import (
     hypothesis_flags,
     max_star_size,
     max_union_star_size,
+    max_window_family,
     optimal_t_distributions,
     ratio_bound,
     ratio_entries,
@@ -107,6 +109,38 @@ def test_greedy_equals_enumeration_random_grid():
         oracle = enumerate_distribution_argmax(t, g, k)
         assert greedy == oracle.optimal_distributions, (g.sizes, k, t)
         assert max_star_size(t, g, k) == oracle.value
+
+
+def test_window_family_equals_enumerate_and_count():
+    # every block with p <= 2 and n_i <= 5, edge parts included, at every
+    # 0 <= t <= sum(k): count each window family over the members and keep
+    # the largest; the closed form gives the same size, and its own (r, w)
+    # reaches it
+    checked = 0
+    for p in (1, 2):
+        for sizes in product(range(1, 6), repeat=p):
+            g = GroundSet(sizes)
+            for k in product(*(range(n + 1) for n in sizes)):
+                members = enumerate_block(g, k).members
+
+                def count(t, r, w):
+                    window = sum(g.prefix_mask(i, w_i) for i, w_i in enumerate(w))
+                    return sum((m & window).bit_count() >= t + r for m in members)
+
+                for t in range(sum(k) + 1):
+                    best = max(count(t, r, w) for r in range(sum(k) - t + 1)
+                               for w in product(*(range(n + 1) for n in sizes))
+                               if sum(w) == t + 2 * r)
+                    size, r, w = max_window_family(t, g, k)
+                    assert size == best == count(t, r, w), (sizes, k, t)
+                    if all(0 < k_i < n for k_i, n in zip(k, sizes)):
+                        star = max_star_size(t, g, k)
+                        assert size >= star and (size > star or r == 0), (sizes, k, t)
+                    checked += 1
+    assert checked == 1855
+    assert max_window_family(2, GroundSet((6, 6)), (3, 3)) == (118, 2, (3, 3))
+    with pytest.raises(InvalidParametersError):
+        max_window_family(5, GroundSet((4, 4)), (2, 2))
 
 
 # ---------------------------------------------------------------------------

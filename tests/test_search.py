@@ -193,11 +193,17 @@ def test_search_tree_is_pinned():
         assert (r.max_size, r.nodes_explored) == want, (sizes, k, t)
 
 
+def _assert_shifted_witness(witness, space, t):
+    assert witness.members <= space.members
+    assert is_t_intersecting(witness, t)
+    assert is_shifted(witness)
+
+
 def test_lp_and_block_report_on_every_small_block():
     # every block with p <= 2, n_i <= 6 and at most 60 members, edge parts
     # k_i = 0 and k_i = n_i included, at every 1 <= t <= sum(k): the LP
-    # bounds the maximum, and on blocks without edge parts the report's LP
-    # stop only cuts the search short (same maximum, same witness)
+    # bounds the maximum, and on blocks without edge parts the report has
+    # the same maximum, with a shifted witness inside the space
     checked = reported = 0
     for p in (1, 2):
         for sizes in product(range(1, 7), repeat=p):
@@ -219,8 +225,7 @@ def test_lp_and_block_report_on_every_small_block():
                         rep = check_block_maximum(g, k, t)
                         assert rep["lp_bound"] == math.floor(lp), (sizes, k, t)
                         assert rep["max_size"] == plain.max_size, (sizes, k, t)
-                        assert rep["witness"] == plain.witness, (sizes, k, t)
-                        assert rep["nodes_explored"] <= plain.nodes_explored
+                        _assert_shifted_witness(rep["witness"], space, t)
                         reported += 1
     assert (checked, reported) == (2752, 757)
 
@@ -228,11 +233,46 @@ def test_lp_and_block_report_on_every_small_block():
 def test_block_report_searches_without_the_lp_above_its_cap():
     # (2,)^6 has 64 distance classes, above the LP's cap
     g, k = GroundSet((2,) * 6), (1,) * 6
-    plain = max_t_intersecting(enumerate_block(g, k), 2)
+    space = enumerate_block(g, k)
     rep = check_block_maximum(g, k, 2)
     assert rep["lp_bound"] is None
-    assert (rep["max_size"], rep["witness"]) == (22, plain.witness)
-    assert rep["nodes_explored"] == plain.nodes_explored
+    assert rep["max_size"] == 22 == max_t_intersecting(space, 2).max_size
+    _assert_shifted_witness(rep["witness"], space, 2)
+
+
+def test_block_report_closes_the_frontier():
+    # blocks the plain solver does not close in seconds; 46 is pinned by
+    # it, 118 and 225 come from the down-set search alone.  The node
+    # counts pin the search tree, as test_search_tree_is_pinned does for
+    # max_t_intersecting
+    for sizes, k, size, nodes in (((5, 6), (2, 3), 46, 47), ((6, 6), (3, 3), 118, 237),
+                                  ((7, 7), (3, 3), 225, 313)):
+        start = time.perf_counter()
+        rep = check_block_maximum(GroundSet(sizes), k, 2)
+        elapsed = time.perf_counter() - start
+        assert (rep["max_size"], rep["nodes_explored"]) == (size, nodes), sizes
+        assert elapsed < 5.0, (sizes, elapsed)
+        assert len(rep["witness"].members) == size
+        _assert_shifted_witness(rep["witness"], enumerate_block(GroundSet(sizes), k), 2)
+
+
+def test_down_set_search_matches_the_solver_on_three_parts():
+    # every block with p = 3, 2 <= n_i <= 5, 0 < k_i < n_i and at most 90
+    # members, at every 1 <= t <= sum(k), searched without the LP stop
+    checked = 0
+    for sizes in product(range(2, 6), repeat=3):
+        g = GroundSet(sizes)
+        for k in product(*(range(1, n) for n in sizes)):
+            if block_size(g, k) > 90:
+                continue
+            space = enumerate_block(g, k)
+            for t in range(1, sum(k) + 1):
+                got = search._search_down_sets(space, g, k, t, None)
+                assert got.max_size == max_t_intersecting(space, t).max_size, (sizes, k, t)
+                assert len(got.witness.members) == got.max_size
+                _assert_shifted_witness(got.witness, space, t)
+                checked += 1
+    assert checked == 2637
 
 
 def test_block_report_closes_at_the_root():
@@ -349,13 +389,15 @@ def test_quota_star_counts_match_enumeration():
             assert counted[part] == len(trivial_star(space, 1 << (e - 1)).members)
 
 
-def test_shifted_search_checks_the_closure_size(monkeypatch):
-    def lossy_closure(fam):
-        return Family(fam.ground, frozenset(sorted(fam.members)[1:])), 0
-
-    monkeypatch.setattr(search, "shift_closure", lossy_closure)
-    with pytest.raises(InvariantError, match="changed the witness size"):
-        check_block_maximum(GroundSet((5,)), (2,), 1, shifted=True)
+def test_shifted_search_refuses_an_unshifted_witness(monkeypatch):
+    # the star at 2 has the best star size but is not shifted: {2,3} is in,
+    # its shift {1,3} is out
+    g = GroundSet((5,))
+    star = trivial_star(enumerate_block(g, (2,)), 0b10)
+    monkeypatch.setattr(search, "_greedy_star", lambda space, t: star)
+    assert check_block_maximum(g, (2,), 1)["witness"] == star
+    with pytest.raises(InvariantError, match="not shifted"):
+        check_block_maximum(g, (2,), 1, shifted=True)
 
 
 def test_check_quota_family_checks_the_star_bound(monkeypatch):
