@@ -265,7 +265,7 @@ def ratio_bound(ground: GroundSet, k: tuple[int, ...]) -> RatioBound:
 # distance classes.  Worst over t: at most about 0.02 s up to 32
 # classes, 0.13 s at 36 and 0.15-0.5 s at 64 (2-core VM, Python 3.11).
 # A cap of 64 would fit a 0.5 s budget, but it changes check_block_maximum's
-# report on blocks of 33-64 classes (ROADMAP direction 2).
+# report on blocks of 33-64 classes (ROADMAP direction 3).
 DELSARTE_CLASS_CAP = 32
 
 def _eberlein(n: int, k: int, j: int, x: int) -> int:

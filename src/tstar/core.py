@@ -216,11 +216,11 @@ class GroundSet:
 
     def profile(self, mask: int) -> tuple[int, ...]:
         """Per-part intersection sizes of a subset mask."""
-        return tuple(((mask >> off) & ((1 << s) - 1)).bit_count()
+        return tuple((mask >> off).bit_count() - (mask >> (off + s)).bit_count()
                      for s, off in zip(self.sizes, self.offsets))
 
     def check_mask(self, mask: int) -> None:
-        if mask < 0 or mask & ~self.full_mask:
+        if mask < 0 or mask >> self.n:
             raise InvalidParametersError(
                 f"mask {bin(mask)} has bits outside ground set of size {self.n}")
 
@@ -254,9 +254,9 @@ class Family:
     def __post_init__(self) -> None:
         if not isinstance(self.members, frozenset):
             object.__setattr__(self, "members", frozenset(self.members))
-        full = self.ground.full_mask
+        n = self.ground.n
         for m in self.members:
-            if m < 0 or m & ~full:
+            if m < 0 or m >> n:
                 raise InvalidParametersError(
                     f"member {bin(m)} has bits outside ground set of size {self.ground.n}")
 

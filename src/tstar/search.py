@@ -17,14 +17,14 @@ A block is the vertex set of a product of Johnson schemes, so
 check_block_maximum stops as soon as its incumbent meets the floor of
 Delsarte's LP bound (bounds.delsarte_bound); blocks with more distance
 classes than the LP's cap are searched without it.  When the best star
-meets it, max_t_intersecting's root check returns the greedy star.
-Otherwise the block is searched over shifted families only: every
-in-part shift keeps a family's size and t-intersection, so some maximum
-family is a down-set of the product shifting order, and
-_search_down_sets branches on down-sets, seeded by the best window
-family (bounds.max_window_family).  Quota spaces, unions and arbitrary
-subfamilies have neither the LP nor the shifting argument and are
-searched by max_t_intersecting.  `search --shifted` is
+(bounds.optimal_t_distributions, in closed form) meets it, that star is
+the answer and nothing is searched.  Otherwise the block is searched
+over shifted families only: every in-part shift keeps a family's size
+and t-intersection, so some maximum family is a down-set of the product
+shifting order, and _search_down_sets branches on down-sets, seeded by
+the best window family (bounds.max_window_family).  Quota spaces,
+unions and arbitrary subfamilies have neither the LP nor the shifting
+argument and are searched by max_t_intersecting.  `search --shifted` is
 check_block_maximum(..., shifted=True), which checks that the witness is
 shifted.
 
@@ -40,7 +40,7 @@ from itertools import combinations, product
 from typing import Iterator
 
 from .bounds import (delsarte_bound, exchange_optimal, hypothesis_flags,
-                     max_star_size, max_window_family, union_star_sizes)
+                     max_window_family, optimal_t_distributions, union_star_sizes)
 from .core import (
     Family,
     GroundSet,
@@ -52,6 +52,8 @@ from .core import (
     enumerate_quota,
     quota_profiles,
     search_cap,
+    star_size,
+    trivial_star,
 )
 from .shifting import is_shifted
 from .verify import is_full_t_star
@@ -69,9 +71,10 @@ class SearchResult:
     full t-star of the search space, else None.  nodes_explored counts
     branch decision points: of max_t_intersecting, or of the down-set
     search for a block that check_block_maximum searches.  It is 0, and
-    no conflict graph or table is built, when the seed meets `upper` or
-    holds every candidate.  bound_used records the seed's size, the
-    initial lower bound the search started from.
+    no conflict graph or table is built, when the seed is already
+    optimal: it holds every candidate, or, in the down-set search, meets
+    the LP bound.  bound_used records the seed's size, the initial lower
+    bound the search started from.
     """
 
     max_size: int
@@ -125,21 +128,15 @@ def _matching_bound(conflict: list[int], pmask: int) -> int:
     return pmask.bit_count() - pairs
 
 
-def max_t_intersecting(space: Family, t: int, cap: int | None = None,
-                       upper: int | None = None) -> SearchResult:
+def max_t_intersecting(space: Family, t: int, cap: int | None = None) -> SearchResult:
     """Exact maximum t-intersecting subfamily of `space`.
 
     Members with fewer than t elements cannot appear in any solution
     (they fail the requirement against themselves) and are dropped up
     front.  Deterministic: the branching order is fixed by conflict
-    degree, ties by position in ascending mask order.
-
-    `upper` is a proven upper bound on the answer.  The search stops as
-    soon as the incumbent reaches it, which leaves the witness as it is
-    (the incumbent changes only on a strict improvement), and an
-    incumbent above it raises InvariantError.  When the greedy star seed
-    already meets `upper` or holds every candidate, it is the answer:
-    nodes_explored is 0 and no conflict graph is built.
+    degree, ties by position in ascending mask order.  When the greedy
+    star seed holds every candidate it is the answer: nodes_explored is
+    0 and no conflict graph is built.
     """
     if t < 0:
         raise InvalidParametersError(f"t must be >= 0, got {t}")
@@ -151,10 +148,8 @@ def max_t_intersecting(space: Family, t: int, cap: int | None = None,
     n = len(verts)
     seed = _greedy_star(space, t)
     best_size = seed_size = len(seed.members)
-    goal = n if upper is None else min(upper, n)   # the n candidates bound it too
-    if seed_size >= goal:
+    if seed_size >= n:
         # the seed is optimal, which covers t = 0: nothing to search
-        _check_upper(seed_size, upper)
         return SearchResult(seed_size, seed, is_full_t_star(seed, space, t),
                             0, seed_size)
 
@@ -218,9 +213,6 @@ def max_t_intersecting(space: Family, t: int, cap: int | None = None,
             if r_size > best_size:
                 best_size = r_size
                 best_mask = r_mask
-                if best_size >= goal:
-                    stack.clear()
-                    break
             if not pmask or r_size + _matching_bound(conflict, pmask) <= best_size:
                 break
             low = 1 << pick
@@ -229,7 +221,6 @@ def max_t_intersecting(space: Family, t: int, cap: int | None = None,
             r_size += 1
             pmask &= ~(low | conflict[pick])
 
-    _check_upper(best_size, upper)
     witness = seed if not best_mask else Family(
         space.ground, frozenset(verts[i - 1] for i in elements_of(best_mask)))
     return SearchResult(best_size, witness,
@@ -523,13 +514,15 @@ def check_block_maximum(ground: GroundSet, k: tuple[int, ...], t: int,
     general product hypothesis.
 
     The search stops once its incumbent meets lp_bound, the floor of
-    delsarte_bound for the block.  When the best star meets it,
-    max_t_intersecting returns the greedy star with 0 nodes; otherwise
-    _search_down_sets searches the shifted families, from the best
-    window family, and nodes_explored counts its nodes (0 when the
-    window family meets lp_bound).  lp_bound is None, and the search
-    runs without it, when the block has more than DELSARTE_CLASS_CAP
-    distance classes.
+    delsarte_bound for the block; a family above it raises
+    InvariantError.  When the best star meets it, that star is the
+    witness and nodes_explored is 0: its t-distribution is the optimal
+    one that gives tied ratio links to the lowest parts, its center each
+    part's first elements.  Otherwise _search_down_sets searches the
+    shifted families, from the best window family, and nodes_explored
+    counts its nodes (0 when the window family meets lp_bound).
+    lp_bound is None, and the search runs without it, when the block has
+    more than DELSARTE_CLASS_CAP distance classes.
 
     The witness is a down-set of the shifting order either way; with
     shifted=True that is checked, and InvariantError raised if not.
@@ -538,15 +531,19 @@ def check_block_maximum(ground: GroundSet, k: tuple[int, ...], t: int,
     """
     k = tuple(k)
     space = enumerate_block(ground, k, cap=search_cap(cap))
-    star_bound = max_star_size(t, ground, k)
+    # the largest optimal distribution gives tied ratio links to the lowest parts
+    dist = max(optimal_t_distributions(t, ground, k))
+    star_bound = star_size(ground, k, dist)
     try:
         lp_bound = math.floor(delsarte_bound(ground, k, t))
     except InstanceTooLargeError:
         lp_bound = None     # too many distance classes: search without it
     goal = len(space.members) if lp_bound is None else min(lp_bound, len(space.members))
     if star_bound >= goal:
-        # the greedy star closes it at max_t_intersecting's root check
-        result = max_t_intersecting(space, t, cap=cap, upper=lp_bound)
+        # the best star is a maximum: close the block without a search
+        _check_upper(star_bound, lp_bound)
+        center = sum(ground.prefix_mask(i, t_i) for i, t_i in enumerate(dist))
+        result = SearchResult(star_bound, trivial_star(space, center), center, 0, star_bound)
     else:
         result = _search_down_sets(space, ground, k, t, lp_bound)
     witness, center = result.witness, result.is_trivial_star

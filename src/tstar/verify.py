@@ -85,7 +85,7 @@ def is_full_t_star(fam: Family, space: Family, t: int) -> int | None:
         raise InvalidParametersError("fam must be a subfamily of space")
     if not fam.members:
         return None
-    common = space.ground.full_mask
+    common = next(iter(fam.members))
     for m in fam.members:
         common &= m
     if common.bit_count() < t:

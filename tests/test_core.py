@@ -113,6 +113,10 @@ def test_ground_set_validation():
         g.element_part(5)
     with pytest.raises(InvalidParametersError):
         g.prefix_mask(0, 5)
+    g.check_mask(g.full_mask)
+    for mask in (mask_of([5]), -1):
+        with pytest.raises(InvalidParametersError):
+            g.check_mask(mask)
 
 
 def test_family_rejects_out_of_range_member():

@@ -13,7 +13,7 @@ from tstar import search
 from tstar.bounds import delsarte_bound, union_star_sizes
 from tstar.core import (Family, GroundSet, InstanceTooLargeError,
                         InvalidParametersError, InvariantError, block_size, enumerate_block,
-                        enumerate_quota, quota_profiles, trivial_star)
+                        enumerate_quota, mask_of, quota_profiles, trivial_star)
 from tstar.search import (brute_force_max, check_block_maximum,
                           check_quota_family, max_t_intersecting)
 from tstar.shifting import is_shifted
@@ -57,10 +57,6 @@ def test_t_zero_returns_whole_space():
     assert r.nodes_explored == 0
     b = brute_force_max(space, 0)
     assert b.max_size == 6
-    r = max_t_intersecting(space, 0, upper=6)
-    assert (r.max_size, r.witness.members, r.nodes_explored) == (6, space.members, 0)
-    with pytest.raises(InvariantError, match="beats the upper bound 5"):
-        max_t_intersecting(space, 0, upper=5)
 
 
 def test_root_check_closes_without_a_search():
@@ -282,6 +278,19 @@ def test_block_report_closes_at_the_root():
         assert list(rep)[-3:] == ["lp_bound", "nodes_explored", "witness"]
 
 
+def test_star_closure_witness_is_pinned():
+    # the star of the optimal distribution that gives tied ratio links to
+    # the lowest parts, centered on each part's first elements
+    for sizes, k, t, center in (((5, 5), (2, 2), 1, [1]), ((4, 4, 4), (1, 1, 1), 1, [1]),
+                                ((3, 4), (1, 2), 1, [4]), ((5, 5), (2, 2), 2, [1, 6])):
+        g = GroundSet(sizes)
+        rep = check_block_maximum(g, k, t)
+        assert (rep["witness_center"], rep["nodes_explored"]) == (center, 0), sizes
+        star = trivial_star(enumerate_block(g, k), mask_of(center))
+        assert rep["witness"] == star, sizes
+        assert rep["max_size"] == rep["star_bound"] == len(star.members), sizes
+
+
 def test_block_report_closes_a_large_block_at_the_root():
     # 12,870 members: the star seed meets the LP, so no conflict graph is built
     start = time.perf_counter()
@@ -292,21 +301,18 @@ def test_block_report_closes_a_large_block_at_the_root():
 
 
 def test_block_report_refuses_a_bound_below_the_seed(monkeypatch):
-    # the greedy star seed of (5,)/(2,) at t=1 has 4 members
+    # the best star of (5,)/(2,) at t=1 has 4 members
     monkeypatch.setattr(search, "delsarte_bound", lambda ground, k, t: Fraction(3))
     with pytest.raises(InvariantError, match="beats the upper bound 3"):
         check_block_maximum(GroundSet((5,)), (2,), 1)
 
 
-def test_upper_below_an_improvement_raises():
-    # (5,)/(3,) at t=1: the greedy seed has 6 members, and the root takes
-    # all 10, as any two members meet
-    space = enumerate_block(GroundSet((5,)), (3,))
-    assert max_t_intersecting(space, 1, upper=10).max_size == 10
-    with pytest.raises(InvariantError, match="beats the upper bound 7"):
-        max_t_intersecting(space, 1, upper=7)
-    with pytest.raises(InvariantError, match="beats the upper bound 9"):
-        max_t_intersecting(space, 0, upper=9)
+def test_upper_below_an_improvement_raises(monkeypatch):
+    # (5,6)/(2,3) at t=2: the best star has 40 members, below the bound,
+    # so the down-set search runs, and its window seed has 46
+    monkeypatch.setattr(search, "delsarte_bound", lambda ground, k, t: Fraction(45))
+    with pytest.raises(InvariantError, match="beats the upper bound 45"):
+        check_block_maximum(GroundSet((5, 6)), (2, 3), 2)
 
 
 def test_shifted_search_matches_unrestricted():
@@ -394,7 +400,7 @@ def test_shifted_search_refuses_an_unshifted_witness(monkeypatch):
     # its shift {1,3} is out
     g = GroundSet((5,))
     star = trivial_star(enumerate_block(g, (2,)), 0b10)
-    monkeypatch.setattr(search, "_greedy_star", lambda space, t: star)
+    monkeypatch.setattr(search, "trivial_star", lambda space, center: star)
     assert check_block_maximum(g, (2,), 1)["witness"] == star
     with pytest.raises(InvariantError, match="not shifted"):
         check_block_maximum(g, (2,), 1, shifted=True)

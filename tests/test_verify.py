@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -13,6 +14,7 @@ from tstar.core import (
     InvalidParametersError,
     enumerate_block,
     mask_of,
+    parse_family,
     trivial_star,
 )
 from tstar.shifting import simultaneous_closure
@@ -271,3 +273,18 @@ def test_star_preservation_hypothesis_flag():
     assert not star_preservation_hypothesis(space, 1)  # needs n > 4
     g2 = GroundSet((5,))
     assert star_preservation_hypothesis(enumerate_block(g2, (1,)), 1)
+
+
+def test_a_huge_ground_set_builds_no_ground_sized_int():
+    # a mask of all 100,000,000 elements would be a 12.5 MB int; reading,
+    # checking and profiling two small members must not build one
+    tracemalloc.start()
+    try:
+        fam = parse_family("ground: 100000000\n1,2\n1,3\n")
+        assert is_t_intersecting(fam, 1)
+        assert is_full_t_star(fam, fam, 1) == mask_of([1])
+        assert fam.ground.profile(mask_of([1, 2])) == (2,)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
