@@ -2,13 +2,15 @@
 
 The largest t-intersecting subfamily of a finite family is a maximum
 clique in the graph whose vertices are the members and whose edges join
-members sharing at least t elements.  The solver below works on the
-complement instead: it searches for a maximum independent set in the
-"conflict" graph (members sharing fewer than t elements).  Conflict
-graphs of the instances this package targets are sparse, which makes two
-cheap ingredients effective: degree reduction rules, and a matching
-upper bound (every maximal matching in the conflict graph forfeits one
-vertex per matched pair).
+members sharing at least t elements, an independent set of the
+"conflict" graph (members sharing fewer than t elements).
+max_t_intersecting is a maximum-clique branch and bound with a greedy
+colouring bound (Tomita and Seki 2003) on bitsets (San Segundo et al.
+2011): a colour class is a clique of the conflict graph, of which a
+solution keeps at most one member, so the colour count bounds a node.
+Each node colours its candidates in ascending order of their conflict
+degree among them, counted again at every node, as MaxCliqueDyn (Konc
+and Janezic 2007) re-sorts by degree.
 
 The two report builders set the solver's answer beside the best star:
 check_block_maximum for one block, check_quota_family for a quota
@@ -69,12 +71,13 @@ class SearchResult:
     max_size is the exact optimum.  witness is one optimal subfamily;
     is_trivial_star is its center mask when the witness happens to be a
     full t-star of the search space, else None.  nodes_explored counts
-    branch decision points: of max_t_intersecting, or of the down-set
-    search for a block that check_block_maximum searches.  It is 0, and
-    no conflict graph or table is built, when the seed is already
-    optimal: it holds every candidate, or, in the down-set search, meets
-    the LP bound.  bound_used records the seed's size, the initial lower
-    bound the search started from.
+    the nodes of max_t_intersecting that its colouring bound did not
+    prune, or the nodes of the down-set search for a block that
+    check_block_maximum searches.  It is 0, and no conflict graph or
+    table is built, when the seed is already optimal: it holds every
+    candidate, or, in the down-set search, meets the LP bound.
+    bound_used records the seed's size, the initial lower bound the
+    search started from.
     """
 
     max_size: int
@@ -133,10 +136,17 @@ def max_t_intersecting(space: Family, t: int, cap: int | None = None) -> SearchR
 
     Members with fewer than t elements cannot appear in any solution
     (they fail the requirement against themselves) and are dropped up
-    front.  Deterministic: the branching order is fixed by conflict
-    degree, ties by position in ascending mask order.  When the greedy
-    star seed holds every candidate it is the answer: nodes_explored is
-    0 and no conflict graph is built.
+    front.  When the greedy star seed holds every candidate it is the
+    answer: nodes_explored is 0 and no conflict graph is built.
+    Otherwise the candidates are indexed by ascending conflict degree,
+    ties by ascending mask order, and a depth-first search colours each
+    node's candidates into conflict cliques, taking them by ascending
+    conflict degree among the candidates, ties by index.  It branches on
+    the vertices whose colour could beat the incumbent, last coloured
+    first; the child taking v keeps the vertices coloured before v that
+    do not conflict with it, and v's colour minus one bounds what they
+    add.  Deterministic; the incumbent changes only on a strict gain, so
+    the seed is the witness whenever it is optimal.
     """
     if t < 0:
         raise InvalidParametersError(f"t must be >= 0, got {t}")
@@ -153,8 +163,8 @@ def max_t_intersecting(space: Family, t: int, cap: int | None = None) -> SearchR
         return SearchResult(seed_size, seed, is_full_t_star(seed, space, t),
                             0, seed_size)
 
-    # the conflict graph, built in branching order: ascending conflict
-    # degree (descending intersection degree), ties by ascending mask order
+    # the conflict graph, built in root order: ascending conflict degree
+    # (descending intersection degree), ties by ascending mask order
     nbrs: list[list[int]] = [[] for _ in range(n)]
     for a in range(n):
         ma = verts[a]
@@ -169,57 +179,60 @@ def max_t_intersecting(space: Family, t: int, cap: int | None = None) -> SearchR
     best_mask = 0       # stays 0 while the seed is the incumbent
     nodes = 0
 
-    # depth-first branch and bound on an explicit stack of nodes
-    # (solution so far, its size, candidates): a node takes its pick at
-    # once and leaves the drop-the-pick node on the stack below
-    stack = [(0, 0, (1 << n) - 1)]
+    # depth-first branch and bound on an explicit stack of nodes (taken
+    # set, its size, candidates, a bound on what the candidates can add)
+    stack = [(0, 0, (1 << n) - 1, n)]
     while stack:
-        r_mask, r_size, pmask = stack.pop()
-        while True:
-            nodes += 1
-            # one scan of the candidates per round gives each vertex's
-            # conflict degree d: a conflict-free vertex always joins the
-            # solution, a single-conflict vertex joins at the expense of
-            # its rival, and once neither is left the node branches on the
-            # most conflicted vertex (the first of largest d)
-            while True:
-                free = 0
-                deg1 = -1
-                pick = -1
-                pick_deg = 0
-                rest = pmask
-                while rest:
-                    low = rest & -rest
-                    rest ^= low
+        taken, size, pmask, bound = stack.pop()
+        if size + bound <= best_size:
+            continue
+        nodes += 1
+        if size > best_size:
+            best_size = size
+            best_mask = taken
+        if not pmask:
+            continue
+        # one scan groups the candidates by live conflict degree
+        groups: dict[int, int] = {}
+        rest = pmask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            d = (conflict[low.bit_length() - 1] & pmask).bit_count()
+            groups[d] = groups.get(d, 0) | low
+        order = [groups[d] for d in sorted(groups)]
+        # greedy colouring into conflict cliques, a colour at a time, each
+        # taking the uncoloured vertices in ascending degree, ties by
+        # index, that conflict with all it holds: an independent set keeps
+        # at most one vertex per colour, so the colour count bounds what
+        # the candidates can add.  A vertex of colour c, with the vertices
+        # coloured before it, holds at most c of the solution; only colours
+        # above best_size - size can beat the incumbent
+        floor = best_size - size
+        prev = 0            # the vertices coloured so far
+        uncoloured = pmask
+        colour = 0
+        while uncoloured:
+            colour += 1
+            q = uncoloured
+            for g in order:
+                cand = q & g
+                while cand:
+                    low = cand & -cand
                     v = low.bit_length() - 1
-                    d = (conflict[v] & pmask).bit_count()
-                    if d == 0:
-                        free |= low
-                    elif d == 1 and deg1 < 0:
-                        deg1 = v
-                    elif d > pick_deg:
-                        pick = v
-                        pick_deg = d
-                if free:
-                    r_mask |= free
-                    r_size += free.bit_count()
-                    pmask &= ~free
-                if deg1 >= 0:
-                    r_mask |= 1 << deg1
-                    r_size += 1
-                    pmask &= ~((1 << deg1) | conflict[deg1])
-                elif not free:
+                    q &= conflict[v]
+                    cand = q & g
+                    uncoloured ^= low
+                    if colour > floor:
+                        # v's child takes v and keeps the vertices
+                        # coloured before it that do not conflict with it,
+                        # none of v's colour; the stack pops it before the
+                        # children of those vertices
+                        stack.append((taken | low, size + 1,
+                                      prev & ~conflict[v], colour - 1))
+                    prev |= low
+                if not q:
                     break
-            if r_size > best_size:
-                best_size = r_size
-                best_mask = r_mask
-            if not pmask or r_size + _matching_bound(conflict, pmask) <= best_size:
-                break
-            low = 1 << pick
-            stack.append((r_mask, r_size, pmask & ~low))
-            r_mask |= low
-            r_size += 1
-            pmask &= ~(low | conflict[pick])
 
     witness = seed if not best_mask else Family(
         space.ground, frozenset(verts[i - 1] for i in elements_of(best_mask)))

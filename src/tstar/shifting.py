@@ -94,12 +94,25 @@ def family_weight(fam: Family) -> int:
     return sum(sum(elements_of(m)) for m in fam.members)
 
 
-def _part_pairs(ground: GroundSet, parts) -> list[tuple[int, int]]:
+def _part_pairs(ground: GroundSet, parts, member_sets) -> list[tuple[int, int]]:
     """Bits (1 << (i-1), 1 << (j-1)) of the moves i < j inside each part,
-    lexicographic within a part, parts in the given order."""
+    lexicographic within a part, parts in the given order.
+
+    Moves only lower elements, so a move whose j lies above every
+    element the members have in its part is the identity now and after
+    any other move: only the moves up to that largest element are built.
+    """
+    union = 0
+    for members in member_sets:
+        for m in members:
+            union |= m
     pairs = []
     for part in parts:
-        pairs.extend(combinations([1 << (e - 1) for e in ground.part_elements(part)], 2))
+        elements = ground.part_elements(part)
+        first, end = elements.start - 1, elements.stop - 1     # the part's bits
+        # the union's bits below the part's end, a mask no wider than the union
+        below = union if union.bit_length() <= end else union & ((1 << end) - 1)
+        pairs.extend(combinations([1 << b for b in range(first, below.bit_length())], 2))
     return pairs
 
 
@@ -113,8 +126,8 @@ def _closure(fams: list[Family], parts) -> tuple[list[Family], int]:
     family.
     """
     ground = fams[0].ground
-    pairs = _part_pairs(ground, range(ground.p) if parts is None else parts)
     sets = [set(f.members) for f in fams]
+    pairs = _part_pairs(ground, range(ground.p) if parts is None else parts, sets)
     steps = 0
     while True:
         productive = 0
@@ -140,7 +153,7 @@ def is_l_shifted(fam: Family, part: int) -> bool:
     """True when every in-part move of the given part fixes the family."""
     members = fam.members
     return not any(any(_movers(members, bi, bj))
-                   for bi, bj in _part_pairs(fam.ground, (part,)))
+                   for bi, bj in _part_pairs(fam.ground, (part,), (members,)))
 
 
 def is_shifted(fam: Family) -> bool:

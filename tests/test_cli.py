@@ -209,6 +209,15 @@ def test_shift_stdout_reparses(tmp_path, capsys):
     assert closed.members == Family.from_iterables(g, [[1, 2]]).members
 
 
+def test_shift_on_a_huge_ground_set(tmp_path, capsys):
+    # the moves of the whole 10^11-element part would not fit in memory
+    path = tmp_path / "in.fam"
+    path.write_text("ground: 100000000000\n2,3\n3,5\n", encoding="ascii")
+    code, out = run(capsys, "shift", str(path), "--all")
+    assert code == 0
+    assert out == "ground: 100000000000\n1,2\n1,3\n# steps: 4\n"
+
+
 def test_shift_part_out_file(tmp_path, capsys):
     g = GroundSet((3, 3))
     path = tmp_path / "in.fam"

@@ -118,12 +118,16 @@ def test_matches_brute_force_on_small_grid():
     assert checked > 40
 
 
-def _seeded_subfamilies(seed, count, low, high):
+_MIXED_BLOCKS = (((6, 6), (2, 2), 1), ((5, 6), (2, 3), 2), ((10,), (4,), 2),
+                 ((4, 4, 4), (2, 2, 2), 2), ((9,), (2,), 1), ((5, 5), (2, 2), 1))
+# blocks with sparse conflict graphs, where the colouring order matters most
+_SPARSE_BLOCKS = (((8,), (3,), 1), ((9,), (4,), 1))
+
+
+def _seeded_subfamilies(seed, count, low, high, blocks=_MIXED_BLOCKS):
     rng = random.Random(seed)
     for _ in range(count):
-        sizes, k, t = rng.choice((((6, 6), (2, 2), 1), ((5, 6), (2, 3), 2),
-                                  ((10,), (4,), 2), ((4, 4, 4), (2, 2, 2), 2),
-                                  ((9,), (2,), 1), ((5, 5), (2, 2), 1)))
+        sizes, k, t = rng.choice(blocks)
         members = sorted(enumerate_block(GroundSet(sizes), k).members)
         chosen = rng.sample(members, rng.randint(low, min(high, len(members))))
         yield Family(GroundSet(sizes), frozenset(chosen)), t
@@ -142,7 +146,8 @@ def test_brute_force_modes_agree():
         assert a.max_size == b.max_size, (sorted(fam.members), t)
         assert b.witness.members <= fam.members
         assert is_t_intersecting(b.witness, t)
-    for fam, t in _seeded_subfamilies(20261019, 12, 25, 60):
+    for fam, t in [*_seeded_subfamilies(20261019, 12, 25, 60),
+                   *_seeded_subfamilies(20261020, 12, 25, 40, _SPARSE_BLOCKS)]:
         b = brute_force_max(fam, t, mode="cliques")
         assert b.max_size == max_t_intersecting(fam, t).max_size, (sorted(fam.members), t)
         assert b.witness.members <= fam.members
@@ -180,11 +185,12 @@ def test_search_cap():
 
 
 def test_search_tree_is_pinned():
-    # (max_size, nodes_explored) of three full blocks; a change to the
-    # reductions or the branching order shows here first
-    for sizes, k, t, want in (((8,), (3,), 1, (21, 243)),
-                              ((10,), (4,), 2, (28, 15_363)),
-                              ((6, 6), (2, 2), 1, (75, 15_841))):
+    # (max_size, nodes_explored) of four full blocks; a change to the
+    # colouring, the bound or the branching order shows here first
+    for sizes, k, t, want in (((8,), (3,), 1, (21, 40)),
+                              ((10,), (4,), 2, (28, 1_123)),
+                              ((6, 6), (2, 2), 1, (75, 848)),
+                              ((9,), (4,), 1, (56, 2_501))):
         r = max_t_intersecting(enumerate_block(GroundSet(sizes), k), t)
         assert (r.max_size, r.nodes_explored) == want, (sizes, k, t)
 

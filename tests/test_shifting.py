@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
 
-from tstar.core import Family, GroundSet, InvalidParametersError, enumerate_block, mask_of
+from tstar.core import (Family, GroundSet, InvalidParametersError, enumerate_block, mask_of,
+                        parse_family)
 from tstar.shifting import (
     compress_family,
     compress_member,
@@ -170,6 +172,25 @@ def test_simultaneous_closure_lockstep():
         simultaneous_closure([a, Family(GroundSet((4,)), frozenset())])
 
 
+def test_a_huge_part_builds_no_part_sized_pair_list():
+    # the moves of a 10^11-element part would not fit in memory; only those
+    # up to the members' largest element, 5, can move anything, and the
+    # closure is the one on a 5-element ground set
+    tracemalloc.start()
+    try:
+        fam = parse_family("ground: 100000000000\n2,3\n3,5\n")
+        closed, steps = shift_closure(fam)
+        shifted = is_shifted(fam), is_shifted(closed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    small, small_steps = shift_closure(Family(GroundSet((5,)), fam.members))
+    assert (closed.members, steps) == (small.members, small_steps)
+    assert closed.members == _fam(fam.ground, [1, 2], [1, 3]).members
+    assert shifted == (False, True)
+    assert peak < 1 << 20, peak
+
+
 # ---------------------------------------------------------------------------
 # the restart order as a reference for the sweeping closures
 
@@ -229,6 +250,7 @@ def test_sweep_matches_restart_order():
         (ref,), ref_steps = _restart_closure(fams[:1], parts)
         assert shift_closure(fams[0], parts) == (ref, ref_steps)
         assert simultaneous_closure(fams) == _restart_closure(fams)[0]
+        assert is_shifted(fams[1]) == (_restart_closure(fams[1:2])[1] == 0)
         if ground.n > 1:
             i, j = rng.sample(range(1, ground.n + 1), 2)
             assert compress_family(fams[1], i, j) == _compress_family_ref(fams[1], i, j)
