@@ -8,9 +8,10 @@ max_t_intersecting is a maximum-clique branch and bound with a greedy
 colouring bound (Tomita and Seki 2003) on bitsets (San Segundo et al.
 2011): a colour class is a clique of the conflict graph, of which a
 solution keeps at most one member, so the colour count bounds a node.
-Each node colours its candidates in ascending order of their conflict
-degree among them, counted again at every node, as MaxCliqueDyn (Konc
-and Janezic 2007) re-sorts by degree.
+Each node takes its conflict-free candidates at once and colours the
+rest in ascending order of their conflict degree among them, counted
+again at every node, as MaxCliqueDyn (Konc and Janezic 2007) re-sorts by
+degree.
 
 The two report builders set the solver's answer beside the best star:
 check_block_maximum for one block, check_quota_family for a quota
@@ -139,9 +140,10 @@ def max_t_intersecting(space: Family, t: int, cap: int | None = None) -> SearchR
     front.  When the greedy star seed holds every candidate it is the
     answer: nodes_explored is 0 and no conflict graph is built.
     Otherwise the candidates are indexed by ascending conflict degree,
-    ties by ascending mask order, and a depth-first search colours each
-    node's candidates into conflict cliques, taking them by ascending
-    conflict degree among the candidates, ties by index.  It branches on
+    ties by ascending mask order, and a depth-first search takes each
+    node's candidates without a conflict among them at once, then colours
+    the rest into conflict cliques, taking them by ascending conflict
+    degree among the candidates, ties by index.  It branches on
     the vertices whose colour could beat the incumbent, last coloured
     first; the child taking v keeps the vertices coloured before v that
     do not conflict with it, and v's colour minus one bounds what they
@@ -179,19 +181,15 @@ def max_t_intersecting(space: Family, t: int, cap: int | None = None) -> SearchR
     best_mask = 0       # stays 0 while the seed is the incumbent
     nodes = 0
 
-    # depth-first branch and bound on an explicit stack of nodes (taken
-    # set, its size, candidates, a bound on what the candidates can add)
-    stack = [(0, 0, (1 << n) - 1, n)]
-    while stack:
-        taken, size, pmask, bound = stack.pop()
-        if size + bound <= best_size:
-            continue
+    # depth-first branch and bound without recursion.  A frame on the
+    # stack is an open node: [taken set, its size, candidates not yet
+    # branched on, branch vertices in colouring order with their colours];
+    # its children are made one at a time, so the stack holds one mask per
+    # open node, not one per child
+    stack: list[list] = []
+    taken, size, pmask = 0, 0, (1 << n) - 1
+    while True:
         nodes += 1
-        if size > best_size:
-            best_size = size
-            best_mask = taken
-        if not pmask:
-            continue
         # one scan groups the candidates by live conflict degree
         groups: dict[int, int] = {}
         rest = pmask
@@ -200,16 +198,27 @@ def max_t_intersecting(space: Family, t: int, cap: int | None = None) -> SearchR
             rest ^= low
             d = (conflict[low.bit_length() - 1] & pmask).bit_count()
             groups[d] = groups.get(d, 0) | low
-        order = [groups[d] for d in sorted(groups)]
+        # the degree-0 candidates conflict with none of the others: every
+        # maximum extension holds them all, so they are taken at once
+        free = groups.pop(0, 0)
+        if free:
+            taken |= free
+            size += free.bit_count()
+            pmask ^= free
+        if size > best_size:
+            best_size = size
+            best_mask = taken
         # greedy colouring into conflict cliques, a colour at a time, each
         # taking the uncoloured vertices in ascending degree, ties by
         # index, that conflict with all it holds: an independent set keeps
         # at most one vertex per colour, so the colour count bounds what
         # the candidates can add.  A vertex of colour c, with the vertices
         # coloured before it, holds at most c of the solution; only colours
-        # above best_size - size can beat the incumbent
+        # above best_size - size can beat the incumbent, and every vertex
+        # of a lower colour is coloured before them
+        order = [groups[d] for d in sorted(groups)]
         floor = best_size - size
-        prev = 0            # the vertices coloured so far
+        branch: list[tuple[int, int]] = []
         uncoloured = pmask
         colour = 0
         while uncoloured:
@@ -224,15 +233,30 @@ def max_t_intersecting(space: Family, t: int, cap: int | None = None) -> SearchR
                     cand = q & g
                     uncoloured ^= low
                     if colour > floor:
-                        # v's child takes v and keeps the vertices
-                        # coloured before it that do not conflict with it,
-                        # none of v's colour; the stack pops it before the
-                        # children of those vertices
-                        stack.append((taken | low, size + 1,
-                                      prev & ~conflict[v], colour - 1))
-                    prev |= low
+                        branch.append((v, colour))
                 if not q:
                     break
+        if branch:
+            stack.append([taken, size, pmask, branch])
+        # the next child, last coloured first: it takes v and keeps the
+        # candidates coloured before v that do not conflict with it; v's
+        # colour minus one bounds what they add, so a child that cannot
+        # beat the incumbent closes its node, whose later children have
+        # no higher colours
+        while stack:
+            frame = stack[-1]
+            taken, size, pmask, branch = frame
+            if branch:
+                v, colour = branch.pop()
+                if size + colour > best_size:
+                    pmask ^= 1 << v
+                    frame[2] = pmask
+                    taken, size = taken | 1 << v, size + 1
+                    pmask &= ~conflict[v]
+                    break
+            stack.pop()
+        else:
+            break
 
     witness = seed if not best_mask else Family(
         space.ground, frozenset(verts[i - 1] for i in elements_of(best_mask)))
@@ -457,8 +481,8 @@ def _search_down_sets(space: Family, ground: GroundSet, k: tuple[int, ...],
                 conflict[v] |= _kron([meet[s_i][a_i] for meet, s_i, a_i in zip(meets, s, a)]
                                      + [fewers[-1][t - sum(s)][a[-1]]], sizes)
 
-        # depth-first, as in max_t_intersecting: (down-set taken, its size,
-        # candidates); the candidates and the taken set form a down-set
+        # depth-first on an explicit stack of nodes (down-set taken, its
+        # size, candidates); the candidates and the taken set form a down-set
         stack = [(0, 0, alive)]
         while stack:
             r_mask, r_size, pmask = stack.pop()

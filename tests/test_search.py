@@ -4,6 +4,7 @@ import math
 import random
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -193,6 +194,23 @@ def test_search_tree_is_pinned():
                               ((9,), (4,), 1, (56, 2_501))):
         r = max_t_intersecting(enumerate_block(GroundSet(sizes), k), t)
         assert (r.max_size, r.nodes_explored) == want, (sizes, k, t)
+
+
+def test_conflict_free_candidates_are_taken_in_one_node():
+    # any two 6-subsets of 11 elements meet, so the block is 1-intersecting,
+    # but its best star holds only 252 of its 462 members: the root takes
+    # every candidate at once, with no chain of nodes and no stack of
+    # candidate masks behind it
+    space = enumerate_block(GroundSet((11,)), (6,))
+    tracemalloc.start()
+    try:
+        r = max_t_intersecting(space, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (r.max_size, r.bound_used, r.nodes_explored) == (462, 252, 1)
+    assert r.witness == space
+    assert peak < 1 << 20, peak
 
 
 def _assert_shifted_witness(witness, space, t):
