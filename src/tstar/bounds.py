@@ -22,7 +22,9 @@ every possible way.  A scan that counts the star of every distribution
 is kept as an independent route and the two are compared in the test
 suite; neither calls the other.
 
-Every count is an exact int and every ratio an exact Fraction.
+Every count is an exact int.  Ratios are compared by cross-multiplying
+their integer numerators and denominators; a Fraction is built only for a
+value that is reported (RatioEntry, RatioBound, the LP bound).
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
+from typing import Iterator
 
 from .core import (
     GroundSet,
@@ -40,7 +43,6 @@ from .core import (
     ProfileSet,
     block_size,
     bounded_compositions,
-    star_size,
 )
 
 __all__ = [
@@ -118,6 +120,29 @@ def ratio_entries(ground: GroundSet, k: tuple[int, ...]) -> list[RatioEntry]:
     return entries
 
 
+def _chain_links(sizes: tuple[int, ...], k: tuple[int, ...]) -> Iterator[tuple[int, int]]:
+    """The merged ratio chain as (part, level) links, in ratio_entries'
+    order: decreasing (k_i - j)/(n_i - j), ties to the lower part.
+
+    Each part's chain decreases, so the merge compares only the parts'
+    next links, by cross-multiplying their integer numerators and
+    denominators; nothing is sorted and no Fraction is built.
+    """
+    level = [0] * len(k)
+    live = [i for i, k_i in enumerate(k) if k_i]    # parts with links left, ascending
+    while live:
+        best = live[0]
+        num, den = k[best] - level[best], sizes[best] - level[best]
+        for i in live[1:]:
+            a, b = k[i] - level[i], sizes[i] - level[i]
+            if a * den > num * b:
+                best, num, den = i, a, b
+        yield best, level[best]
+        level[best] += 1
+        if level[best] == k[best]:
+            live.remove(best)
+
+
 def optimal_t_distributions(t: int, ground: GroundSet,
                             k: tuple[int, ...]) -> frozenset[tuple[int, ...]]:
     """All t-distributions maximizing prod_i C(n_i - t_i, k_i - t_i).
@@ -125,31 +150,35 @@ def optimal_t_distributions(t: int, ground: GroundSet,
     A cut of the merged ratio chain at the value of its t-th link: every
     link above the cut is taken, and the parts whose link equals the cut
     (at most one link per part) fill the remaining places in every way.
+    The chain is merged only up to the end of the run of equal links that
+    holds the t-th (_chain_links), and equal values are found by
+    cross-multiplication, so every decision compares integers.
     """
-    entries = ratio_entries(ground, k)
+    k = _check_block_params(ground, k)
     if t < 0:
         raise InvalidParametersError(f"t must be >= 0, got {t}")
-    if t > len(entries):
-        raise InvalidParametersError(f"t={t} exceeds the total profile {len(entries)}")
-    if t == 0:
-        return frozenset({(0,) * ground.p})
-    cut = entries[t - 1].value
-    base, ties = [0] * ground.p, []
-    for e in entries:
-        if e.value == cut:
-            ties.append(e.part)
-        elif ties:  # the chain decreases: the rest lies below the cut
-            break
-        else:
-            base[e.part] += 1
+    if t > sum(k):
+        raise InvalidParametersError(f"t={t} exceeds the total profile {sum(k)}")
+    base, ties, value = [0] * len(k), [], (0, 1)    # ties: the parts of the current run
+    for n, (part, level) in enumerate(_chain_links(ground.sizes, k)):
+        num, den = k[part] - level, ground.sizes[part] - level
+        if num * value[1] != value[0] * den:    # a new value ends the current run
+            if n >= t:
+                break       # the ended run holds the t-th link: it is the cut
+            for i in ties:
+                base[i] += 1
+            ties, value = [], (num, den)
+        ties.append(part)
     return frozenset(tuple(b + (i in extra) for i, b in enumerate(base))
                      for extra in combinations(ties, t - sum(base)))
 
 
 def max_star_size(t: int, ground: GroundSet, k: tuple[int, ...]) -> int:
     """Largest full-star size over all t-distributions for one block."""
-    dists = optimal_t_distributions(t, ground, k)
-    return star_size(ground, tuple(k), next(iter(dists)))
+    dist = next(iter(optimal_t_distributions(t, ground, k)))
+    # optimal_t_distributions has checked k, so star_size's checks would repeat
+    return math.prod(math.comb(n_i - t_i, k_i - t_i)
+                     for n_i, k_i, t_i in zip(ground.sizes, k, dist))
 
 
 def max_window_family(t: int, ground: GroundSet,
@@ -216,25 +245,29 @@ def exchange_optimal(ground: GroundSet, k: tuple[int, ...], t: int,
 
     For every ordered part pair (i, j) with the center meeting part j,
     the next ratio of part i must not exceed the last taken ratio of
-    part j:  (k_i - s_i)/(n_i - s_i) <= (k_j - s_j + 1)/(n_j - s_j + 1).
+    part j:  (k_i - s_i)/(n_i - s_i) <= (k_j - s_j + 1)/(n_j - s_j + 1),
+    tested in integers as
+    (k_i - s_i)(n_j - s_j + 1) <= (k_j - s_j + 1)(n_i - s_i).
+    A part the center fills (s_i = k_i) has no next ratio to offer.
     """
     k = tuple(k)
     ground.check_profile(k)
     s = ground.profile(center)
     if sum(s) != t:
         raise InvalidParametersError(f"center has {sum(s)} elements, expected t={t}")
-    for s_i, k_i in zip(s, k):
+    nexts = []      # the next ratio of every part the center does not fill
+    for s_i, k_i, n_i in zip(s, k, ground.sizes):
         if s_i > k_i:
             raise InvalidParametersError(
                 f"center meets a part in {s_i} > k_i = {k_i} elements")
-    p = ground.p
-    for jj in range(p):
-        if s[jj] < 1:
-            continue
-        threshold = Fraction(k[jj] - s[jj] + 1, ground.sizes[jj] - s[jj] + 1)
-        for ii in range(p):
-            if Fraction(k[ii] - s[ii], ground.sizes[ii] - s[ii]) > threshold:
-                return False
+        if s_i < k_i:
+            nexts.append((k_i - s_i, n_i - s_i))
+    for s_j, k_j, n_j in zip(s, k, ground.sizes):
+        if s_j:
+            num, den = k_j - s_j + 1, n_j - s_j + 1
+            for a, b in nexts:
+                if a * den > num * b:
+                    return False
     return True
 
 
@@ -246,15 +279,20 @@ def ratio_bound(ground: GroundSet, k: tuple[int, ...]) -> RatioBound:
 
     Valid under n_i >= 2k_i for every part (reported, never enforced);
     the absolute form is the density times the block size, rounded down.
+    The largest density is found by cross-multiplication; only the one
+    reported is a Fraction.
     """
     k = tuple(k)
     blk = block_size(ground, k)
     for k_i in k:
         if k_i < 1:
             raise InvalidParametersError(f"need k_i >= 1, got {k_i}")
-    r = max(Fraction(k_i, n_i) for k_i, n_i in zip(k, ground.sizes))
+    num, den = k[0], ground.sizes[0]
+    for k_i, n_i in zip(k, ground.sizes):
+        if k_i * den > num * n_i:
+            num, den = k_i, n_i
     hyp = all(n_i >= 2 * k_i for n_i, k_i in zip(ground.sizes, k))
-    return RatioBound(ratio=r, block=blk, absolute=(r.numerator * blk) // r.denominator,
+    return RatioBound(ratio=Fraction(num, den), block=blk, absolute=num * blk // den,
                       hypothesis_ok=hyp)
 
 
@@ -428,7 +466,7 @@ def max_union_star_size(t: int, ground: GroundSet, profiles: ProfileSet,
     limits = tuple(min(t, n_i) for n_i in ground.sizes)
     dists = list(bounded_compositions(t, (0,) * ground.p, limits))
     return _argmax_report(dists, union_star_sizes(ground, profiles.profiles, dists),
-                          hypothesis_flags(t, ground, profiles=profiles))
+                          _union_flags(t, ground, profiles))
 
 
 # ---------------------------------------------------------------------------
@@ -447,10 +485,10 @@ def hypothesis_flags(t: int, ground: GroundSet,
     if t < 0:
         raise InvalidParametersError(f"t must be >= 0, got {t}")
     flags: dict[str, bool] = {}
-    p = ground.p
     if k is not None:
         k = tuple(k)
         ground.check_profile(k)
+        p = ground.p
         flags["ratio_bound"] = all(
             n_i >= 2 * k_i for n_i, k_i in zip(ground.sizes, k))
         flags["block_star"] = all(
@@ -458,9 +496,13 @@ def hypothesis_flags(t: int, ground: GroundSet,
             for n_i, k_i in zip(ground.sizes, k))
     if profiles is not None:
         profiles.check_against(ground)
-        b = profiles.b
-        need = 2 * (t + 1) * p * b ** (t + 2)
-        flags["union_parts_large"] = all(n_i > need for n_i in ground.sizes)
-        flags["t_le_c"] = t <= profiles.c
-        flags["union_star"] = flags["union_parts_large"] and flags["t_le_c"]
+        flags.update(_union_flags(t, ground, profiles))
     return flags
+
+
+def _union_flags(t: int, ground: GroundSet, profiles: ProfileSet) -> dict[str, bool]:
+    """hypothesis_flags' union flags, for arguments already checked."""
+    need = 2 * (t + 1) * ground.p * profiles.b ** (t + 2)
+    large = all(n_i > need for n_i in ground.sizes)
+    t_le_c = t <= profiles.c
+    return {"union_parts_large": large, "t_le_c": t_le_c, "union_star": large and t_le_c}

@@ -216,8 +216,8 @@ class GroundSet:
 
     def profile(self, mask: int) -> tuple[int, ...]:
         """Per-part intersection sizes of a subset mask."""
-        return tuple((mask >> off).bit_count() - (mask >> (off + s)).bit_count()
-                     for s, off in zip(self.sizes, self.offsets))
+        return tuple([(mask >> off).bit_count() - (mask >> (off + s)).bit_count()
+                      for s, off in zip(self.sizes, self.offsets)])
 
     def check_mask(self, mask: int) -> None:
         if mask < 0 or mask >> self.n:
@@ -225,7 +225,7 @@ class GroundSet:
                 f"mask {bin(mask)} has bits outside ground set of size {self.n}")
 
     def check_profile(self, profile: tuple[int, ...]) -> None:
-        if len(profile) != self.p:
+        if len(profile) != len(self.sizes):
             raise InvalidParametersError(
                 f"profile length {len(profile)} != number of parts {self.p}")
         for r, s in zip(profile, self.sizes):
@@ -233,7 +233,7 @@ class GroundSet:
                 raise InvalidParametersError(f"profile entry {r} out of [0, {s}]")
 
     def _check_part(self, part: int) -> None:
-        if not 0 <= part < self.p:
+        if not 0 <= part < len(self.sizes):
             raise InvalidParametersError(f"part {part} out of range [0, {self.p})")
 
 
@@ -328,26 +328,54 @@ class ProfileSet:
 
 def bounded_compositions(total: int, lows: tuple[int, ...],
                          highs: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """All tuples x with lows[i] <= x[i] <= highs[i] and sum(x) = total."""
+    """All tuples x with lows[i] <= x[i] <= highs[i] and sum(x) = total,
+    in lexicographic order.
+
+    One odometer over the coordinates: each coordinate counts from the
+    smallest to the largest value that leaves the later ones room to
+    reach the total (suffix sums of lows and highs, computed once), so
+    the last one takes what remains.
+    """
     if len(lows) != len(highs):
         raise InvalidParametersError("lows and highs must have equal length")
-
     p = len(lows)
+    low_rest, high_rest = [0] * (p + 1), [0] * (p + 1)   # sums of lows[i:], highs[i:]
+    for i in reversed(range(p)):
+        low_rest[i] = low_rest[i + 1] + lows[i]
+        high_rest[i] = high_rest[i + 1] + highs[i]
 
-    def rec(i: int, remaining: int, acc: list[int]) -> Iterator[tuple[int, ...]]:
-        if i == p:
-            if remaining == 0:
-                yield tuple(acc)
+    def walk() -> Iterator[tuple[int, ...]]:
+        if p == 0:
+            if total == 0:
+                yield ()
             return
-        # keep enough/not too much room for the remaining coordinates
-        lo = max(lows[i], remaining - sum(highs[i + 1:]))
-        hi = min(highs[i], remaining - sum(lows[i + 1:]))
-        for x in range(lo, hi + 1):
-            acc.append(x)
-            yield from rec(i + 1, remaining - x, acc)
-            acc.pop()
+        last = p - 1
+        acc, tops, rests = [0] * p, [0] * p, [0] * p
+        i, remaining = 0, total
+        while True:
+            while i < last:     # fill coordinates i.. with their smallest values
+                lo = max(lows[i], remaining - high_rest[i + 1])
+                hi = min(highs[i], remaining - low_rest[i + 1])
+                if lo > hi:
+                    break
+                acc[i], tops[i], rests[i] = lo, hi, remaining
+                remaining -= lo
+                i += 1
+            else:
+                if lows[last] <= remaining <= highs[last]:
+                    acc[last] = remaining
+                    yield tuple(acc)
+            # advance the deepest coordinate below i that has room left
+            i -= 1
+            while i >= 0 and acc[i] == tops[i]:
+                i -= 1
+            if i < 0:
+                return
+            acc[i] += 1
+            remaining = rests[i] - acc[i]
+            i += 1
 
-    return rec(0, total, [])
+    return walk()
 
 
 def block_size(ground: GroundSet, profile: tuple[int, ...]) -> int:

@@ -20,7 +20,7 @@ the family, which bounds the number of steps.
 
 from __future__ import annotations
 
-from itertools import combinations
+from typing import Iterator
 
 from .core import Family, GroundSet, InvalidParametersError, elements_of
 
@@ -94,26 +94,41 @@ def family_weight(fam: Family) -> int:
     return sum(sum(elements_of(m)) for m in fam.members)
 
 
-def _part_pairs(ground: GroundSet, parts, member_sets) -> list[tuple[int, int]]:
-    """Bits (1 << (i-1), 1 << (j-1)) of the moves i < j inside each part,
-    lexicographic within a part, parts in the given order.
-
-    Moves only lower elements, so a move whose j lies above every
-    element the members have in its part is the identity now and after
-    any other move: only the moves up to that largest element are built.
-    """
+def _union(member_sets) -> int:
+    """Mask of every element some member of some set holds."""
     union = 0
     for members in member_sets:
         for m in members:
             union |= m
-    pairs = []
-    for part in parts:
-        elements = ground.part_elements(part)
-        first, end = elements.start - 1, elements.stop - 1     # the part's bits
-        # the union's bits below the part's end, a mask no wider than the union
-        below = union if union.bit_length() <= end else union & ((1 << end) - 1)
-        pairs.extend(combinations([1 << b for b in range(first, below.bit_length())], 2))
-    return pairs
+    return union
+
+
+def _part_moves(ground: GroundSet, part: int, union: int) -> Iterator[tuple[int, int]]:
+    """Bits (1 << (i-1), 1 << (j-1)) of the moves i < j inside the part
+    whose j is an element of `union`, lexicographic.
+
+    With `union` the members' union when a pass over the part's moves
+    begins, no other move can act in that pass: a move (i, j) adds only
+    i, which lies below every later j, so a j no member held at the start
+    is held by none when its moves come.  The moves are yielded one at a
+    time, so the part's size does not set the memory used.
+    """
+    elements = ground.part_elements(part)
+    first, size = elements.start - 1, len(elements)    # the part's bits
+    held = union >> first       # the union's bits in the part, no wider than the union
+    if held.bit_length() > size:
+        held &= (1 << size) - 1
+    js = []
+    while held:
+        low = held & -held
+        js.append(low << first)
+        held ^= low
+    bi = 1 << first
+    for lo, top in enumerate(js):
+        while bi < top:     # every i below the lo-th held element moves onto js[lo:]
+            for bj in js[lo:]:
+                yield bi, bj
+            bi <<= 1
 
 
 def _closure(fams: list[Family], parts) -> tuple[list[Family], int]:
@@ -121,20 +136,23 @@ def _closure(fams: list[Family], parts) -> tuple[list[Family], int]:
     a full sweep moves nothing.
 
     Every family sees the same sequence of moves, and a move that changes
-    nothing is the identity, so the families stay in lockstep.  Returns
-    the fixed points and the number of pairs that moved a member of some
+    nothing is the identity, so the families stay in lockstep.  Each pass
+    over a part visits only the moves whose j some member holds as the
+    pass begins (_part_moves); the others are the identity.  Returns the
+    fixed points and the number of pairs that moved a member of some
     family.
     """
     ground = fams[0].ground
     sets = [set(f.members) for f in fams]
-    pairs = _part_pairs(ground, range(ground.p) if parts is None else parts, sets)
+    parts = range(ground.p) if parts is None else parts
     steps = 0
     while True:
         productive = 0
-        for bi, bj in pairs:
-            # a list, not a generator: every family takes the move
-            if any([_move(s, bi, bj) for s in sets]):
-                productive += 1
+        for part in parts:
+            for bi, bj in _part_moves(ground, part, _union(sets)):
+                # a list, not a generator: every family takes the move
+                if any([_move(s, bi, bj) for s in sets]):
+                    productive += 1
         if not productive:
             return [Family(ground, frozenset(s)) for s in sets], steps
         steps += productive
@@ -153,7 +171,7 @@ def is_l_shifted(fam: Family, part: int) -> bool:
     """True when every in-part move of the given part fixes the family."""
     members = fam.members
     return not any(any(_movers(members, bi, bj))
-                   for bi, bj in _part_pairs(fam.ground, (part,), (members,)))
+                   for bi, bj in _part_moves(fam.ground, part, _union((members,))))
 
 
 def is_shifted(fam: Family) -> bool:

@@ -13,6 +13,7 @@ from tstar.core import (
     InvalidParametersError,
     InvariantError,
     ProfileSet,
+    bounded_compositions,
     enumerate_block,
     mask_of,
     star_size,
@@ -158,6 +159,70 @@ def test_exchange_condition_validates():
     g = GroundSet((8, 10))
     with pytest.raises(InvalidParametersError):
         exchange_optimal(g, (4, 4), 3, mask_of([1, 2]))  # |T| != t
+
+
+def test_exchange_condition_with_a_filled_whole_part():
+    # the center fills part 0 (s_0 = k_0 = n_0), which then has no next ratio
+    assert exchange_optimal(GroundSet((2, 3)), (2, 1), 3, mask_of([1, 2, 3]))
+    # part 1's next ratio 2/3 exceeds part 2's last taken 2/6
+    assert not exchange_optimal(GroundSet((2, 3, 6)), (2, 2, 2), 3, mask_of([1, 2, 6]))
+
+
+# ---------------------------------------------------------------------------
+# the integer decisions against Fraction references
+
+def _fraction_cut(entries, t, p):
+    """optimal_t_distributions as a cut of the Fraction-sorted chain."""
+    if t == 0:
+        return frozenset({(0,) * p})
+    cut = entries[t - 1].value
+    base, ties = [0] * p, []
+    for e in entries:
+        if e.value == cut:
+            ties.append(e.part)
+        elif ties:
+            break
+        else:
+            base[e.part] += 1
+    return frozenset(tuple(b + (i in extra) for i, b in enumerate(base))
+                     for extra in combinations(ties, t - sum(base)))
+
+
+def _fraction_exchange(g, k, t, center):
+    """exchange_optimal with every ratio a Fraction, for n_i > k_i."""
+    s = g.profile(center)
+    nexts = [Fraction(k_i - s_i, n_i - s_i) for s_i, k_i, n_i in zip(s, k, g.sizes)]
+    return not any(Fraction(k_j - s_j + 1, n_j - s_j + 1) < max(nexts)
+                   for s_j, k_j, n_j in zip(s, k, g.sizes) if s_j)
+
+
+def test_integer_chain_and_exchange_match_fraction_references():
+    # every block with p <= 2 of the criterion 2/3 grid, and three-part
+    # blocks with cross-part ties (2/4 = 3/6 = 4/8, 1/3 = 2/6 = 3/9, ...)
+    per_part = [(n, k) for k in range(1, 6) for n in range(k + 1, 13)]
+    blocks = [tuple(zip(*combo)) for p in (1, 2) for combo in product(per_part, repeat=p)]
+    blocks += [((4, 6, 8), (2, 3, 4)), ((3, 6, 9), (1, 2, 3)), ((6, 4, 6), (3, 2, 3))]
+    tied = 0
+    for sizes, k in blocks:
+        g = GroundSet(sizes)
+        entries = sorted(ratio_entries(g, k), key=lambda e: (-e.value, e.part, e.level))
+        assert list(bounds._chain_links(sizes, k)) == [(e.part, e.level) for e in entries]
+        tied += any(a.value == b.value for a, b in zip(entries, entries[1:]))
+        for t in range(sum(k) + 1):
+            assert optimal_t_distributions(t, g, k) == _fraction_cut(entries, t, g.p), (sizes, k, t)
+            for dist in bounded_compositions(t, (0,) * g.p, k):
+                center = sum(g.prefix_mask(i, d) for i, d in enumerate(dist))
+                assert (exchange_optimal(g, k, t, center)
+                        == _fraction_exchange(g, k, t, center)), (sizes, k, dist)
+    assert len(blocks) == 2073 and tied == 570
+
+
+def test_chain_cut_merges_only_the_first_links():
+    # two chains of a million links each: the cut needs their first links
+    g = GroundSet((2_000_000, 3_000_000))
+    assert optimal_t_distributions(2, g, (1_000_000, 1_000_000)) == {(2, 0)}
+    assert optimal_t_distributions(1, GroundSet((2_000_000,) * 2),
+                                   (1_000_000,) * 2) == {(1, 0), (0, 1)}
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,8 @@ from itertools import combinations
 
 import pytest
 
-from tstar.core import (Family, GroundSet, InvalidParametersError, enumerate_block, mask_of,
-                        parse_family)
+from tstar.core import (Family, GroundSet, InvalidParametersError, enumerate_block,
+                        format_family, mask_of, parse_family)
 from tstar.shifting import (
     compress_family,
     compress_member,
@@ -187,6 +187,25 @@ def test_a_huge_part_builds_no_part_sized_pair_list():
     small, small_steps = shift_closure(Family(GroundSet((5,)), fam.members))
     assert (closed.members, steps) == (small.members, small_steps)
     assert closed.members == _fam(fam.ground, [1, 2], [1, 3]).members
+    assert shifted == (False, True)
+    assert peak < 1 << 20, peak
+
+
+def test_a_high_member_walks_its_moves_one_at_a_time():
+    # a member holding the last two of 10,000 elements: the 5 * 10^7 moves
+    # up to 10,000 take gigabytes, but a pass visits only the moves onto
+    # elements some member holds, one at a time; the closure is {1, 2} in
+    # two steps, and the shiftedness test walks the same moves
+    tracemalloc.start()
+    try:
+        fam = parse_family("ground: 10000\n9999,10000\n")
+        closed, steps = shift_closure(fam)
+        shifted = is_shifted(fam), is_shifted(closed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert format_family(closed) == "ground: 10000\n1,2\n"
+    assert steps == 2
     assert shifted == (False, True)
     assert peak < 1 << 20, peak
 
