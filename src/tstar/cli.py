@@ -4,7 +4,9 @@ One binary, subcommand per activity: bound, search, shift, verify,
 kneser, enumerate, repro.  Reports go to stdout as JSON (default) or
 aligned key: value lines; family data always uses the text format from
 core, so anything written here can be fed back in.  Counts are decimal
-strings in JSON output because they outgrow doubles quickly.
+strings in JSON output because they outgrow doubles quickly.  Each
+subcommand imports the modules it runs when it runs, so a call loads
+only its own.
 
 Exit codes: 0 success / property holds, 1 property falsified, 2 bad
 input or violated hypothesis, 3 resource cap exceeded, 141 (128 +
@@ -18,9 +20,7 @@ import json
 import math
 import os
 import sys
-from fractions import Fraction
 
-from . import bounds, kneser, search, shifting, verify
 from .core import (
     EmptyFamilyError,
     GroundSet,
@@ -82,14 +82,15 @@ def _positive_int(text: str) -> int:
 
 def _jsonable(value):
     """A count (an int that is not a bool) becomes a decimal string, as
-    counts outgrow JSON numbers; lists, such as distributions and
-    element lists, keep their numbers."""
-    if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
+    counts outgrow JSON numbers, and any other rational (a Fraction from
+    `bounds`) becomes "p/q"; lists, such as distributions and element
+    lists, keep their numbers."""
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, int) and not isinstance(value, bool):
-        return str(value)
+    if isinstance(value, int):
+        return value if isinstance(value, bool) else str(value)
+    if hasattr(value, "denominator"):
+        return f"{value.numerator}/{value.denominator}"
     return value
 
 
@@ -137,6 +138,8 @@ def _check_out(path: str | None) -> None:
 # subcommands
 
 def cmd_bound(args) -> int:
+    from . import bounds
+
     ground = GroundSet(args.n)
     if args.ratio:
         if args.k is None:
@@ -183,6 +186,8 @@ def _quota_k(args) -> int:
 
 
 def cmd_search(args) -> int:
+    from . import search
+
     _check_out(args.witness_out)
     ground = GroundSet(args.n)
     if args.quota is not None:
@@ -206,6 +211,8 @@ def cmd_search(args) -> int:
 
 
 def cmd_shift(args) -> int:
+    from . import shifting
+
     _check_out(args.out)
     fam = read_family(args.family)
     if args.all:
@@ -231,6 +238,8 @@ def cmd_shift(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify
+
     fam = read_family(args.family)
     extra: dict = {}
     if args.mode == "t-intersecting":
@@ -263,6 +272,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_kneser(args) -> int:
+    from . import kneser
+
     params = kneser.KneserParams(args.params)
     emit_report({
         "connected": kneser.is_connected(params, cap=args.enum_cap),
@@ -424,6 +435,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if hasattr(sys, "set_int_max_str_digits"):     # no limit before 3.10.7
+        # A count is printed in full however many digits it has; the star
+        # of --n 16000 --k 8000 --t 1 has 4,814.
+        sys.set_int_max_str_digits(0)
     try:
         code = args.func(args)
         sys.stdout.flush()

@@ -21,10 +21,9 @@ floating point is used anywhere in a comparison.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
 from functools import cached_property
 from itertools import combinations, product
-from typing import Iterable, Iterator
 
 __all__ = [
     "Error",
@@ -148,26 +147,58 @@ def elements_of(mask: int) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
+# immutable values
+
+class _Frozen:
+    """Base of the immutable value types.  The constructor sets each
+    field once with object.__setattr__; assigning or deleting any
+    attribute afterwards raises AttributeError.  A subclass names its
+    fields in `_fields`, the order of its repr, and compares and hashes
+    the tuple of them in its own __eq__ and __hash__, written out because
+    shifting and verify compare ground sets on every call."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+# ---------------------------------------------------------------------------
 # ground set
 
-@dataclass(frozen=True)
-class GroundSet:
+class GroundSet(_Frozen):
     """Partition of [n] into consecutive parts of the given sizes.
 
     Elements are 1-based throughout the public API; parts are indexed
     from 0.
     """
 
-    sizes: tuple[int, ...]
+    _fields = ("sizes",)
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.sizes, tuple):
-            object.__setattr__(self, "sizes", tuple(self.sizes))
-        if len(self.sizes) < 1:
+    def __init__(self, sizes: tuple[int, ...]) -> None:
+        if not isinstance(sizes, tuple):
+            sizes = tuple(sizes)
+        if len(sizes) < 1:
             raise InvalidParametersError("need at least one part")
-        for s in self.sizes:
+        for s in sizes:
             if not isinstance(s, int) or s < 1:
                 raise InvalidParametersError(f"part sizes must be positive ints, got {s!r}")
+        object.__setattr__(self, "sizes", sizes)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.sizes,) == (other.sizes,)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.sizes,))
 
     @property
     def p(self) -> int:
@@ -240,25 +271,33 @@ class GroundSet:
 # ---------------------------------------------------------------------------
 # families
 
-@dataclass(frozen=True)
-class Family:
+class Family(_Frozen):
     """Immutable set family over a fixed ground set.
 
     Iteration is in ascending mask order, which is colexicographic order
     on the underlying sets; every user-visible ordering derives from it.
     """
 
-    ground: GroundSet
-    members: frozenset[int]
+    _fields = ("ground", "members")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.members, frozenset):
-            object.__setattr__(self, "members", frozenset(self.members))
-        n = self.ground.n
-        for m in self.members:
+    def __init__(self, ground: GroundSet, members: frozenset[int]) -> None:
+        if not isinstance(members, frozenset):
+            members = frozenset(members)
+        n = ground.n
+        for m in members:
             if m < 0 or m >> n:
                 raise InvalidParametersError(
-                    f"member {bin(m)} has bits outside ground set of size {self.ground.n}")
+                    f"member {bin(m)} has bits outside ground set of size {n}")
+        object.__setattr__(self, "ground", ground)
+        object.__setattr__(self, "members", members)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.ground, self.members) == (other.ground, other.members)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.ground, self.members))
 
     @classmethod
     def from_iterables(cls, ground: GroundSet, sets: Iterable[Iterable[int]]) -> "Family":
@@ -277,18 +316,17 @@ class Family:
 # ---------------------------------------------------------------------------
 # profile sets
 
-@dataclass(frozen=True)
-class ProfileSet:
+class ProfileSet(_Frozen):
     """A finite set of everywhere-positive profiles over a common p.
 
     Carries the largest entry b and the smallest entry c over all the
     profiles, used by the union-space bounds.
     """
 
-    profiles: tuple[tuple[int, ...], ...]
+    _fields = ("profiles",)
 
-    def __post_init__(self) -> None:
-        profs = tuple(sorted({tuple(r) for r in self.profiles}))
+    def __init__(self, profiles: tuple[tuple[int, ...], ...]) -> None:
+        profs = tuple(sorted({tuple(r) for r in profiles}))
         if not profs:
             raise InvalidParametersError("profile set must be non-empty")
         p = len(profs[0])
@@ -300,6 +338,14 @@ class ProfileSet:
                     raise InvalidParametersError(
                         f"profile entries must be positive ints, got {x!r}")
         object.__setattr__(self, "profiles", profs)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.profiles,) == (other.profiles,)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.profiles,))
 
     @property
     def p(self) -> int:

@@ -13,7 +13,6 @@ shares nothing with the BFS beyond the adjacency definition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from math import comb, prod
@@ -21,6 +20,7 @@ from math import comb, prod
 from .core import (
     InstanceTooLargeError,
     InvalidParametersError,
+    _Frozen,
     enumeration_cap,
     mask_of,
 )
@@ -36,16 +36,15 @@ __all__ = [
 Vertex = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class KneserParams:
+class KneserParams(_Frozen):
     """Factor list (g_i, h_i); each factor needs g_i >= 2 h_i >= 2 so no
     vertex is isolated.  g_i > 2 h_i, the connectivity regime, is
     recorded separately as strict_hypothesis."""
 
-    pairs: tuple[tuple[int, int], ...]
+    _fields = ("pairs",)
 
-    def __post_init__(self) -> None:
-        pairs = tuple((int(g), int(h)) for g, h in self.pairs)
+    def __init__(self, pairs: tuple[tuple[int, int], ...]) -> None:
+        pairs = tuple((int(g), int(h)) for g, h in pairs)
         if not pairs:
             raise InvalidParametersError("need at least one factor")
         for g, h in pairs:
@@ -53,6 +52,14 @@ class KneserParams:
                 raise InvalidParametersError(
                     f"factor ({g},{h}) violates g >= 2h >= 2")
         object.__setattr__(self, "pairs", pairs)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.pairs,) == (other.pairs,)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.pairs,))
 
     @property
     def w(self) -> int:

@@ -1,13 +1,17 @@
-"""The public surface: every exported name exists, and the README's
-library example runs with the values its comments give."""
+"""The public surface: every exported name exists and resolves, on each
+access, to its submodule's object; the value types compare, hash, print
+and refuse assignment as frozen values; and the README's library example
+runs with the values its comments give."""
 
 import contextlib
 import io
 import re
+import sys
 from pathlib import Path
 
 import pytest
 
+import tstar
 from tstar import bounds, core, kneser, shifting, verify
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -29,3 +33,87 @@ def test_readme_library_example():
     with contextlib.redirect_stdout(out):
         exec(compile(block, str(README), "exec"), {})
     assert out.getvalue().splitlines() == expected
+
+
+def test_package_exports_resolve_to_their_submodule_objects():
+    assert len(tstar.__all__) == len(set(tstar.__all__))
+    for name in tstar.__all__:
+        value = getattr(tstar, name)
+        assert value.__module__.startswith("tstar."), name
+        assert getattr(sys.modules[value.__module__], name) is value, name
+        assert name in dir(tstar)
+    namespace = {}
+    exec("from tstar import *", namespace)
+    assert set(tstar.__all__) <= set(namespace)
+    assert all(namespace[name] is getattr(tstar, name) for name in tstar.__all__)
+    with pytest.raises(AttributeError):
+        tstar.no_such_name
+    with pytest.raises(ImportError):
+        exec("from tstar import no_such_name", {})
+
+
+def test_package_export_follows_a_rebinding_in_its_submodule(monkeypatch):
+    monkeypatch.setattr(bounds, "max_star_size", None)
+    assert tstar.max_star_size is None
+    monkeypatch.undo()
+    assert tstar.max_star_size is bounds.max_star_size is not None
+    assert "max_star_size" not in vars(tstar)
+
+
+VALUES = [
+    (lambda: core.GroundSet([3, 4]), lambda: core.GroundSet((3, 4)),
+     lambda: core.GroundSet((4, 3)), "GroundSet(sizes=(3, 4))", "sizes"),
+    (lambda: core.Family(core.GroundSet((3,)), [1, 6]),
+     lambda: core.Family(core.GroundSet((3,)), frozenset({6, 1})),
+     lambda: core.Family(core.GroundSet((3,)), {1}),
+     "Family(ground=GroundSet(sizes=(3,)), members=frozenset({1, 6}))", "members"),
+    (lambda: core.ProfileSet([[2, 1], (1, 2), [2, 1]]),
+     lambda: core.ProfileSet(((1, 2), (2, 1))),
+     lambda: core.ProfileSet(((1, 2),)), "ProfileSet(profiles=((1, 2), (2, 1)))", "profiles"),
+    (lambda: kneser.KneserParams([[5, 2], [7, 3]]),
+     lambda: kneser.KneserParams(((5, 2), (7, 3))),
+     lambda: kneser.KneserParams(((5, 2),)), "KneserParams(pairs=((5, 2), (7, 3)))", "pairs"),
+]
+
+
+@pytest.mark.parametrize("make, same, other, text, field", VALUES,
+                         ids=["GroundSet", "Family", "ProfileSet", "KneserParams"])
+def test_value_types_compare_hash_and_print_by_value(make, same, other, text, field):
+    a, b, c = make(), same(), other()
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != c and not a == c and a != text
+    assert repr(a) == text
+    assert {a, b, c} == {a, c}
+    assert type(getattr(a, field)) in (tuple, frozenset)
+    for attempt in (lambda: setattr(a, field, getattr(c, field)),
+                    lambda: delattr(a, field), lambda: setattr(a, "extra", 1)):
+        with pytest.raises(AttributeError):
+            attempt()
+    assert a == b
+
+
+@pytest.mark.parametrize("make", [
+    lambda: core.GroundSet(()),
+    lambda: core.GroundSet((3, 0)),
+    lambda: core.GroundSet((3, "4")),
+    lambda: core.Family(core.GroundSet((3,)), [8]),
+    lambda: core.Family(core.GroundSet((3,)), [-1]),
+    lambda: core.ProfileSet(()),
+    lambda: core.ProfileSet(((1, 2), (1,))),
+    lambda: core.ProfileSet(((1, 0),)),
+    lambda: kneser.KneserParams(()),
+    lambda: kneser.KneserParams(((3, 2),)),
+    lambda: kneser.KneserParams(((4, 0),)),
+])
+def test_value_types_refuse_invalid_fields(make):
+    with pytest.raises(core.InvalidParametersError):
+        make()
+
+
+def test_value_types_keep_their_cached_fields():
+    ground = core.GroundSet((3, 4))
+    assert (ground.n, ground.offsets, ground.full_mask) == (7, (0, 3), 127)
+    assert ground.n is ground.n
+    profiles = core.ProfileSet(((1, 2), (3, 1)))
+    assert (profiles.b, profiles.c) == (3, 1)
+    assert kneser.KneserParams(((5, 2), (7, 3))).vertex_count == 350

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import os
 import re
 import subprocess
@@ -9,7 +10,7 @@ import sys
 
 import pytest
 
-from tstar import acceptance, cli, core, search, shifting
+from tstar import acceptance, bounds, cli, core, search, shifting
 from tstar.cli import main
 from tstar.core import (Family, GroundSet, elements_of, enumerate_block, parse_family,
                         read_family, write_family)
@@ -29,7 +30,7 @@ def run_json(capsys, *argv):
 
 
 def test_bound_block(capsys, monkeypatch):
-    monkeypatch.setattr(cli.bounds, "delsarte_bound", None)   # plain bound runs no LP
+    monkeypatch.setattr(bounds, "delsarte_bound", None)   # plain bound runs no LP
     code, data = run_json(capsys, "bound", "--n", "8,10", "--k", "4,4", "--t", "2")
     assert code == 0
     assert data["value"] == "3150"
@@ -361,6 +362,51 @@ def test_cli_import_leaves_networkx_out():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60).stdout
     assert out == "False\n"
+
+
+# A subcommand that needs neither a closed-form bound nor a search loads
+# none of these; `dataclasses` and `fractions` come with bounds.
+NO_BOUNDS = ("tstar.bounds", "tstar.search", "tstar.acceptance", "dataclasses", "fractions")
+
+
+@pytest.mark.parametrize("argv, unloaded", [
+    (["kneser", "--params", "5:2"], NO_BOUNDS),
+    (["enumerate", "--n", "3,3", "--k", "1,1"], NO_BOUNDS),
+    (["shift", "FAMILY", "--all"], NO_BOUNDS),
+    (["verify", "t-intersecting", "FAMILY", "--t", "1"], NO_BOUNDS),
+    (["bound", "--n", "8,10", "--k", "4,4", "--t", "2"], ("tstar.search", "tstar.kneser")),
+], ids=["kneser", "enumerate", "shift", "verify", "bound"])
+def test_cli_call_loads_only_what_its_subcommand_runs(tmp_path, argv, unloaded):
+    family = str(tmp_path / "f.fam")
+    write_family(enumerate_block(GroundSet((3, 3)), (1, 1)), family)
+    argv = [family if a == "FAMILY" else a for a in argv]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    code = ("import contextlib, io, sys, tstar.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = tstar.cli.main(sys.argv[1:])\n"
+            "print(code, *sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout.split()
+    assert out[0] in ("0", "1")
+    loaded = set(out[1:])
+    assert "networkx" not in loaded
+    assert not loaded & set(unloaded), sorted(loaded & set(unloaded))
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_bound_prints_a_star_of_any_number_of_digits(capsys, fmt):
+    limit = sys.get_int_max_str_digits()
+    try:
+        code, out = run(capsys, "bound", "--n", "16000", "--k", "8000", "--t", "1",
+                        "--format", fmt)
+        sys.set_int_max_str_digits(0)
+        expected = str(math.comb(16000 - 1, 8000 - 1))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 0
+    assert len(expected) > 4300
+    value = json.loads(out)["value"] if fmt == "json" else out.splitlines()[0]
+    assert value == (expected if fmt == "json" else f"value: {expected}")
 
 
 def test_kneser_cli(capsys):
