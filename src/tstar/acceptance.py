@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Iterator
 
@@ -33,6 +32,7 @@ from .core import (
     GroundSet,
     InvalidParametersError,
     ProfileSet,
+    _Frozen,
     binom,
     block_size,
     bounded_compositions,
@@ -57,15 +57,13 @@ from .verify import (
 MAX_NOTES = 5
 
 
-@dataclass
-class CriterionOutcome:
+class CriterionOutcome(_Frozen):
     passed: bool
     notes: list[str]
     seconds: float
 
 
-@dataclass(frozen=True)
-class Criterion:
+class Criterion(_Frozen):
     number: int
     slug: str
     label: str

@@ -30,7 +30,6 @@ value that is reported (RatioEntry, RatioBound, the LP bound).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
 from typing import Iterator
@@ -41,6 +40,7 @@ from .core import (
     InvalidParametersError,
     InvariantError,
     ProfileSet,
+    _Frozen,
     block_size,
     bounded_compositions,
 )
@@ -64,8 +64,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RatioEntry:
+class RatioEntry(_Frozen):
     """One link of a part's ratio chain: value = (k_i - j)/(n_i - j)."""
 
     part: int
@@ -73,17 +72,15 @@ class RatioEntry:
     value: Fraction
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(_Frozen):
     """An exact bound value with every distribution that achieves it."""
 
     value: int
     optimal_distributions: frozenset[tuple[int, ...]]
-    hypothesis_flags: dict[str, bool] = field(default_factory=dict)
+    hypothesis_flags: dict[str, bool]
 
 
-@dataclass(frozen=True)
-class RatioBound:
+class RatioBound(_Frozen):
     """Density bound max_i k_i/n_i with its absolute consequence."""
 
     ratio: Fraction
@@ -292,8 +289,7 @@ def ratio_bound(ground: GroundSet, k: tuple[int, ...]) -> RatioBound:
         if k_i * den > num * n_i:
             num, den = k_i, n_i
     hyp = all(n_i >= 2 * k_i for n_i, k_i in zip(ground.sizes, k))
-    return RatioBound(ratio=Fraction(num, den), block=blk, absolute=num * blk // den,
-                      hypothesis_ok=hyp)
+    return RatioBound(Fraction(num, den), blk, num * blk // den, hyp)
 
 
 # ---------------------------------------------------------------------------

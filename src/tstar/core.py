@@ -24,6 +24,7 @@ import math
 from collections.abc import Iterable, Iterator
 from functools import cached_property
 from itertools import combinations, product
+from operator import attrgetter
 
 __all__ = [
     "Error",
@@ -150,14 +151,34 @@ def elements_of(mask: int) -> tuple[int, ...]:
 # immutable values
 
 class _Frozen:
-    """Base of the immutable value types.  The constructor sets each
-    field once with object.__setattr__; assigning or deleting any
-    attribute afterwards raises AttributeError.  A subclass names its
-    fields in `_fields`, the order of its repr, and compares and hashes
-    the tuple of them in its own __eq__ and __hash__, written out because
-    shifting and verify compare ground sets on every call."""
+    """Base of every immutable value type and result record.  A subclass
+    declares its fields as annotated class attributes, after those it
+    inherits; `_fields` keeps their order, that of the positional
+    constructor and of the repr.  Values of one class are equal when their
+    fields are, compared through a C-level getter because shifting and
+    verify compare ground sets on every call; the hash is the field
+    tuple's.  Assigning or deleting any attribute raises AttributeError."""
 
     _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._fields = (*cls._fields, *cls.__dict__.get("__annotations__", ()))
+        cls._key = attrgetter(*cls._fields)     # one field: its value; more: their tuple
+
+    def __init__(self, *values) -> None:
+        if len(values) != len(self._fields):
+            raise TypeError(f"{type(self).__qualname__} takes {len(self._fields)} fields")
+        self.__dict__.update(zip(self._fields, values))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            key = self._key
+            return key(self) == key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple([getattr(self, name) for name in self._fields]))
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -180,7 +201,7 @@ class GroundSet(_Frozen):
     from 0.
     """
 
-    _fields = ("sizes",)
+    sizes: tuple[int, ...]
 
     def __init__(self, sizes: tuple[int, ...]) -> None:
         if not isinstance(sizes, tuple):
@@ -191,14 +212,6 @@ class GroundSet(_Frozen):
             if not isinstance(s, int) or s < 1:
                 raise InvalidParametersError(f"part sizes must be positive ints, got {s!r}")
         object.__setattr__(self, "sizes", sizes)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.sizes,) == (other.sizes,)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.sizes,))
 
     @property
     def p(self) -> int:
@@ -278,7 +291,8 @@ class Family(_Frozen):
     on the underlying sets; every user-visible ordering derives from it.
     """
 
-    _fields = ("ground", "members")
+    ground: GroundSet
+    members: frozenset[int]
 
     def __init__(self, ground: GroundSet, members: frozenset[int]) -> None:
         if not isinstance(members, frozenset):
@@ -290,14 +304,6 @@ class Family(_Frozen):
                     f"member {bin(m)} has bits outside ground set of size {n}")
         object.__setattr__(self, "ground", ground)
         object.__setattr__(self, "members", members)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.ground, self.members) == (other.ground, other.members)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.ground, self.members))
 
     @classmethod
     def from_iterables(cls, ground: GroundSet, sets: Iterable[Iterable[int]]) -> "Family":
@@ -323,7 +329,7 @@ class ProfileSet(_Frozen):
     profiles, used by the union-space bounds.
     """
 
-    _fields = ("profiles",)
+    profiles: tuple[tuple[int, ...], ...]
 
     def __init__(self, profiles: tuple[tuple[int, ...], ...]) -> None:
         profs = tuple(sorted({tuple(r) for r in profiles}))
@@ -338,14 +344,6 @@ class ProfileSet(_Frozen):
                     raise InvalidParametersError(
                         f"profile entries must be positive ints, got {x!r}")
         object.__setattr__(self, "profiles", profs)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.profiles,) == (other.profiles,)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.profiles,))
 
     @property
     def p(self) -> int:

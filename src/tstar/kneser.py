@@ -41,7 +41,7 @@ class KneserParams(_Frozen):
     vertex is isolated.  g_i > 2 h_i, the connectivity regime, is
     recorded separately as strict_hypothesis."""
 
-    _fields = ("pairs",)
+    pairs: tuple[tuple[int, int], ...]
 
     def __init__(self, pairs: tuple[tuple[int, int], ...]) -> None:
         pairs = tuple((int(g), int(h)) for g, h in pairs)
@@ -52,14 +52,6 @@ class KneserParams(_Frozen):
                 raise InvalidParametersError(
                     f"factor ({g},{h}) violates g >= 2h >= 2")
         object.__setattr__(self, "pairs", pairs)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.pairs,) == (other.pairs,)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.pairs,))
 
     @property
     def w(self) -> int:

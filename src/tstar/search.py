@@ -38,7 +38,6 @@ validation; it shares no data structures with the solver.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterator
 
@@ -50,6 +49,7 @@ from .core import (
     InstanceTooLargeError,
     InvalidParametersError,
     InvariantError,
+    _Frozen,
     elements_of,
     enumerate_block,
     enumerate_quota,
@@ -65,8 +65,7 @@ DEFAULT_SUBSET_LIMIT = 24
 DEFAULT_CLIQUE_LIMIT = 60
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(_Frozen):
     """Outcome of one exact maximisation.
 
     max_size is the exact optimum.  witness is one optimal subfamily;

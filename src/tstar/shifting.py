@@ -20,6 +20,7 @@ the family, which bounds the number of steps.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Iterator
 
 from .core import Family, GroundSet, InvalidParametersError, elements_of
@@ -94,25 +95,12 @@ def family_weight(fam: Family) -> int:
     return sum(sum(elements_of(m)) for m in fam.members)
 
 
-def _union(member_sets) -> int:
-    """Mask of every element some member of some set holds."""
+def _held_bits(ground: GroundSet, part: int, member_sets) -> list[int]:
+    """Bits of the part's elements that a member of some set holds, ascending."""
     union = 0
     for members in member_sets:
         for m in members:
             union |= m
-    return union
-
-
-def _part_moves(ground: GroundSet, part: int, union: int) -> Iterator[tuple[int, int]]:
-    """Bits (1 << (i-1), 1 << (j-1)) of the moves i < j inside the part
-    whose j is an element of `union`, lexicographic.
-
-    With `union` the members' union when a pass over the part's moves
-    begins, no other move can act in that pass: a move (i, j) adds only
-    i, which lies below every later j, so a j no member held at the start
-    is held by none when its moves come.  The moves are yielded one at a
-    time, so the part's size does not set the memory used.
-    """
     elements = ground.part_elements(part)
     first, size = elements.start - 1, len(elements)    # the part's bits
     held = union >> first       # the union's bits in the part, no wider than the union
@@ -123,12 +111,35 @@ def _part_moves(ground: GroundSet, part: int, union: int) -> Iterator[tuple[int,
         low = held & -held
         js.append(low << first)
         held ^= low
-    bi = 1 << first
-    for lo, top in enumerate(js):
-        while bi < top:     # every i below the lo-th held element moves onto js[lo:]
-            for bj in js[lo:]:
+    return js
+
+
+def _part_moves(ground: GroundSet, part: int, held: list[int]) -> Iterator[tuple[int, int]]:
+    """Bits (1 << (i-1), 1 << (j-1)) of the moves i < j inside the part
+    whose j is in `held`, lexicographic, one at a time so that the part's
+    size does not set the memory used.  With `held` the part's elements
+    that members hold as a pass begins, no other move acts in that pass:
+    a move (i, j) adds only i, below every later j.  A caller may remove
+    from `held` a j that a move emptied: only (j, j'') can refill it,
+    after every move onto j."""
+    bi = 1 << ground.offsets[part]
+    lo = 0      # held[:lo] lie at or below i
+    while lo < len(held):
+        top = held[lo]
+        while bi < top:     # top may leave held, but every j in held[lo:] is above i
+            for bj in held[lo:]:
                 yield bi, bj
             bi <<= 1
+        lo = bisect_right(held, bi)
+
+
+def _holds(member_sets, bit: int) -> bool:
+    """True when some member holds the bit; a loop, as it runs per productive move."""
+    for members in member_sets:
+        for m in members:
+            if m & bit:
+                return True
+    return False
 
 
 def _closure(fams: list[Family], parts) -> tuple[list[Family], int]:
@@ -137,10 +148,9 @@ def _closure(fams: list[Family], parts) -> tuple[list[Family], int]:
 
     Every family sees the same sequence of moves, and a move that changes
     nothing is the identity, so the families stay in lockstep.  Each pass
-    over a part visits only the moves whose j some member holds as the
-    pass begins (_part_moves); the others are the identity.  Returns the
-    fixed points and the number of pairs that moved a member of some
-    family.
+    over a part visits only the moves whose j some member holds
+    (_part_moves); the others are the identity.  Returns the fixed points
+    and the number of pairs that moved a member of some family.
     """
     ground = fams[0].ground
     sets = [set(f.members) for f in fams]
@@ -149,10 +159,13 @@ def _closure(fams: list[Family], parts) -> tuple[list[Family], int]:
     while True:
         productive = 0
         for part in parts:
-            for bi, bj in _part_moves(ground, part, _union(sets)):
+            held = _held_bits(ground, part, sets)
+            for bi, bj in _part_moves(ground, part, held):
                 # a list, not a generator: every family takes the move
                 if any([_move(s, bi, bj) for s in sets]):
                     productive += 1
+                    if not _holds(sets, bj):
+                        held.remove(bj)
         if not productive:
             return [Family(ground, frozenset(s)) for s in sets], steps
         steps += productive
@@ -169,9 +182,9 @@ def shift_closure(fam: Family, parts: tuple[int, ...] | None = None) -> tuple[Fa
 
 def is_l_shifted(fam: Family, part: int) -> bool:
     """True when every in-part move of the given part fixes the family."""
-    members = fam.members
-    return not any(any(_movers(members, bi, bj))
-                   for bi, bj in _part_moves(fam.ground, part, _union((members,))))
+    members, ground = fam.members, fam.ground
+    held = _held_bits(ground, part, (members,))
+    return not any(any(_movers(members, bi, bj)) for bi, bj in _part_moves(ground, part, held))
 
 
 def is_shifted(fam: Family) -> bool:

@@ -1,18 +1,19 @@
 """The public surface: every exported name exists and resolves, on each
-access, to its submodule's object; the value types compare, hash, print
-and refuse assignment as frozen values; and the README's library example
-runs with the values its comments give."""
+access, to its submodule's object; the value types and the result records
+compare, hash, print and refuse assignment as frozen values; and the
+README's library example runs with the values its comments give."""
 
 import contextlib
 import io
 import re
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import tstar
-from tstar import bounds, core, kneser, shifting, verify
+from tstar import acceptance, bounds, core, kneser, search, shifting, verify
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -87,6 +88,67 @@ def test_value_types_compare_hash_and_print_by_value(make, same, other, text, fi
     assert type(getattr(a, field)) in (tuple, frozenset)
     for attempt in (lambda: setattr(a, field, getattr(c, field)),
                     lambda: delattr(a, field), lambda: setattr(a, "extra", 1)):
+        with pytest.raises(AttributeError):
+            attempt()
+    assert a == b
+
+
+RECORDS = [
+    (lambda: bounds.ratio_entries(core.GroundSet((5,)), (2,))[0],
+     lambda: bounds.RatioEntry(0, 0, Fraction(2, 5)),
+     lambda: bounds.RatioEntry(0, 1, Fraction(2, 5)),
+     ("part", "level", "value"), "RatioEntry(part=0, level=0, value=Fraction(2, 5))"),
+    (lambda: bounds.ratio_bound(core.GroundSet((5,)), (2,)),
+     lambda: bounds.RatioBound(Fraction(2, 5), 10, 4, True),
+     lambda: bounds.RatioBound(Fraction(2, 5), 10, 4, False),
+     ("ratio", "block", "absolute", "hypothesis_ok"),
+     "RatioBound(ratio=Fraction(2, 5), block=10, absolute=4, hypothesis_ok=True)"),
+    (lambda: bounds.enumerate_distribution_argmax(1, core.GroundSet((4, 6)), (2, 3)),
+     lambda: bounds.BoundReport(60, frozenset({(1, 0), (0, 1)}), {}),
+     lambda: bounds.BoundReport(60, frozenset({(1, 0), (0, 1)}), {"t_le_c": True}),
+     ("value", "optimal_distributions", "hypothesis_flags"),
+     "BoundReport(value=60, optimal_distributions=frozenset({(0, 1), (1, 0)}), "
+     "hypothesis_flags={})"),
+    (lambda: search.SearchResult(3, core.Family(core.GroundSet((3,)), [3, 5, 6]), None, 1, 2),
+     lambda: search.SearchResult(3, core.Family(core.GroundSet((3,)), {6, 5, 3}), None, 1, 2),
+     lambda: search.SearchResult(3, core.Family(core.GroundSet((3,)), [3, 5, 6]), 3, 1, 2),
+     ("max_size", "witness", "is_trivial_star", "nodes_explored", "bound_used"),
+     "SearchResult(max_size=3, witness=Family(ground=GroundSet(sizes=(3,)), "
+     "members=frozenset({3, 5, 6})), is_trivial_star=None, nodes_explored=1, bound_used=2)"),
+    (lambda: acceptance.Criterion(1, "empty", "holds at once", None, tuple),
+     lambda: acceptance.Criterion(1, "empty", "holds at once", None, tuple),
+     lambda: acceptance.Criterion(1, "empty", "holds at once", 1.0, tuple),
+     ("number", "slug", "label", "budget", "body"),
+     "Criterion(number=1, slug='empty', label='holds at once', budget=None, "
+     "body=<class 'tuple'>)"),
+    (lambda: acceptance.CriterionOutcome(False, ["a note"], 0.5),
+     lambda: acceptance.CriterionOutcome(False, ["a note"], 0.5),
+     lambda: acceptance.CriterionOutcome(False, ["another note"], 0.5),
+     ("passed", "notes", "seconds"),
+     "CriterionOutcome(passed=False, notes=['a note'], seconds=0.5)"),
+]
+
+
+@pytest.mark.parametrize("make, same, other, fields, text", RECORDS,
+                         ids=["RatioEntry", "RatioBound", "BoundReport", "SearchResult",
+                              "Criterion", "CriterionOutcome"])
+def test_records_compare_hash_and_print_by_value(make, same, other, fields, text):
+    a, b, c = make(), same(), other()
+    values = tuple(getattr(a, name) for name in fields)
+    assert a is not b and a == b and not a != b and a == type(a)(*values)
+    assert a != c and not a == c and a != values
+    assert all(a != record() for record, *_ in RECORDS if record is not make)
+    assert repr(a) == text
+    try:
+        expected = hash(values)
+    except TypeError:       # a field holds a dict or a list
+        with pytest.raises(TypeError):
+            hash(a)
+    else:
+        assert hash(a) == hash(b) == expected
+        assert {a, b, c} == {a, c}
+    for attempt in (lambda: setattr(a, fields[0], getattr(c, fields[0])),
+                    lambda: delattr(a, fields[0]), lambda: setattr(a, "extra", 1)):
         with pytest.raises(AttributeError):
             attempt()
     assert a == b

@@ -1,6 +1,5 @@
 """End-to-end CLI tests: flag handling, JSON schemas, exit codes."""
 
-import dataclasses
 import json
 import math
 import os
@@ -365,7 +364,8 @@ def test_cli_import_leaves_networkx_out():
 
 
 # A subcommand that needs neither a closed-form bound nor a search loads
-# none of these; `dataclasses` and `fractions` come with bounds.
+# none of these; `fractions` comes with bounds.  No subcommand loads
+# `dataclasses`: every record is a core._Frozen.
 NO_BOUNDS = ("tstar.bounds", "tstar.search", "tstar.acceptance", "dataclasses", "fractions")
 
 
@@ -374,8 +374,12 @@ NO_BOUNDS = ("tstar.bounds", "tstar.search", "tstar.acceptance", "dataclasses", 
     (["enumerate", "--n", "3,3", "--k", "1,1"], NO_BOUNDS),
     (["shift", "FAMILY", "--all"], NO_BOUNDS),
     (["verify", "t-intersecting", "FAMILY", "--t", "1"], NO_BOUNDS),
-    (["bound", "--n", "8,10", "--k", "4,4", "--t", "2"], ("tstar.search", "tstar.kneser")),
-], ids=["kneser", "enumerate", "shift", "verify", "bound"])
+    (["bound", "--n", "8,10", "--k", "4,4", "--t", "2"],
+     ("tstar.search", "tstar.kneser", "dataclasses")),
+    (["search", "--n", "5,5", "--k", "2,2", "--t", "1"],
+     ("tstar.kneser", "tstar.acceptance", "dataclasses")),
+    (["repro", "--only", "10"], ("dataclasses",)),
+], ids=["kneser", "enumerate", "shift", "verify", "bound", "search", "repro"])
 def test_cli_call_loads_only_what_its_subcommand_runs(tmp_path, argv, unloaded):
     family = str(tmp_path / "f.fam")
     write_family(enumerate_block(GroundSet((3, 3)), (1, 1)), family)
@@ -481,7 +485,8 @@ def test_repro_criterion_that_raises_fails_and_the_gate_goes_on(capsys, monkeypa
         raise error("the check broke")
 
     checks = list(acceptance.ACCEPTANCE_CHECKS)
-    checks[8] = dataclasses.replace(checks[8], body=body)
+    c = checks[8]
+    checks[8] = acceptance.Criterion(c.number, c.slug, c.label, c.budget, body)
     monkeypatch.setattr(acceptance, "ACCEPTANCE_CHECKS", checks)
     code, out = run(capsys, "repro", "--only", "9", "--only", "10")
     assert code == 1

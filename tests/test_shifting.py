@@ -6,6 +6,7 @@ from itertools import combinations
 
 import pytest
 
+from tstar import shifting
 from tstar.core import (Family, GroundSet, InvalidParametersError, enumerate_block,
                         format_family, mask_of, parse_family)
 from tstar.shifting import (
@@ -191,7 +192,7 @@ def test_a_huge_part_builds_no_part_sized_pair_list():
     assert peak < 1 << 20, peak
 
 
-def test_a_high_member_walks_its_moves_one_at_a_time():
+def test_a_high_member_walks_its_moves_one_at_a_time(monkeypatch):
     # a member holding the last two of 10,000 elements: the 5 * 10^7 moves
     # up to 10,000 take gigabytes, but a pass visits only the moves onto
     # elements some member holds, one at a time; the closure is {1, 2} in
@@ -208,6 +209,21 @@ def test_a_high_member_walks_its_moves_one_at_a_time():
     assert steps == 2
     assert shifted == (False, True)
     assert peak < 1 << 20, peak
+
+    # once its moves have emptied 99,999 and 100,000 no member holds them,
+    # and the pass tries no more moves onto them: (1, 99999), (1, 100000)
+    # and (2, 100000), then (1, 2) in the pass that moves nothing
+    tried = []
+
+    def move(members, bi, bj):
+        tried.append((bi.bit_length(), bj.bit_length()))
+        return real_move(members, bi, bj)
+
+    real_move = shifting._move
+    monkeypatch.setattr(shifting, "_move", move)
+    closed, steps = shift_closure(parse_family("ground: 100000\n99999,100000\n"))
+    assert (format_family(closed), steps) == ("ground: 100000\n1,2\n", 2)
+    assert len(tried) <= 8, tried
 
 
 # ---------------------------------------------------------------------------
