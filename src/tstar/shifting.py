@@ -121,12 +121,11 @@ def _part_moves(ground: GroundSet, part: int, held: list[int]) -> Iterator[tuple
     that members hold as a pass begins, no other move acts in that pass:
     a move (i, j) adds only i, below every later j.  A caller may remove
     from `held` a j that a move emptied: only (j, j'') can refill it,
-    after every move onto j."""
+    after every move onto j, and i stops where nothing is held above it."""
     bi = 1 << ground.offsets[part]
     lo = 0      # held[:lo] lie at or below i
     while lo < len(held):
-        top = held[lo]
-        while bi < top:     # top may leave held, but every j in held[lo:] is above i
+        while lo < len(held) and bi < held[lo]:    # re-read: held[lo] may leave
             for bj in held[lo:]:
                 yield bi, bj
             bi <<= 1

@@ -219,11 +219,25 @@ def test_a_high_member_walks_its_moves_one_at_a_time(monkeypatch):
         tried.append((bi.bit_length(), bj.bit_length()))
         return real_move(members, bi, bj)
 
-    real_move = shifting._move
+    # nor does i walk on once nothing is held above it: the held lists are
+    # read a few times per pass, not once per element up to 99,999
+    reads = []
+
+    class CountedReads(list):
+        def __getitem__(self, key):
+            reads.append(key)
+            return super().__getitem__(key)
+
+    def held_bits(*args):
+        return CountedReads(real_held_bits(*args))
+
+    real_move, real_held_bits = shifting._move, shifting._held_bits
     monkeypatch.setattr(shifting, "_move", move)
+    monkeypatch.setattr(shifting, "_held_bits", held_bits)
     closed, steps = shift_closure(parse_family("ground: 100000\n99999,100000\n"))
     assert (format_family(closed), steps) == ("ground: 100000\n1,2\n", 2)
     assert len(tried) <= 8, tried
+    assert len(reads) <= 32, len(reads)
 
 
 # ---------------------------------------------------------------------------
