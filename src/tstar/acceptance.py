@@ -51,6 +51,7 @@ from .shifting import (
 from .verify import (
     check_partwise_prefix_intersection,
     check_prefix_intersection,
+    is_full_t_star,
     is_t_intersecting,
 )
 
@@ -276,7 +277,7 @@ def _criterion_classical_maxima() -> Iterator[str]:
         expected = binom(n - 1, k - 1)
         if result.max_size != expected:
             yield f"(n,k)=({n},{k}): got {result.max_size}, expected {expected}"
-        if result.is_trivial_star is None:
+        if is_full_t_star(result.witness, space, 1) is None:
             yield f"(n,k)=({n},{k}): witness is not a full star"
 
 

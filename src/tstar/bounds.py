@@ -450,7 +450,10 @@ def max_union_star_size(t: int, ground: GroundSet, profiles: ProfileSet,
     Scans every t-distribution (there is no greedy shortcut for unions)
     and counts each one with union_star_sizes.  t <= c (the smallest
     profile entry) is the intended regime; pass strict=False to compute
-    outside it, with the flag recorded.
+    outside it, with the flag recorded.  The report's hypothesis flags are
+    exact and purely informative: union_parts_large needs
+    n_i > 2(t+1) p b^(t+2), t_le_c needs t <= c, and union_star is their
+    conjunction.
     """
     profiles.check_against(ground)
     if t < 0:
@@ -461,44 +464,28 @@ def max_union_star_size(t: int, ground: GroundSet, profiles: ProfileSet,
             f"t={t} exceeds the smallest profile entry c={profiles.c}")
     limits = tuple(min(t, n_i) for n_i in ground.sizes)
     dists = list(bounded_compositions(t, (0,) * ground.p, limits))
-    return _argmax_report(dists, union_star_sizes(ground, profiles.profiles, dists),
-                          _union_flags(t, ground, profiles))
+    need = 2 * (t + 1) * ground.p * profiles.b ** (t + 2)
+    large = all(n_i > need for n_i in ground.sizes)
+    flags = {"union_parts_large": large, "t_le_c": t_le_c, "union_star": large and t_le_c}
+    return _argmax_report(dists, union_star_sizes(ground, profiles.profiles, dists), flags)
 
 
 # ---------------------------------------------------------------------------
 # hypothesis flags
 
-def hypothesis_flags(t: int, ground: GroundSet,
-                     k: tuple[int, ...] | None = None,
-                     profiles: ProfileSet | None = None) -> dict[str, bool]:
-    """Exact evaluation of the large-part hypotheses; purely informative.
-
-    Block flags (need k): ratio_bound needs n_i >= 2 k_i; block_star
-    needs n_i > 2(t+1) p k_i^2.  Union flags (need profiles):
-    union_parts_large needs n_i > 2(t+1) p b^(t+2); t_le_c needs
-    t <= c; union_star is their conjunction.
+def hypothesis_flags(t: int, ground: GroundSet, k: tuple[int, ...]) -> dict[str, bool]:
+    """Exact evaluation of a block's large-part hypotheses; purely
+    informative.  ratio_bound needs n_i >= 2 k_i; block_star needs
+    n_i > 2(t+1) p k_i^2.  A union's flags are those of
+    max_union_star_size's report.
     """
     if t < 0:
         raise InvalidParametersError(f"t must be >= 0, got {t}")
-    flags: dict[str, bool] = {}
-    if k is not None:
-        k = tuple(k)
-        ground.check_profile(k)
-        p = ground.p
-        flags["ratio_bound"] = all(
-            n_i >= 2 * k_i for n_i, k_i in zip(ground.sizes, k))
-        flags["block_star"] = all(
-            n_i > 2 * (t + 1) * p * k_i * k_i
-            for n_i, k_i in zip(ground.sizes, k))
-    if profiles is not None:
-        profiles.check_against(ground)
-        flags.update(_union_flags(t, ground, profiles))
-    return flags
-
-
-def _union_flags(t: int, ground: GroundSet, profiles: ProfileSet) -> dict[str, bool]:
-    """hypothesis_flags' union flags, for arguments already checked."""
-    need = 2 * (t + 1) * ground.p * profiles.b ** (t + 2)
-    large = all(n_i > need for n_i in ground.sizes)
-    t_le_c = t <= profiles.c
-    return {"union_parts_large": large, "t_le_c": t_le_c, "union_star": large and t_le_c}
+    k = tuple(k)
+    ground.check_profile(k)
+    p = ground.p
+    return {
+        "ratio_bound": all(n_i >= 2 * k_i for n_i, k_i in zip(ground.sizes, k)),
+        "block_star": all(n_i > 2 * (t + 1) * p * k_i * k_i
+                          for n_i, k_i in zip(ground.sizes, k)),
+    }

@@ -28,7 +28,6 @@ from .core import (
 __all__ = [
     "KneserParams",
     "vertices",
-    "product_adjacent",
     "is_connected",
     "is_connected_union_find",
 ]
@@ -52,10 +51,6 @@ class KneserParams(_Frozen):
                 raise InvalidParametersError(
                     f"factor ({g},{h}) violates g >= 2h >= 2")
         object.__setattr__(self, "pairs", pairs)
-
-    @property
-    def w(self) -> int:
-        return len(self.pairs)
 
     @property
     def strict_hypothesis(self) -> bool:
@@ -82,26 +77,6 @@ def vertices(params: KneserParams, cap: int | None = None) -> list[Vertex]:
     from itertools import product
 
     return [tuple(v) for v in product(*_coordinates(params, cap))]
-
-
-def _check_vertex(u: Vertex, params: KneserParams) -> None:
-    if len(u) != params.w:
-        raise InvalidParametersError(
-            f"vertex has {len(u)} coordinates, product has {params.w}")
-    for m, (g, h) in zip(u, params.pairs):
-        if m < 0 or m >> g:
-            raise InvalidParametersError(
-                f"coordinate {bin(m)} not inside [{g}]")
-        if m.bit_count() != h:
-            raise InvalidParametersError(
-                f"coordinate has {m.bit_count()} elements, expected {h}")
-
-
-def product_adjacent(u: Vertex, v: Vertex, params: KneserParams) -> bool:
-    """Tensor-product adjacency: disjoint in every coordinate."""
-    _check_vertex(u, params)
-    _check_vertex(v, params)
-    return all((a & b) == 0 for a, b in zip(u, v))
 
 
 def _neighbors(u: Vertex, coords: list[list[int]]) -> list[Vertex]:

@@ -13,9 +13,11 @@ rest in ascending order of their conflict degree among them, counted
 again at every node, as MaxCliqueDyn (Konc and Janezic 2007) re-sorts by
 degree.
 
-The two report builders set the solver's answer beside the best star:
-check_block_maximum for one block, check_quota_family for a quota
-family.  Each returns the keys of its `tstar search` report, in order.
+The solvers return the family they found.  The two report builders set
+it beside the best star and judge whether it is a full star
+(verify.is_full_t_star), once per report: check_block_maximum for one
+block, check_quota_family for a quota family.  Each returns the keys of
+its `tstar search` report, in order.
 A block is the vertex set of a product of Johnson schemes, so
 check_block_maximum stops as soon as its incumbent meets the floor of
 Delsarte's LP bound (bounds.delsarte_bound); blocks with more distance
@@ -25,9 +27,10 @@ the answer and nothing is searched.  Otherwise the block is searched
 over shifted families only: every in-part shift keeps a family's size
 and t-intersection, so some maximum family is a down-set of the product
 shifting order, and _search_down_sets branches on down-sets, seeded by
-the best window family (bounds.max_window_family).  Quota spaces,
-unions and arbitrary subfamilies have neither the LP nor the shifting
-argument and are searched by max_t_intersecting.  `search --shifted` is
+the best window family (bounds.max_window_family).  Quota spaces and
+profile unions are closed under in-part shifts too, but have no LP
+bound here; they are searched over their whole conflict graph by
+max_t_intersecting, as are arbitrary subfamilies.  `search --shifted` is
 check_block_maximum(..., shifted=True), which checks that the witness is
 shifted.
 
@@ -69,20 +72,19 @@ class SearchResult(_Frozen):
     """Outcome of one exact maximisation.
 
     max_size is the exact optimum.  witness is one optimal subfamily;
-    is_trivial_star is its center mask when the witness happens to be a
-    full t-star of the search space, else None.  nodes_explored counts
-    the nodes of max_t_intersecting that its colouring bound did not
-    prune, or the nodes of the down-set search for a block that
-    check_block_maximum searches.  It is 0, and no conflict graph or
-    table is built, when the seed is already optimal: it holds every
-    candidate, or, in the down-set search, meets the LP bound.
+    whether it is a full star is for the caller to judge
+    (verify.is_full_t_star).  nodes_explored counts the nodes of
+    max_t_intersecting that its colouring bound did not prune, or the
+    nodes of the down-set search for a block that check_block_maximum
+    searches.  It is 0, and no conflict graph or table is built, when
+    the seed is already optimal: it holds every candidate, or, in the
+    down-set search, meets the goal.
     bound_used records the seed's size, the initial lower bound the
     search started from.
     """
 
     max_size: int
     witness: Family
-    is_trivial_star: int | None
     nodes_explored: int
     bound_used: int
 
@@ -107,12 +109,6 @@ def _greedy_star(space: Family, t: int) -> Family:
         center |= best
         members = [m for m in members if m & center == center]
     return Family(space.ground, frozenset(members))
-
-
-def _check_upper(size: int, upper: int | None) -> None:
-    if upper is not None and size > upper:
-        raise InvariantError(
-            f"a {size}-member t-intersecting family beats the upper bound {upper}")
 
 
 def _matching_bound(conflict: list[int], pmask: int) -> int:
@@ -161,8 +157,7 @@ def max_t_intersecting(space: Family, t: int, cap: int | None = None) -> SearchR
     best_size = seed_size = len(seed.members)
     if seed_size >= n:
         # the seed is optimal, which covers t = 0: nothing to search
-        return SearchResult(seed_size, seed, is_full_t_star(seed, space, t),
-                            0, seed_size)
+        return SearchResult(seed_size, seed, 0, seed_size)
 
     # the conflict graph, built in root order: ascending conflict degree
     # (descending intersection degree), ties by ascending mask order
@@ -259,9 +254,7 @@ def max_t_intersecting(space: Family, t: int, cap: int | None = None) -> SearchR
 
     witness = seed if not best_mask else Family(
         space.ground, frozenset(verts[i - 1] for i in elements_of(best_mask)))
-    return SearchResult(best_size, witness,
-                        is_full_t_star(witness, space, t),
-                        nodes, seed_size)
+    return SearchResult(best_size, witness, nodes, seed_size)
 
 
 # ---------------------------------------------------------------------------
@@ -290,9 +283,7 @@ def brute_force_max(space: Family, t: int, mode: str = "auto") -> SearchResult:
     if t < 0:
         raise InvalidParametersError(f"t must be >= 0, got {t}")
     if t == 0:
-        return SearchResult(len(space.members), space,
-                            is_full_t_star(space, space, 0),
-                            0, len(space.members))
+        return SearchResult(len(space.members), space, 0, len(space.members))
     verts = sorted(m for m in space.members if m.bit_count() >= t)
     n = len(verts)
     if mode == "auto":
@@ -326,8 +317,7 @@ def brute_force_max(space: Family, t: int, mode: str = "auto") -> SearchResult:
 
         dfs(0, [])
         witness = Family(space.ground, frozenset(best))
-        return SearchResult(len(best), witness,
-                            is_full_t_star(witness, space, t), nodes, 0)
+        return SearchResult(len(best), witness, nodes, 0)
     if mode == "cliques":
         if n > DEFAULT_CLIQUE_LIMIT:
             raise InstanceTooLargeError(
@@ -363,8 +353,7 @@ def brute_force_max(space: Family, t: int, mode: str = "auto") -> SearchResult:
                 p ^= 1 << v
                 x |= 1 << v
         witness = Family(space.ground, frozenset(verts[i] for i in best_clique))
-        return SearchResult(len(best_clique), witness,
-                            is_full_t_star(witness, space, t), seen, 0)
+        return SearchResult(len(best_clique), witness, seen, 0)
     raise InvalidParametersError(f"unknown mode {mode!r}")
 
 
@@ -425,7 +414,7 @@ def _kron(masks: list[int], sizes: list[int]) -> int:
 
 
 def _search_down_sets(space: Family, ground: GroundSet, k: tuple[int, ...],
-                      t: int, upper: int | None) -> SearchResult:
+                      t: int, goal: int) -> SearchResult:
     """max_t_intersecting for the full block space of profile k, searched
     over the down-sets of the product shifting order only.
 
@@ -436,7 +425,7 @@ def _search_down_sets(space: Family, ground: GroundSet, k: tuple[int, ...],
     with it; dropping v drops up(v).  The root drops every vertex whose
     down-set holds a conflicting pair, a free vertex whose candidates
     below are all free joins without a branch, the matching bound
-    prunes, and the search stops once it meets `upper`.  The masks are
+    prunes, and the search stops once it meets `goal`.  The masks are
     Kronecker products of per-part tables (_part_tables), in mixed-radix
     index order; no pair of members is compared.
 
@@ -455,7 +444,6 @@ def _search_down_sets(space: Family, ground: GroundSet, k: tuple[int, ...],
         raise InvariantError(
             f"the window family has {len(seed.members)} members, counted {size}")
     best_size = seed_size = size
-    goal = len(space.members) if upper is None else min(upper, len(space.members))
     best_mask = nodes = 0
     if best_size < goal:
         subsets, downs, ups, meets, fewers, leasts = zip(
@@ -525,11 +513,9 @@ def _search_down_sets(space: Family, ground: GroundSet, k: tuple[int, ...],
                     hit |= conflict[x]
                 pmask &= ~hit
 
-    _check_upper(best_size, upper)
     witness = seed if not best_mask else Family(
         ground, frozenset(verts[v] for v in _bits(best_mask)))
-    return SearchResult(best_size, witness, is_full_t_star(witness, space, t),
-                        nodes, seed_size)
+    return SearchResult(best_size, witness, nodes, seed_size)
 
 
 # ---------------------------------------------------------------------------
@@ -555,8 +541,10 @@ def check_block_maximum(ground: GroundSet, k: tuple[int, ...], t: int,
     witness and nodes_explored is 0: its t-distribution is the optimal
     one that gives tied ratio links to the lowest parts, its center each
     part's first elements.  Otherwise _search_down_sets searches the
-    shifted families, from the best window family, and nodes_explored
-    counts its nodes (0 when the window family meets lp_bound).
+    shifted families, from the best window family; nodes_explored
+    counts its nodes (0 when the window family meets lp_bound), and
+    witness_center is the witness's center when it is a full star
+    (verify.is_full_t_star), else None.
     lp_bound is None, and the search runs without it, when the block has
     more than DELSARTE_CLASS_CAP distance classes.
 
@@ -577,13 +565,15 @@ def check_block_maximum(ground: GroundSet, k: tuple[int, ...], t: int,
     goal = len(space.members) if lp_bound is None else min(lp_bound, len(space.members))
     if star_bound >= goal:
         # the best star is a maximum: close the block without a search
-        _check_upper(star_bound, lp_bound)
         center = sum(ground.prefix_mask(i, t_i) for i, t_i in enumerate(dist))
-        result = SearchResult(star_bound, trivial_star(space, center), center, 0, star_bound)
+        result = SearchResult(star_bound, trivial_star(space, center), 0, star_bound)
     else:
-        result = _search_down_sets(space, ground, k, t, lp_bound)
-    witness, center = result.witness, result.is_trivial_star
-    if shifted and not is_shifted(witness):
+        result = _search_down_sets(space, ground, k, t, goal)
+        center = is_full_t_star(result.witness, space, t)
+    if lp_bound is not None and result.max_size > lp_bound:
+        raise InvariantError(f"a {result.max_size}-member t-intersecting family "
+                             f"beats the upper bound {lp_bound}")
+    if shifted and not is_shifted(result.witness):
         raise InvariantError("the witness is not shifted")
     hypotheses = {"block_star": hypothesis_flags(t, ground, k=k)["block_star"]}
     if ground.p == 1:
@@ -601,7 +591,7 @@ def check_block_maximum(ground: GroundSet, k: tuple[int, ...], t: int,
                        or (gap == 0 and center is not None and optimal)),
         "lp_bound": lp_bound,
         "nodes_explored": result.nodes_explored,
-        "witness": witness,
+        "witness": result.witness,
     }
 
 
@@ -612,10 +602,13 @@ def check_quota_family(ground: GroundSet, k: int, quotas: tuple[int, ...],
 
     The star side is exact counting over all possible centers, not
     search; within one part every element gives the same count.  The
-    verdict is "non-trivial" when the maximum strictly beats every
-    star, "trivial" when the witness found is itself a full star, and
-    "tie" when a non-star family merely matches the best star size.
-    The report's keys and order are those of `tstar search --quota`.
+    verdict is "non-trivial" when the maximum strictly beats every star,
+    else "trivial": a full star attains the maximum, not every maximum
+    is a star.  The solver's greedy seed is the star of a most frequent
+    element, so a best star, and its incumbent changes only on a strict
+    gain: for k >= 1 a "trivial" witness is that star, and
+    witness_center names its center.  The report's keys and order are
+    those of `tstar search --quota`.
     """
     quotas = tuple(quotas)
     profiles = quota_profiles(ground, k, quotas)
@@ -628,13 +621,6 @@ def check_quota_family(ground: GroundSet, k: int, quotas: tuple[int, ...],
         raise InvariantError(
             f"solver maximum {result.max_size} is below the star size {star_best}")
 
-    if result.max_size > star_best:
-        verdict = "non-trivial"
-    elif result.is_trivial_star is not None:
-        verdict = "trivial"
-    else:
-        verdict = "tie"
-
     total = sum(quotas)
     p = ground.p
     violations = [i for i in range(p)
@@ -646,13 +632,13 @@ def check_quota_family(ground: GroundSet, k: int, quotas: tuple[int, ...],
         "max_size": result.max_size,
         "star_size": star_best,
         "star_center": [ground.part_elements(star_sizes.index(star_best))[0]],
-        "verdict": verdict,
+        "verdict": "non-trivial" if result.max_size > star_best else "trivial",
         "hypotheses": {
             "parts_double_quota": double,
             "slack_all_but_one": slack,
             "applies": double and slack,
         },
-        "witness_center": _elements(result.is_trivial_star),
+        "witness_center": _elements(is_full_t_star(result.witness, space, 1)),
         "nodes_explored": result.nodes_explored,
         "witness": result.witness,
     }

@@ -109,12 +109,12 @@ RECORDS = [
      ("value", "optimal_distributions", "hypothesis_flags"),
      "BoundReport(value=60, optimal_distributions=frozenset({(0, 1), (1, 0)}), "
      "hypothesis_flags={})"),
-    (lambda: search.SearchResult(3, core.Family(core.GroundSet((3,)), [3, 5, 6]), None, 1, 2),
-     lambda: search.SearchResult(3, core.Family(core.GroundSet((3,)), {6, 5, 3}), None, 1, 2),
-     lambda: search.SearchResult(3, core.Family(core.GroundSet((3,)), [3, 5, 6]), 3, 1, 2),
-     ("max_size", "witness", "is_trivial_star", "nodes_explored", "bound_used"),
+    (lambda: search.SearchResult(3, core.Family(core.GroundSet((3,)), [3, 5, 6]), 1, 2),
+     lambda: search.SearchResult(3, core.Family(core.GroundSet((3,)), {6, 5, 3}), 1, 2),
+     lambda: search.SearchResult(3, core.Family(core.GroundSet((3,)), [3, 5, 6]), 2, 2),
+     ("max_size", "witness", "nodes_explored", "bound_used"),
      "SearchResult(max_size=3, witness=Family(ground=GroundSet(sizes=(3,)), "
-     "members=frozenset({3, 5, 6})), is_trivial_star=None, nodes_explored=1, bound_used=2)"),
+     "members=frozenset({3, 5, 6})), nodes_explored=1, bound_used=2)"),
     (lambda: acceptance.Criterion(1, "empty", "holds at once", None, tuple),
      lambda: acceptance.Criterion(1, "empty", "holds at once", None, tuple),
      lambda: acceptance.Criterion(1, "empty", "holds at once", 1.0, tuple),

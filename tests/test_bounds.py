@@ -446,10 +446,10 @@ def test_hypothesis_flags_block():
 
 def test_hypothesis_flags_union():
     ps = ProfileSet(((2, 2), (3, 2)))
-    flags = hypothesis_flags(1, GroundSet((6, 6)), profiles=ps)
+    flags = max_union_star_size(1, GroundSet((6, 6)), ps).hypothesis_flags
     assert flags["t_le_c"]
     # needs n_i > 2*2*2*3^3 = 216
     assert not flags["union_parts_large"]
     assert not flags["union_star"]
-    big = hypothesis_flags(1, GroundSet((217, 217)), profiles=ps)
+    big = max_union_star_size(1, GroundSet((217, 217)), ps).hypothesis_flags
     assert big["union_parts_large"] and big["union_star"]

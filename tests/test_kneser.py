@@ -7,7 +7,6 @@ from tstar.kneser import (
     KneserParams,
     is_connected,
     is_connected_union_find,
-    product_adjacent,
     vertices,
 )
 
@@ -25,7 +24,6 @@ def test_params_validation():
 
 def test_params_properties():
     pr = KneserParams(((5, 2), (7, 3)))
-    assert pr.w == 2
     assert pr.vertex_count == 350
     assert pr.strict_hypothesis
     assert not KneserParams(((4, 2),)).strict_hypothesis
@@ -38,20 +36,6 @@ def test_vertices_colex_order():
     masks = [v[0] for v in verts]
     assert masks == sorted(masks)
     assert masks[0] == mask_of([1, 2])
-
-
-def test_adjacency_examples():
-    one = KneserParams(((5, 2),))
-    assert product_adjacent((mask_of([1, 2]),), (mask_of([3, 4]),), one)
-    assert not product_adjacent((mask_of([1, 2]),), (mask_of([2, 3]),), one)
-    two = KneserParams(((5, 2), (7, 3)))
-    u = (mask_of([1, 2]), mask_of([1, 2, 3]))
-    v = (mask_of([3, 4]), mask_of([4, 5, 6]))
-    assert product_adjacent(u, v, two)
-    with pytest.raises(InvalidParametersError):
-        product_adjacent(u, (mask_of([3, 4]),), two)
-    with pytest.raises(InvalidParametersError):
-        product_adjacent((mask_of([1, 2, 3]),), (mask_of([4, 5]),), one)
 
 
 def test_connectivity():
@@ -75,7 +59,7 @@ def test_kg42_components():
         while frontier:
             u = frontier.pop()
             for v in list(remaining):
-                if product_adjacent(u, v, pr):
+                if all(a & b == 0 for a, b in zip(u, v)):
                     comp.add(v)
                     remaining.discard(v)
                     frontier.append(v)

@@ -18,18 +18,20 @@ from tstar.core import (Family, GroundSet, InstanceTooLargeError,
 from tstar.search import (brute_force_max, check_block_maximum,
                           check_quota_family, max_t_intersecting)
 from tstar.shifting import is_shifted
-from tstar.verify import is_t_intersecting
+from tstar.verify import is_full_t_star, is_t_intersecting
 
 
 def test_single_part_maxima():
     r = max_t_intersecting(enumerate_block(GroundSet((4,)), (2,)), 1)
     assert r.max_size == 3
-    r = max_t_intersecting(enumerate_block(GroundSet((5,)), (2,)), 1)
+    space = enumerate_block(GroundSet((5,)), (2,))
+    r = max_t_intersecting(space, 1)
     assert r.max_size == 4
-    assert r.is_trivial_star is not None
-    r = max_t_intersecting(enumerate_block(GroundSet((7,)), (3,)), 1)
+    assert is_full_t_star(r.witness, space, 1) is not None
+    space = enumerate_block(GroundSet((7,)), (3,))
+    r = max_t_intersecting(space, 1)
     assert r.max_size == 15
-    assert r.is_trivial_star is not None
+    assert is_full_t_star(r.witness, space, 1) is not None
 
 
 def test_witness_is_valid():
@@ -65,7 +67,7 @@ def test_root_check_closes_without_a_search():
     star = Family.from_iterables(g, [[1, 2], [1, 3], [1, 4]])
     r = max_t_intersecting(star, 1)
     assert (r.max_size, r.witness, r.nodes_explored) == (3, star, 0)
-    assert r.is_trivial_star == 1
+    assert is_full_t_star(r.witness, star, 1) == 1
     # no member has t elements: nothing is a candidate
     r = max_t_intersecting(Family.from_iterables(g, [[1], [2, 3]]), 3)
     assert (r.max_size, r.witness.members, r.nodes_explored) == (0, frozenset(), 0)
@@ -287,7 +289,7 @@ def test_down_set_search_matches_the_solver_on_three_parts():
                 continue
             space = enumerate_block(g, k)
             for t in range(1, sum(k) + 1):
-                got = search._search_down_sets(space, g, k, t, None)
+                got = search._search_down_sets(space, g, k, t, len(space.members))
                 assert got.max_size == max_t_intersecting(space, t).max_size, (sizes, k, t)
                 assert len(got.witness.members) == got.max_size
                 _assert_shifted_witness(got.witness, space, t)
@@ -389,6 +391,44 @@ def test_quota_report_zero_quotas_classical():
     assert rep["max_size"] == 4
     assert rep["star_size"] == 4
     assert rep["verdict"] == "trivial"
+    # k = 0: the empty family is the maximum, and the empty stars attain it
+    rep = check_quota_family(GroundSet((3, 3)), 0, (0, 0))
+    assert (rep["max_size"], rep["star_size"]) == (0, 0)
+    assert (rep["verdict"], rep["witness_center"]) == ("trivial", None)
+
+
+def test_quota_report_non_trivial_maxima():
+    # three 2-sets of [3] pairwise meet; a star holds two of them
+    rep = check_quota_family(GroundSet((3,)), 2, (0,))
+    assert (rep["max_size"], rep["star_size"]) == (3, 2)
+    assert (rep["verdict"], rep["witness_center"]) == ("non-trivial", None)
+    # the flags hold, yet a non-star family beats every star: the members
+    # meeting {5,6,7} in at least two elements are another such family
+    rep = check_quota_family(GroundSet((4, 4)), 4, (1, 2))
+    assert (rep["max_size"], rep["star_size"]) == (34, 30)
+    assert (rep["verdict"], rep["witness_center"]) == ("non-trivial", None)
+    assert rep["hypotheses"]["applies"] is True
+    assert len(rep["witness"].members) == 34 and is_t_intersecting(rep["witness"], 1)
+    space = enumerate_quota(GroundSet((4, 4)), 4, (1, 2))
+    assert sum((m & mask_of([5, 6, 7])).bit_count() >= 2 for m in space.members) == 34
+
+
+def test_solvers_do_not_judge_their_witness(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a solver judged its witness")
+
+    monkeypatch.setattr(search, "is_full_t_star", refuse)
+    # a seed holding every candidate, a search that keeps the seed, and
+    # one that beats it
+    space = enumerate_block(GroundSet((5,)), (2,))
+    assert max_t_intersecting(trivial_star(space, 1), 1).max_size == 4
+    assert max_t_intersecting(space, 1).max_size == 4
+    assert max_t_intersecting(enumerate_block(GroundSet((3,)), (2,)), 1).max_size == 3
+    for mode, t in (("auto", 0), ("subsets", 1), ("cliques", 1)):
+        assert brute_force_max(space, t, mode).max_size == (10 if t == 0 else 4)
+    g = GroundSet((5, 6))
+    space = enumerate_block(g, (2, 3))
+    assert search._search_down_sets(space, g, (2, 3), 2, len(space.members)).max_size == 46
 
 
 def test_quota_report_flag_violations():
