@@ -18,7 +18,7 @@ _EXPORTS = {
         "HypothesisViolationError", "InvariantError", "GroundSet", "Family", "ProfileSet",
         "binom", "mask_of", "elements_of", "block_size", "enumerate_block", "union_size",
         "enumerate_profile_union", "quota_size", "enumerate_quota", "trivial_star",
-        "star_size", "format_family", "parse_family", "write_family", "read_family",
+        "format_family", "parse_family", "write_family", "read_family",
     ),
     "bounds": (
         "delsarte_bound", "exchange_optimal", "hypothesis_flags", "max_star_size",

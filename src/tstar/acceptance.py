@@ -4,8 +4,8 @@ Each criterion body is a generator that yields one note per failed check
 and nothing when the criterion holds.  Criterion.run is the one runner:
 it times the body, keeps the first MAX_NOTES notes, and fails the
 criterion when a note was yielded, when the body raised (the exception
-becomes the note "raised <Type>: <message>") or when a stated runtime
-budget was exceeded, even if the numbers agree.  The repro subcommand
+becomes the note "raised <Type>: <message>") or when the criterion's
+runtime budget was exceeded, even if the numbers agree.  The repro subcommand
 and tests/test_acceptance.py both walk ACCEPTANCE_CHECKS and print each
 outcome through report(), so the gate reads the same from either side.
 Randomized criteria use fixed seeds; every run sees the same instances.
@@ -68,7 +68,7 @@ class Criterion(_Frozen):
     number: int
     slug: str
     label: str
-    budget: float | None
+    budget: float
     body: Callable[[], Iterator[str]]
 
     def run(self) -> CriterionOutcome:
@@ -82,7 +82,7 @@ class Criterion(_Frozen):
             # a check that cannot finish is a failed check, not bad input
             notes.append(f"raised {type(exc).__name__}: {exc}")
         seconds = time.perf_counter() - start
-        if self.budget is not None and seconds > self.budget:
+        if seconds > self.budget:
             notes.append(f"runtime {seconds:.1f}s exceeds the {self.budget:.0f}s budget")
         # every failure leaves a note: the first yielded one is always kept
         return CriterionOutcome(not notes, notes, seconds)
@@ -91,8 +91,7 @@ class Criterion(_Frozen):
 def report(check: Criterion, outcome: CriterionOutcome) -> str:
     """The criterion's matrix line, then its notes indented."""
     status = "PASS" if outcome.passed else "FAIL"
-    spent = f"{outcome.seconds:.1f} s"
-    spent += ", no budget" if check.budget is None else f" of {check.budget:.0f} s"
+    spent = f"{outcome.seconds:.1f} s of {check.budget:.0f} s"
     return "\n".join([f"criterion {check.number:2d}: {status}  {check.label} ({spent})",
                       *(f"    {note}" for note in outcome.notes)])
 
@@ -296,7 +295,7 @@ def _criterion_solver_oracle() -> Iterator[str]:
             space = enumerate_block(ground, ks)
             for t in (1, 2):
                 got = max_t_intersecting(space, t)
-                want = brute_force_max(space, t, mode="subsets")
+                want = brute_force_max(space, t)
                 if got.max_size != want.max_size:
                     yield (f"n={sizes} k={ks} t={t}: solver "
                            f"{got.max_size} != oracle {want.max_size}")
@@ -368,17 +367,17 @@ ACCEPTANCE_CHECKS = [
     Criterion(3, "exchange-condition", "exchange condition characterizes "
               "density-maximal centers", 60.0, _criterion_exchange_condition),
     Criterion(4, "shifting", "compression preserves size and intersection; "
-              "closures terminate shifted", None, _criterion_shifting),
+              "closures terminate shifted", 10.0, _criterion_shifting),
     Criterion(5, "prefix-windows", "shifted cross-intersecting pairs meet "
-              "inside prefix windows", None, _criterion_prefix_windows),
+              "inside prefix windows", 30.0, _criterion_prefix_windows),
     Criterion(6, "classical-maxima", "single-part maxima match the "
               "closed form", 120.0, _criterion_classical_maxima),
     Criterion(7, "solver-oracle", "solver equals brute force on the "
               "micro grid", 60.0, _criterion_solver_oracle),
     Criterion(8, "kneser-connectivity", "disjointness products connected "
-              "exactly as expected", None, _criterion_kneser),
+              "exactly as expected", 5.0, _criterion_kneser),
     Criterion(9, "union-bound", "union-space star bound frozen value and "
-              "block consistency", None, _criterion_union_bound),
+              "block consistency", 5.0, _criterion_union_bound),
     Criterion(10, "density-bound", "exact maximum respects the density "
               "bound", 10.0, _criterion_density_bound),
 ]

@@ -173,9 +173,7 @@ def optimal_t_distributions(t: int, ground: GroundSet,
 def max_star_size(t: int, ground: GroundSet, k: tuple[int, ...]) -> int:
     """Largest full-star size over all t-distributions for one block."""
     dist = next(iter(optimal_t_distributions(t, ground, k)))
-    # optimal_t_distributions has checked k, so star_size's checks would repeat
-    return math.prod(math.comb(n_i - t_i, k_i - t_i)
-                     for n_i, k_i, t_i in zip(ground.sizes, k, dist))
+    return union_star_sizes(ground, (k,), [dist])[0]
 
 
 def max_window_family(t: int, ground: GroundSet,

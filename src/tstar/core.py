@@ -52,7 +52,6 @@ __all__ = [
     "quota_size",
     "enumerate_quota",
     "trivial_star",
-    "star_size",
     "format_family",
     "parse_family",
     "write_family",
@@ -521,27 +520,6 @@ def trivial_star(space: Family, center: int) -> Family:
     space.ground.check_mask(center)
     return Family(space.ground,
                   frozenset(m for m in space.members if m & center == center))
-
-
-def star_size(ground: GroundSet, profile: tuple[int, ...],
-              dist: tuple[int, ...]) -> int:
-    """Exact size of a full star inside a block.
-
-    The star's center meets part i in dist[i] elements; the count is
-    prod_i C(n_i - dist_i, r_i - dist_i).
-    """
-    profile = tuple(profile)
-    dist = tuple(dist)
-    ground.check_profile(profile)
-    if len(dist) != ground.p:
-        raise InvalidParametersError(
-            f"distribution length {len(dist)} != number of parts {ground.p}")
-    for t_i, r_i in zip(dist, profile):
-        if not 0 <= t_i <= r_i:
-            raise InvalidParametersError(
-                f"distribution entry {t_i} out of [0, {r_i}]")
-    return math.prod(binom(n - t_i, r - t_i)
-                     for n, r, t_i in zip(ground.sizes, profile, dist))
 
 
 # ---------------------------------------------------------------------------

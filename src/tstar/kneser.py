@@ -14,7 +14,7 @@ shares nothing with the BFS beyond the adjacency definition.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, product
 from math import comb, prod
 
 from .core import (
@@ -71,17 +71,13 @@ def _coordinates(params: KneserParams, cap: int | None) -> list[list[int]]:
             for g, h in params.pairs]
 
 
-def vertices(params: KneserParams, cap: int | None = None) -> list[Vertex]:
+def vertices(params: KneserParams) -> list[Vertex]:
     """All product vertices, colex order per coordinate, last coordinate
-    fastest."""
-    from itertools import product
-
-    return [tuple(v) for v in product(*_coordinates(params, cap))]
+    fastest; refused above the default enumeration cap."""
+    return [tuple(v) for v in product(*_coordinates(params, None))]
 
 
 def _neighbors(u: Vertex, coords: list[list[int]]) -> list[Vertex]:
-    from itertools import product
-
     per = [[m for m in coord if not m & x] for coord, x in zip(coords, u)]
     return [tuple(v) for v in product(*per)]
 
@@ -102,16 +98,17 @@ def _bfs(coords: list[list[int]], start: Vertex) -> set[Vertex]:
 
 
 def is_connected(params: KneserParams, cap: int | None = None) -> bool:
-    """Breadth-first reachability from the vertex of lowest masks."""
+    """Breadth-first reachability from the vertex of lowest masks;
+    refused above `cap` vertices (default: the enumeration cap)."""
     coords = _coordinates(params, cap)
     start = tuple(coord[0] for coord in coords)
     return len(_bfs(coords, start)) == params.vertex_count
 
 
-def is_connected_union_find(params: KneserParams, cap: int | None = None) -> bool:
+def is_connected_union_find(params: KneserParams) -> bool:
     """Independent connectivity route: union-find over the explicit edge
     list from an all-pairs scan.  O(V^2); meant for cross-checks."""
-    verts = vertices(params, cap)
+    verts = vertices(params)
     parent = list(range(len(verts)))
 
     def find(x: int) -> int:

@@ -58,7 +58,6 @@ from .core import (
     enumerate_quota,
     quota_profiles,
     search_cap,
-    star_size,
     trivial_star,
 )
 from .shifting import is_shifted
@@ -267,94 +266,95 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def brute_force_max(space: Family, t: int, mode: str = "auto") -> SearchResult:
+def brute_force_max(space: Family, t: int) -> SearchResult:
     """Exhaustive maximum, for validating max_t_intersecting.
 
-    mode "subsets" explores the full include/exclude tree over the
-    members (at most DEFAULT_SUBSET_LIMIT = 24 of them); mode "cliques"
-    enumerates the maximal cliques of the intersection graph (at most
-    DEFAULT_CLIQUE_LIMIT = 60 members), counting them, and keeps the
-    largest, ties going to the smallest sorted tuple; "auto" picks
-    whichever applies.  The limits bound the member count, not the time:
-    the number of maximal cliques can grow exponentially (one 59-member
-    subfamily of the (3,6)/(1,3) block at t=1 has 7,812,500 of them), so
-    "cliques" mode has no time bound.
+    The oracle follows from the number of candidates, the members with at
+    least t elements: up to DEFAULT_SUBSET_LIMIT = 24 of them it explores
+    the full include/exclude tree (_subsets_max), up to
+    DEFAULT_CLIQUE_LIMIT = 60 it enumerates the maximal cliques of the
+    intersection graph, counting them, and keeps the largest, ties going
+    to the smallest sorted tuple (_cliques_max); more raise
+    InstanceTooLargeError.  The limits bound the member count, not the
+    time: the number of maximal cliques can grow exponentially (one
+    59-member subfamily of the (3,6)/(1,3) block at t=1 has 7,812,500 of
+    them), so the clique enumeration has no time bound.
     """
     if t < 0:
         raise InvalidParametersError(f"t must be >= 0, got {t}")
     if t == 0:
         return SearchResult(len(space.members), space, 0, len(space.members))
     verts = sorted(m for m in space.members if m.bit_count() >= t)
+    if len(verts) <= DEFAULT_SUBSET_LIMIT:
+        return _subsets_max(space, verts, t)
+    if len(verts) <= DEFAULT_CLIQUE_LIMIT:
+        return _cliques_max(space, verts, t)
+    raise InstanceTooLargeError(
+        f"{len(verts)} members exceed the brute-force limit {DEFAULT_CLIQUE_LIMIT}")
+
+
+def _subsets_max(space: Family, verts: list[int], t: int) -> SearchResult:
+    """The include/exclude tree over the ascending candidates verts;
+    nodes_explored counts its nodes."""
     n = len(verts)
-    if mode == "auto":
-        if n <= DEFAULT_SUBSET_LIMIT:
-            mode = "subsets"
-        elif n <= DEFAULT_CLIQUE_LIMIT:
-            mode = "cliques"
-        else:
-            raise InstanceTooLargeError(
-                f"{n} members exceed the brute-force limit {DEFAULT_CLIQUE_LIMIT}")
-    if mode == "subsets":
-        if n > DEFAULT_SUBSET_LIMIT:
-            raise InstanceTooLargeError(
-                f"{n} members exceed the subset-mode limit {DEFAULT_SUBSET_LIMIT}")
-        best: list[int] = []
-        nodes = 0
+    best: list[int] = []
+    nodes = 0
 
-        def dfs(i: int, chosen: list[int]) -> None:
-            nonlocal best, nodes
-            nodes += 1
-            if len(chosen) > len(best):
-                best = list(chosen)
-            if i == n or len(chosen) + (n - i) <= len(best):
-                return
-            m = verts[i]
-            if all((m & c).bit_count() >= t for c in chosen):
-                chosen.append(m)
-                dfs(i + 1, chosen)
-                chosen.pop()
+    def dfs(i: int, chosen: list[int]) -> None:
+        nonlocal best, nodes
+        nodes += 1
+        if len(chosen) > len(best):
+            best = list(chosen)
+        if i == n or len(chosen) + (n - i) <= len(best):
+            return
+        m = verts[i]
+        if all((m & c).bit_count() >= t for c in chosen):
+            chosen.append(m)
             dfs(i + 1, chosen)
+            chosen.pop()
+        dfs(i + 1, chosen)
 
-        dfs(0, [])
-        witness = Family(space.ground, frozenset(best))
-        return SearchResult(len(best), witness, nodes, 0)
-    if mode == "cliques":
-        if n > DEFAULT_CLIQUE_LIMIT:
-            raise InstanceTooLargeError(
-                f"{n} members exceed the clique-mode limit {DEFAULT_CLIQUE_LIMIT}")
-        # Bron-Kerbosch, Tomita pivot, explicit stack of bitsets over indices
-        # into the ascending verts: (clique r, candidates p, excluded x)
-        adj = [0] * n
-        for i in range(n):
-            for j in range(i + 1, n):
-                if (verts[i] & verts[j]).bit_count() >= t:
-                    adj[i] |= 1 << j
-                    adj[j] |= 1 << i
-        best_clique: tuple[int, ...] = ()
-        seen = 0
-        stack = [(0, (1 << n) - 1, 0)] if n else []   # no clique in an empty graph
-        while stack:
-            r, p, x = stack.pop()
-            if not p:
-                if not x:   # r is a maximal clique
-                    seen += 1
-                    if r.bit_count() >= len(best_clique):
-                        cand = tuple(_bits(r))
-                        if len(cand) > len(best_clique) or cand < best_clique:
-                            best_clique = cand
-                continue
-            u = most = -1
-            for v in _bits(p | x):
-                c = (p & adj[v]).bit_count()
-                if c > most:
-                    u, most = v, c
-            for v in _bits(p & ~adj[u]):
-                stack.append((r | 1 << v, p & adj[v], x & adj[v]))
-                p ^= 1 << v
-                x |= 1 << v
-        witness = Family(space.ground, frozenset(verts[i] for i in best_clique))
-        return SearchResult(len(best_clique), witness, seen, 0)
-    raise InvalidParametersError(f"unknown mode {mode!r}")
+    dfs(0, [])
+    witness = Family(space.ground, frozenset(best))
+    return SearchResult(len(best), witness, nodes, 0)
+
+
+def _cliques_max(space: Family, verts: list[int], t: int) -> SearchResult:
+    """Bron-Kerbosch with Tomita's pivot over the ascending candidates
+    verts; nodes_explored counts the maximal cliques."""
+    n = len(verts)
+    # an explicit stack of bitsets over indices into verts:
+    # (clique r, candidates p, excluded x)
+    adj = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            if (verts[i] & verts[j]).bit_count() >= t:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    best_clique: tuple[int, ...] = ()
+    seen = 0
+    stack = [(0, (1 << n) - 1, 0)] if n else []   # no clique in an empty graph
+    while stack:
+        r, p, x = stack.pop()
+        if not p:
+            if not x:   # r is a maximal clique
+                seen += 1
+                if r.bit_count() >= len(best_clique):
+                    cand = tuple(_bits(r))
+                    if len(cand) > len(best_clique) or cand < best_clique:
+                        best_clique = cand
+            continue
+        u = most = -1
+        for v in _bits(p | x):
+            c = (p & adj[v]).bit_count()
+            if c > most:
+                u, most = v, c
+        for v in _bits(p & ~adj[u]):
+            stack.append((r | 1 << v, p & adj[v], x & adj[v]))
+            p ^= 1 << v
+            x |= 1 << v
+    witness = Family(space.ground, frozenset(verts[i] for i in best_clique))
+    return SearchResult(len(best_clique), witness, seen, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -557,7 +557,7 @@ def check_block_maximum(ground: GroundSet, k: tuple[int, ...], t: int,
     space = enumerate_block(ground, k, cap=search_cap(cap))
     # the largest optimal distribution gives tied ratio links to the lowest parts
     dist = max(optimal_t_distributions(t, ground, k))
-    star_bound = star_size(ground, k, dist)
+    star_bound = union_star_sizes(ground, (k,), [dist])[0]
     try:
         lp_bound = math.floor(delsarte_bound(ground, k, t))
     except InstanceTooLargeError:
@@ -607,7 +607,8 @@ def check_quota_family(ground: GroundSet, k: int, quotas: tuple[int, ...],
     is a star.  The solver's greedy seed is the star of a most frequent
     element, so a best star, and its incumbent changes only on a strict
     gain: for k >= 1 a "trivial" witness is that star, and
-    witness_center names its center.  The report's keys and order are
+    witness_center names its center.  star_center is None when the best
+    star has no member, as for k = 0.  The report's keys and order are
     those of `tstar search --quota`.
     """
     quotas = tuple(quotas)
@@ -631,7 +632,8 @@ def check_quota_family(ground: GroundSet, k: int, quotas: tuple[int, ...],
     return {
         "max_size": result.max_size,
         "star_size": star_best,
-        "star_center": [ground.part_elements(star_sizes.index(star_best))[0]],
+        "star_center": [ground.part_elements(star_sizes.index(star_best))[0]]
+                       if star_best else None,
         "verdict": "non-trivial" if result.max_size > star_best else "trivial",
         "hypotheses": {
             "parts_double_quota": double,

@@ -126,14 +126,13 @@ def _uniform_size(fam: Family) -> int | None:
     return sizes.pop() if sizes else 0
 
 
-def check_prefix_intersection(a: Family, b: Family, t: int, r: int, s: int,
-                              require_shifted: bool = True) -> bool:
+def check_prefix_intersection(a: Family, b: Family, t: int, r: int, s: int) -> bool:
     """Shifted cross-t-intersecting r- and s-uniform families over one
     part must meet inside the first r+s-t elements; check every pair.
 
-    With require_shifted=False the shiftedness hypothesis is skipped so
-    the conclusion can be probed on arbitrary input (it may then fail,
-    which is the point of the sensitivity harness).
+    Families that are not both shifted raise HypothesisViolationError;
+    check_partwise_prefix_intersection is the one that can skip that
+    hypothesis, to probe the conclusion on arbitrary input.
     """
     ground = a.ground
     if ground.p != 1 or b.ground != ground:
@@ -147,7 +146,7 @@ def check_prefix_intersection(a: Family, b: Family, t: int, r: int, s: int,
         raise HypothesisViolationError("B must be s-uniform")
     if not a.members or not b.members:
         return True
-    if require_shifted and not (is_l_shifted(a, 0) and is_l_shifted(b, 0)):
+    if not (is_l_shifted(a, 0) and is_l_shifted(b, 0)):
         raise HypothesisViolationError("both families must be shifted")
     return _meet_inside(a, b, t, (1 << (r + s - t)) - 1)
 

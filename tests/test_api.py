@@ -115,11 +115,11 @@ RECORDS = [
      ("max_size", "witness", "nodes_explored", "bound_used"),
      "SearchResult(max_size=3, witness=Family(ground=GroundSet(sizes=(3,)), "
      "members=frozenset({3, 5, 6})), nodes_explored=1, bound_used=2)"),
-    (lambda: acceptance.Criterion(1, "empty", "holds at once", None, tuple),
-     lambda: acceptance.Criterion(1, "empty", "holds at once", None, tuple),
+    (lambda: acceptance.Criterion(1, "empty", "holds at once", 5.0, tuple),
+     lambda: acceptance.Criterion(1, "empty", "holds at once", 5.0, tuple),
      lambda: acceptance.Criterion(1, "empty", "holds at once", 1.0, tuple),
      ("number", "slug", "label", "budget", "body"),
-     "Criterion(number=1, slug='empty', label='holds at once', budget=None, "
+     "Criterion(number=1, slug='empty', label='holds at once', budget=5.0, "
      "body=<class 'tuple'>)"),
     (lambda: acceptance.CriterionOutcome(False, ["a note"], 0.5),
      lambda: acceptance.CriterionOutcome(False, ["a note"], 0.5),

@@ -16,7 +16,6 @@ from tstar.core import (
     bounded_compositions,
     enumerate_block,
     mask_of,
-    star_size,
     union_size,
 )
 from tstar import bounds
@@ -32,6 +31,7 @@ from tstar.bounds import (
     optimal_t_distributions,
     ratio_bound,
     ratio_entries,
+    union_star_sizes,
 )
 
 
@@ -94,9 +94,8 @@ def test_max_star_size_examples():
 def test_all_outputs_achieve_the_max():
     g = GroundSet((4, 8))
     k = (2, 4)
-    dists = optimal_t_distributions(1, g, k)
-    sizes = {star_size(g, k, d) for d in dists}
-    assert sizes == {210}
+    dists = list(optimal_t_distributions(1, g, k))
+    assert set(union_star_sizes(g, (k,), dists)) == {210}
 
 
 def test_greedy_equals_enumeration_random_grid():

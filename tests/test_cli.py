@@ -471,7 +471,7 @@ def test_repro_subset(capsys):
     code, out = run(capsys, "repro", "--only", "10", "--only", "9")
     assert code == 0
     # each line shows the criterion's time against its budget
-    assert re.fullmatch(r"criterion  9: PASS  .+ \(\d+\.\d s, no budget\)\n"
+    assert re.fullmatch(r"criterion  9: PASS  .+ \(\d+\.\d s of 5 s\)\n"
                         r"criterion 10: PASS  .+ \(\d+\.\d s of 10 s\)\n", out)
     for bad in ("0", "11", "99"):
         code, out = run(capsys, "repro", "--only", "10", "--only", bad)
@@ -490,7 +490,7 @@ def test_repro_criterion_that_raises_fails_and_the_gate_goes_on(capsys, monkeypa
     monkeypatch.setattr(acceptance, "ACCEPTANCE_CHECKS", checks)
     code, out = run(capsys, "repro", "--only", "9", "--only", "10")
     assert code == 1
-    assert re.fullmatch(r"criterion  9: FAIL  .+ \(\d+\.\d s, no budget\)\n"
+    assert re.fullmatch(r"criterion  9: FAIL  .+ \(\d+\.\d s of 5 s\)\n"
                         r"    a failed check\n"
                         rf"    raised {error.__name__}: the check broke\n"
                         r"criterion 10: PASS  .+ \(\d+\.\d s of 10 s\)\n", out)

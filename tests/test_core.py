@@ -6,6 +6,7 @@ from itertools import combinations, islice, product
 import pytest
 
 from tstar import core
+from tstar.bounds import union_star_sizes
 from tstar.core import (
     Family,
     GroundSet,
@@ -25,7 +26,6 @@ from tstar.core import (
     parse_family,
     quota_size,
     read_family,
-    star_size,
     trivial_star,
     union_size,
     write_family,
@@ -260,11 +260,9 @@ def test_trivial_star_toy():
 
 def test_star_size_formula():
     g = GroundSet((8, 10))
-    assert star_size(g, (4, 4), (2, 0)) == 3150
-    assert star_size(g, (4, 4), (1, 1)) == 2940
-    assert star_size(g, (4, 4), (0, 0)) == 14700
-    with pytest.raises(InvalidParametersError):
-        star_size(g, (4, 4), (5, 0))
+    assert union_star_sizes(g, ((4, 4),), [(2, 0), (1, 1), (0, 0)]) == [3150, 2940, 14700]
+    # a center wider than the profile in some part has an empty star
+    assert union_star_sizes(g, ((4, 4),), [(5, 0)]) == [0]
 
 
 def test_star_size_matches_enumeration():
@@ -279,7 +277,7 @@ def test_star_size_matches_enumeration():
         center = 0
         for i, t_i in enumerate(dist):
             center |= mask_of(list(g.part_elements(i))[:t_i])
-        assert len(trivial_star(blk, center)) == star_size(g, profile, dist)
+        assert [len(trivial_star(blk, center))] == union_star_sizes(g, (profile,), [dist])
 
 
 # ---------------------------------------------------------------------------

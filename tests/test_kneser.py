@@ -76,5 +76,5 @@ def test_union_find_agreement():
 
 def test_vertex_cap():
     with pytest.raises(InstanceTooLargeError):
-        vertices(KneserParams(((5, 2), (5, 2))), cap=50)
+        is_connected(KneserParams(((5, 2), (5, 2))), cap=50)
 

@@ -13,7 +13,7 @@ import pytest
 from tstar import search
 from tstar.bounds import delsarte_bound, union_star_sizes
 from tstar.core import (Family, GroundSet, InstanceTooLargeError,
-                        InvalidParametersError, InvariantError, block_size, enumerate_block,
+                        InvariantError, block_size, enumerate_block,
                         enumerate_quota, mask_of, quota_profiles, trivial_star)
 from tstar.search import (brute_force_max, check_block_maximum,
                           check_quota_family, max_t_intersecting)
@@ -100,7 +100,7 @@ def test_matches_brute_force_on_small_grid():
                 continue
             for t in (1, 2):
                 got = max_t_intersecting(space, t)
-                want = brute_force_max(space, t, mode="subsets")
+                want = brute_force_max(space, t)
                 assert got.max_size == want.max_size, (n, k, t)
                 assert is_t_intersecting(got.witness, t)
                 checked += 1
@@ -115,7 +115,7 @@ def test_matches_brute_force_on_small_grid():
                 space = enumerate_block(g, (k1, k2))
                 for t in (1, 2):
                     got = max_t_intersecting(space, t)
-                    want = brute_force_max(space, t, mode="subsets")
+                    want = brute_force_max(space, t)
                     assert got.max_size == want.max_size, (sizes, k1, k2, t)
                     checked += 1
     assert checked > 40
@@ -136,39 +136,54 @@ def _seeded_subfamilies(seed, count, low, high, blocks=_MIXED_BLOCKS):
         yield Family(GroundSet(sizes), frozenset(chosen)), t
 
 
+def _candidates(fam, t):
+    return sorted(m for m in fam.members if m.bit_count() >= t)
+
+
 def test_brute_force_modes_agree():
     for n, k, t in ((5, 2, 1), (4, 2, 1), (6, 2, 2)):
         space = enumerate_block(GroundSet((n,)), (k,))
-        a = brute_force_max(space, t, mode="subsets")
-        b = brute_force_max(space, t, mode="cliques")
+        a = search._subsets_max(space, _candidates(space, t), t)
+        b = search._cliques_max(space, _candidates(space, t), t)
         assert a.max_size == b.max_size
         assert is_t_intersecting(b.witness, t)
     for fam, t in _seeded_subfamilies(20261018, 40, 1, 24):
-        a = brute_force_max(fam, t, mode="subsets")
-        b = brute_force_max(fam, t, mode="cliques")
+        a = search._subsets_max(fam, _candidates(fam, t), t)
+        b = search._cliques_max(fam, _candidates(fam, t), t)
         assert a.max_size == b.max_size, (sorted(fam.members), t)
         assert b.witness.members <= fam.members
         assert is_t_intersecting(b.witness, t)
     for fam, t in [*_seeded_subfamilies(20261019, 12, 25, 60),
                    *_seeded_subfamilies(20261020, 12, 25, 40, _SPARSE_BLOCKS)]:
-        b = brute_force_max(fam, t, mode="cliques")
+        b = search._cliques_max(fam, _candidates(fam, t), t)
         assert b.max_size == max_t_intersecting(fam, t).max_size, (sorted(fam.members), t)
         assert b.witness.members <= fam.members
         assert is_t_intersecting(b.witness, t)
     empty = Family(GroundSet((5,)), frozenset())
-    b = brute_force_max(empty, 1, mode="cliques")
+    b = search._cliques_max(empty, [], 1)
     assert (b.max_size, b.witness.members, b.nodes_explored) == (0, frozenset(), 0)
 
 
 def test_brute_force_limits():
     big = enumerate_block(GroundSet((8,)), (2,))     # 28 members
-    with pytest.raises(InstanceTooLargeError):
-        brute_force_max(big, 1, mode="subsets")
+    assert brute_force_max(big, 1).max_size == 7
     huge = enumerate_block(GroundSet((12,)), (2,))   # 66 members
     with pytest.raises(InstanceTooLargeError):
-        brute_force_max(huge, 1, mode="auto")
-    with pytest.raises(InvalidParametersError):
-        brute_force_max(big, 1, mode="guess")
+        brute_force_max(huge, 1)
+
+
+def test_brute_force_picks_its_oracle_by_candidate_count(monkeypatch):
+    calls = []
+    for name in ("_subsets_max", "_cliques_max"):
+        monkeypatch.setattr(search, name,
+                            lambda space, verts, t, name=name: calls.append((name, len(verts))))
+    members = sorted(enumerate_block(GroundSet((8,)), (2,)).members)
+    for count in (24, 25):
+        brute_force_max(Family(GroundSet((8,)), frozenset(members[:count])), 1)
+    # members with fewer than t elements are not candidates
+    fam = Family(GroundSet((8,)), frozenset(members[:24] + [mask_of([1, 2, 3])]))
+    brute_force_max(fam, 3)
+    assert calls == [("_subsets_max", 24), ("_cliques_max", 25), ("_subsets_max", 1)]
 
 
 def test_solver_leaves_the_recursion_limit_alone():
@@ -238,7 +253,7 @@ def test_lp_and_block_report_on_every_small_block():
                 for t in range(1, sum(k) + 1):
                     plain = max_t_intersecting(space, t)
                     if len(space.members) <= 24:
-                        exact = brute_force_max(space, t, mode="subsets").max_size
+                        exact = brute_force_max(space, t).max_size
                         assert plain.max_size == exact, (sizes, k, t)
                     lp = delsarte_bound(g, k, t)
                     assert lp >= plain.max_size, (sizes, k, t)
@@ -395,6 +410,8 @@ def test_quota_report_zero_quotas_classical():
     rep = check_quota_family(GroundSet((3, 3)), 0, (0, 0))
     assert (rep["max_size"], rep["star_size"]) == (0, 0)
     assert (rep["verdict"], rep["witness_center"]) == ("trivial", None)
+    # the empty stars have no center to name
+    assert rep["star_center"] is None
 
 
 def test_quota_report_non_trivial_maxima():
@@ -424,8 +441,9 @@ def test_solvers_do_not_judge_their_witness(monkeypatch):
     assert max_t_intersecting(trivial_star(space, 1), 1).max_size == 4
     assert max_t_intersecting(space, 1).max_size == 4
     assert max_t_intersecting(enumerate_block(GroundSet((3,)), (2,)), 1).max_size == 3
-    for mode, t in (("auto", 0), ("subsets", 1), ("cliques", 1)):
-        assert brute_force_max(space, t, mode).max_size == (10 if t == 0 else 4)
+    assert brute_force_max(space, 0).max_size == 10
+    for oracle in (search._subsets_max, search._cliques_max):
+        assert oracle(space, _candidates(space, 1), 1).max_size == 4
     g = GroundSet((5, 6))
     space = enumerate_block(g, (2, 3))
     assert search._search_down_sets(space, g, (2, 3), 2, len(space.members)).max_size == 46
