@@ -371,9 +371,9 @@ ACCEPTANCE_CHECKS = [
     Criterion(5, "prefix-windows", "shifted cross-intersecting pairs meet "
               "inside prefix windows", 30.0, _criterion_prefix_windows),
     Criterion(6, "classical-maxima", "single-part maxima match the "
-              "closed form", 120.0, _criterion_classical_maxima),
+              "closed form", 5.0, _criterion_classical_maxima),
     Criterion(7, "solver-oracle", "solver equals brute force on the "
-              "micro grid", 60.0, _criterion_solver_oracle),
+              "micro grid", 5.0, _criterion_solver_oracle),
     Criterion(8, "kneser-connectivity", "disjointness products connected "
               "exactly as expected", 5.0, _criterion_kneser),
     Criterion(9, "union-bound", "union-space star bound frozen value and "

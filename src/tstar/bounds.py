@@ -24,15 +24,16 @@ suite; neither calls the other.
 
 Every count is an exact int.  Ratios are compared by cross-multiplying
 their integer numerators and denominators; a Fraction is built only for a
-value that is reported (RatioEntry, RatioBound, the LP bound).
+value that is reported (RatioEntry, RatioBound, the LP bound), and only
+the functions that build one import `fractions`: a call that reports no
+ratio loads neither it nor the `decimal` module it imports.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from itertools import combinations, product
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from .core import (
     GroundSet,
@@ -44,6 +45,9 @@ from .core import (
     block_size,
     bounded_compositions,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "RatioEntry",
@@ -109,6 +113,8 @@ def ratio_entries(ground: GroundSet, k: tuple[int, ...]) -> list[RatioEntry]:
     strictly decreasing, so a part contributes at most one entry to any
     equal-value group.
     """
+    from fractions import Fraction
+
     k = _check_block_params(ground, k)
     entries = [RatioEntry(i, j, Fraction(k_i - j, n_i - j))
                for i, (k_i, n_i) in enumerate(zip(k, ground.sizes))
@@ -277,6 +283,8 @@ def ratio_bound(ground: GroundSet, k: tuple[int, ...]) -> RatioBound:
     The largest density is found by cross-multiplication; only the one
     reported is a Fraction.
     """
+    from fractions import Fraction
+
     k = tuple(k)
     blk = block_size(ground, k)
     for k_i in k:
@@ -326,6 +334,8 @@ def delsarte_bound(ground: GroundSet, k: tuple[int, ...], t: int) -> Fraction:
     A block with more than DELSARTE_CLASS_CAP distance classes raises
     InstanceTooLargeError.
     """
+    from fractions import Fraction
+
     k = tuple(k)
     ground.check_profile(k)
     if t < 0:
@@ -366,6 +376,8 @@ def _simplex_max(c: list[int], rows: list[list[int]]) -> Fraction:
     checked by a primal-dual certificate (_check_certificate) before it
     is returned.
     """
+    from fractions import Fraction
+
     n, m = len(c), len(rows)
     tab = [list(row) + [int(r == i) for i in range(m)] + [1]
            for r, row in enumerate(rows)]

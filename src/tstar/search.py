@@ -11,7 +11,12 @@ solution keeps at most one member, so the colour count bounds a node.
 Each node takes its conflict-free candidates at once and colours the
 rest in ascending order of their conflict degree among them, counted
 again at every node, as MaxCliqueDyn (Konc and Janezic 2007) re-sorts by
-degree.
+degree.  A child whose colour bound beats the incumbent by one only is
+first tested by unit propagation over the lower colour classes, the
+failed-literal test of MaxCLQ (Li and Quan 2010), and not opened when a
+class empties.  The greedy star seed is first improved by a local search
+of free additions and (1,2)-swaps (Andrade, Resende and Werneck 2012),
+adopted only when it beats the star.
 
 The solvers return the family they found.  The two report builders set
 it beside the best star and judge whether it is a full star
@@ -73,13 +78,14 @@ class SearchResult(_Frozen):
     max_size is the exact optimum.  witness is one optimal subfamily;
     whether it is a full star is for the caller to judge
     (verify.is_full_t_star).  nodes_explored counts the nodes of
-    max_t_intersecting that its colouring bound did not prune, or the
-    nodes of the down-set search for a block that check_block_maximum
-    searches.  It is 0, and no conflict graph or table is built, when
-    the seed is already optimal: it holds every candidate, or, in the
-    down-set search, meets the goal.
+    max_t_intersecting that neither its colouring bound pruned nor unit
+    propagation refuted, or the nodes of the down-set search for a block
+    that check_block_maximum searches.  It is 0, and no conflict graph or
+    table is built, when the seed is already optimal: it holds every
+    candidate, or, in the down-set search, meets the goal.
     bound_used records the seed's size, the initial lower bound the
-    search started from.
+    search started from: in max_t_intersecting the star's, or the local
+    search's when that beats it.
     """
 
     max_size: int
@@ -110,6 +116,13 @@ def _greedy_star(space: Family, t: int) -> Family:
     return Family(space.ground, frozenset(members))
 
 
+def _bits(mask: int) -> Iterator[int]:
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def _matching_bound(conflict: list[int], pmask: int) -> int:
     """Greedy maximal matching in the conflict graph restricted to the
     candidates pmask: an independent set keeps at most one vertex per
@@ -126,6 +139,63 @@ def _matching_bound(conflict: list[int], pmask: int) -> int:
     return pmask.bit_count() - pairs
 
 
+def _refuted(live: int, classes: list[int], conflict: list[int]) -> bool:
+    """Whether no independent set inside `live` takes a vertex of every
+    class, by unit propagation: the failed-literal test of MaxCLQ (Li and
+    Quan 2010).  A class left with one live vertex forces it, and its
+    conflicts leave live; a class left with none refutes.  False means
+    only that propagation found no contradiction."""
+    while classes:
+        rest = []
+        for cls in classes:
+            m = cls & live
+            if not m:
+                return True
+            if m & (m - 1):
+                rest.append(cls)
+            else:
+                live &= ~conflict[m.bit_length() - 1]
+        if len(rest) == len(classes):
+            return False
+        classes = rest
+    return False
+
+
+def _local_search(conflict: list[int], chosen: int) -> int:
+    """The independent set `chosen` of the conflict graph grown to a
+    local optimum: no vertex can join it and no (1,2)-swap applies.
+
+    Each round is one pass over the vertices: a vertex conflicting with
+    nothing chosen joins, and one whose only chosen conflict is x is
+    noted against x.  Then each x with two noted vertices that still
+    conflict only with x and not with each other makes a (1,2)-swap
+    (Andrade, Resende and Werneck 2012): x leaves, both join.  Rounds
+    repeat while they grow the set."""
+    while True:
+        size = chosen.bit_count()
+        tight: dict[int, int] = {}
+        for u, nb in enumerate(conflict):
+            c = nb & chosen
+            if not c:
+                chosen |= 1 << u
+            elif not c & (c - 1):
+                tight[c] = tight.get(c, 0) | 1 << u
+        for x, cands in tight.items():
+            if not cands & (cands - 1) or not chosen & x:
+                continue
+            live = 0
+            for u in _bits(cands):
+                if conflict[u] & chosen == x:
+                    live |= 1 << u
+            for u in _bits(live):
+                pair = live & ~conflict[u] & ~(1 << u)
+                if pair:
+                    chosen ^= x | 1 << u | (pair & -pair)
+                    break
+        if chosen.bit_count() == size:
+            return chosen
+
+
 def max_t_intersecting(space: Family, t: int, cap: int | None = None) -> SearchResult:
     """Exact maximum t-intersecting subfamily of `space`.
 
@@ -134,15 +204,22 @@ def max_t_intersecting(space: Family, t: int, cap: int | None = None) -> SearchR
     front.  When the greedy star seed holds every candidate it is the
     answer: nodes_explored is 0 and no conflict graph is built.
     Otherwise the candidates are indexed by ascending conflict degree,
-    ties by ascending mask order, and a depth-first search takes each
-    node's candidates without a conflict among them at once, then colours
-    the rest into conflict cliques, taking them by ascending conflict
-    degree among the candidates, ties by index.  It branches on
-    the vertices whose colour could beat the incumbent, last coloured
-    first; the child taking v keeps the vertices coloured before v that
-    do not conflict with it, and v's colour minus one bounds what they
-    add.  Deterministic; the incumbent changes only on a strict gain, so
-    the seed is the witness whenever it is optimal.
+    ties by ascending mask order, and the star is grown to a local
+    optimum (_local_search); that set is the seed, and bound_used its
+    size, only when it has more members than the star.  A depth-first
+    search takes each node's candidates without a conflict among them at
+    once, then colours the rest into conflict cliques, taking them by
+    ascending conflict degree among the candidates, ties by index.  It
+    branches on the vertices whose colour could beat the incumbent, last
+    coloured first; the child taking v keeps the vertices coloured before
+    v that do not conflict with it, and v's colour minus one bounds what
+    they add.  When that bound beats the incumbent by one only, the child
+    must take a vertex of every lower colour, and it is not opened when
+    unit propagation over those classes (_refuted) empties one; v leaves
+    the node's candidates either way.  A refuted child holds no strict
+    gain, so the refutation changes nodes_explored only.  Deterministic;
+    the incumbent changes only on a strict gain, so the star is the
+    witness whenever it is optimal.
     """
     if t < 0:
         raise InvalidParametersError(f"t must be >= 0, got {t}")
@@ -171,12 +248,18 @@ def max_t_intersecting(space: Family, t: int, cap: int | None = None) -> SearchR
     inv = {old: new for new, old in enumerate(perm)}
     verts = [verts[old] for old in perm]
     conflict = [sum(1 << inv[b] for b in nbrs[old]) for old in perm]
-    best_mask = 0       # stays 0 while the seed is the incumbent
+    best_mask = _local_search(
+        conflict, sum(1 << i for i, m in enumerate(verts) if m in seed.members))
+    if best_mask.bit_count() > seed_size:
+        best_size = seed_size = best_mask.bit_count()
+    else:
+        best_mask = 0   # the star stays the seed and the incumbent
     nodes = 0
 
     # depth-first branch and bound without recursion.  A frame on the
     # stack is an open node: [taken set, its size, candidates not yet
-    # branched on, branch vertices in colouring order with their colours];
+    # branched on, branch vertices in colouring order with their colours,
+    # its colour classes];
     # its children are made one at a time, so the stack holds one mask per
     # open node, not one per child
     stack: list[list] = []
@@ -212,11 +295,12 @@ def max_t_intersecting(space: Family, t: int, cap: int | None = None) -> SearchR
         order = [groups[d] for d in sorted(groups)]
         floor = best_size - size
         branch: list[tuple[int, int]] = []
+        classes: list[int] = []     # classes[c - 1] holds the vertices of colour c
         uncoloured = pmask
         colour = 0
         while uncoloured:
             colour += 1
-            q = uncoloured
+            q = before = uncoloured
             for g in order:
                 cand = q & g
                 while cand:
@@ -229,23 +313,29 @@ def max_t_intersecting(space: Family, t: int, cap: int | None = None) -> SearchR
                         branch.append((v, colour))
                 if not q:
                     break
+            classes.append(before ^ uncoloured)
         if branch:
-            stack.append([taken, size, pmask, branch])
+            stack.append([taken, size, pmask, branch, classes])
         # the next child, last coloured first: it takes v and keeps the
         # candidates coloured before v that do not conflict with it; v's
         # colour minus one bounds what they add, so a child that cannot
         # beat the incumbent closes its node, whose later children have
-        # no higher colours
+        # no higher colours.  A child that can beat it by one only must
+        # take a vertex of every lower colour; when unit propagation over
+        # those classes empties one, the child is not opened
         while stack:
             frame = stack[-1]
-            taken, size, pmask, branch = frame
+            taken, size, pmask, branch, classes = frame
             if branch:
                 v, colour = branch.pop()
                 if size + colour > best_size:
                     pmask ^= 1 << v
                     frame[2] = pmask
-                    taken, size = taken | 1 << v, size + 1
-                    pmask &= ~conflict[v]
+                    child = pmask & ~conflict[v]
+                    if (size + colour == best_size + 1
+                            and _refuted(child, classes[:colour - 1], conflict)):
+                        continue
+                    taken, size, pmask = taken | 1 << v, size + 1, child
                     break
             stack.pop()
         else:
@@ -258,13 +348,6 @@ def max_t_intersecting(space: Family, t: int, cap: int | None = None) -> SearchR
 
 # ---------------------------------------------------------------------------
 # independent oracle
-
-def _bits(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
 
 def brute_force_max(space: Family, t: int) -> SearchResult:
     """Exhaustive maximum, for validating max_t_intersecting.
@@ -605,8 +688,9 @@ def check_quota_family(ground: GroundSet, k: int, quotas: tuple[int, ...],
     verdict is "non-trivial" when the maximum strictly beats every star,
     else "trivial": a full star attains the maximum, not every maximum
     is a star.  The solver's greedy seed is the star of a most frequent
-    element, so a best star, and its incumbent changes only on a strict
-    gain: for k >= 1 a "trivial" witness is that star, and
+    element, so a best star; its local search replaces it only with a
+    larger family, and its incumbent changes only on a strict gain: for
+    k >= 1 a "trivial" witness is that star, and
     witness_center names its center.  star_center is None when the best
     star has no member, as for k = 0.  The report's keys and order are
     those of `tstar search --quota`.

@@ -364,9 +364,11 @@ def test_cli_import_leaves_networkx_out():
 
 
 # A subcommand that needs neither a closed-form bound nor a search loads
-# none of these; `fractions` comes with bounds.  No subcommand loads
-# `dataclasses`: every record is a core._Frozen.
-NO_BOUNDS = ("tstar.bounds", "tstar.search", "tstar.acceptance", "dataclasses", "fractions")
+# none of these.  `fractions`, with the `decimal` it imports, comes only
+# with a reported ratio: a star bound or a quota search loads neither.
+# No subcommand loads `dataclasses`: every record is a core._Frozen.
+NO_RATIO = ("dataclasses", "fractions", "decimal")
+NO_BOUNDS = ("tstar.bounds", "tstar.search", "tstar.acceptance", *NO_RATIO)
 
 
 @pytest.mark.parametrize("argv, unloaded", [
@@ -375,11 +377,13 @@ NO_BOUNDS = ("tstar.bounds", "tstar.search", "tstar.acceptance", "dataclasses", 
     (["shift", "FAMILY", "--all"], NO_BOUNDS),
     (["verify", "t-intersecting", "FAMILY", "--t", "1"], NO_BOUNDS),
     (["bound", "--n", "8,10", "--k", "4,4", "--t", "2"],
-     ("tstar.search", "tstar.kneser", "dataclasses")),
+     ("tstar.search", "tstar.kneser", *NO_RATIO)),
     (["search", "--n", "5,5", "--k", "2,2", "--t", "1"],
      ("tstar.kneser", "tstar.acceptance", "dataclasses")),
+    (["search", "--n", "5,5", "--k", "3", "--quota", "1,1"],
+     ("tstar.kneser", "tstar.acceptance", *NO_RATIO)),
     (["repro", "--only", "10"], ("dataclasses",)),
-], ids=["kneser", "enumerate", "shift", "verify", "bound", "search", "repro"])
+], ids=["kneser", "enumerate", "shift", "verify", "bound", "search", "search-quota", "repro"])
 def test_cli_call_loads_only_what_its_subcommand_runs(tmp_path, argv, unloaded):
     family = str(tmp_path / "f.fam")
     write_family(enumerate_block(GroundSet((3, 3)), (1, 1)), family)

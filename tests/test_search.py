@@ -125,6 +125,8 @@ _MIXED_BLOCKS = (((6, 6), (2, 2), 1), ((5, 6), (2, 3), 2), ((10,), (4,), 2),
                  ((4, 4, 4), (2, 2, 2), 2), ((9,), (2,), 1), ((5, 5), (2, 2), 1))
 # blocks with sparse conflict graphs, where the colouring order matters most
 _SPARSE_BLOCKS = (((8,), (3,), 1), ((9,), (4,), 1))
+# with the block whose subfamilies the search finds hardest, t = 2 on (7,7)/(3,3)
+_GRID_BLOCKS = _MIXED_BLOCKS + (((7, 7), (3, 3), 2),)
 
 
 def _seeded_subfamilies(seed, count, low, high, blocks=_MIXED_BLOCKS):
@@ -162,6 +164,18 @@ def test_brute_force_modes_agree():
     empty = Family(GroundSet((5,)), frozenset())
     b = search._cliques_max(empty, [], 1)
     assert (b.max_size, b.witness.members, b.nodes_explored) == (0, frozenset(), 0)
+
+
+def test_solver_matches_the_oracles_on_a_seeded_grid():
+    # subfamilies of at most 40 members: up to 24 candidates go to the
+    # include/exclude tree, more to Bron-Kerbosch
+    for fam, t in _seeded_subfamilies(20261022, 60, 8, 40, _GRID_BLOCKS):
+        got = max_t_intersecting(fam, t)
+        want = brute_force_max(fam, t)
+        assert got.max_size == want.max_size, (sorted(fam.members), t)
+        assert len(got.witness.members) == got.max_size
+        assert got.witness.members <= fam.members
+        assert is_t_intersecting(got.witness, t)
 
 
 def test_brute_force_limits():
@@ -204,30 +218,112 @@ def test_search_cap():
 
 def test_search_tree_is_pinned():
     # (max_size, nodes_explored) of four full blocks; a change to the
-    # colouring, the bound or the branching order shows here first
-    for sizes, k, t, want in (((8,), (3,), 1, (21, 40)),
-                              ((10,), (4,), 2, (28, 1_123)),
-                              ((6, 6), (2, 2), 1, (75, 848)),
-                              ((9,), (4,), 1, (56, 2_501))):
+    # colouring, the bound, the refutation or the branching order shows
+    # here first.  Their stars are optimal, so the seed is the star
+    for sizes, k, t, want in (((8,), (3,), 1, (21, 30)),
+                              ((10,), (4,), 2, (28, 876)),
+                              ((6, 6), (2, 2), 1, (75, 731)),
+                              ((9,), (4,), 1, (56, 1_677))):
         r = max_t_intersecting(enumerate_block(GroundSet(sizes), k), t)
         assert (r.max_size, r.nodes_explored) == want, (sizes, k, t)
+        assert r.bound_used == r.max_size, (sizes, k, t)
 
 
-def test_conflict_free_candidates_are_taken_in_one_node():
+# the 2-sets {i, i+2} of a 5-cycle: each is disjoint from two others, so
+# the conflict graph at t = 1 is a 5-cycle, whose maximum is 2 but whose
+# colouring needs three conflict cliques
+_PENTAGRAM = [[1, 3], [2, 4], [3, 5], [4, 1], [5, 2]]
+
+
+def _without(monkeypatch, *levers):
+    """max_t_intersecting with the margin refutation ("refute") or the
+    local-search seed ("seed") switched off."""
+    def solve(space, t):
+        with monkeypatch.context() as m:
+            if "refute" in levers:
+                m.setattr(search, "_refuted", lambda live, classes, conflict: False)
+            if "seed" in levers:
+                m.setattr(search, "_local_search", lambda conflict, chosen: chosen)
+            return max_t_intersecting(space, t)
+    return solve
+
+
+def test_margin_child_is_refuted(monkeypatch):
+    # the root branches on the vertex of colour 3, whose child could beat
+    # the star of 2 by one only: it must take a vertex of colours 1 and
+    # 2, but its two non-neighbours conflict, so propagation empties a
+    # class and the child is not opened
+    fam = Family.from_iterables(GroundSet((5,)), _PENTAGRAM)
+    verdicts = []
+    real = search._refuted
+    monkeypatch.setattr(search, "_refuted",
+                        lambda *args: verdicts.append(real(*args)) or verdicts[-1])
+    r = max_t_intersecting(fam, 1)
+    monkeypatch.undo()
+    plain = _without(monkeypatch, "refute")(fam, 1)
+    assert verdicts == [True]
+    assert (r.max_size, r.nodes_explored, plain.nodes_explored) == (2, 1, 2)
+    assert r.witness == plain.witness == search._greedy_star(fam, 1)
+    assert r.bound_used == plain.bound_used == 2
+
+
+def test_refutation_changes_only_the_node_count(monkeypatch):
+    # a refuted child holds no strict gain, so the search keeps the same
+    # incumbents in the same order; the local-search seed may find a
+    # larger start, never a larger tree
+    plain = _without(monkeypatch, "refute")
+    star_seeded = _without(monkeypatch, "seed")
+    refuted = fewer = 0
+    for fam, t in _seeded_subfamilies(20261021, 100, 10, 60, _GRID_BLOCKS):
+        r = max_t_intersecting(fam, t)
+        p = plain(fam, t)
+        assert (r.max_size, r.witness, r.bound_used) == (p.max_size, p.witness, p.bound_used)
+        assert r.nodes_explored <= p.nodes_explored
+        refuted += r.nodes_explored < p.nodes_explored
+        s = star_seeded(fam, t)
+        assert r.max_size == s.max_size and r.nodes_explored <= s.nodes_explored
+        assert r.bound_used >= s.bound_used == len(search._greedy_star(fam, t).members)
+        if r.bound_used == s.bound_used:
+            assert r.witness == s.witness
+        else:
+            fewer += 1
+    assert refuted and fewer, (refuted, fewer)
+
+
+def test_optimal_star_stays_the_witness(monkeypatch):
+    # the local search only grows its set, and is adopted only when it
+    # beats the star: an optimal star stays the witness
+    for fam, t in ((Family.from_iterables(GroundSet((5,)), _PENTAGRAM), 1),
+                   (enumerate_block(GroundSet((7,)), (3,)), 1),
+                   (enumerate_quota(GroundSet((5, 5)), 3, (1, 1)), 1)):
+        star = search._greedy_star(fam, t)
+        r = max_t_intersecting(fam, t)
+        assert (r.witness, r.bound_used) == (star, r.max_size)
+        assert r.nodes_explored <= _without(monkeypatch, "seed")(fam, t).nodes_explored
+    rep = check_quota_family(GroundSet((5, 5)), 3, (1, 1))
+    assert (rep["verdict"], rep["witness_center"], rep["nodes_explored"]) == ("trivial", [1], 28)
+    # here the star of 30 is not optimal: the seed finds the 34 at once
+    r = max_t_intersecting(enumerate_quota(GroundSet((4, 4)), 4, (1, 2)), 1)
+    assert (r.max_size, r.bound_used, r.nodes_explored) == (34, 34, 1)
+
+
+def test_conflict_free_candidates_are_taken_in_one_node(monkeypatch):
     # any two 6-subsets of 11 elements meet, so the block is 1-intersecting,
-    # but its best star holds only 252 of its 462 members: the root takes
-    # every candidate at once, with no chain of nodes and no stack of
-    # candidate masks behind it
+    # but its best star holds only 252 of its 462 members.  The local
+    # search takes every candidate; from the star alone, the root takes
+    # them all at once, with no chain of nodes and no stack of candidate
+    # masks behind it
     space = enumerate_block(GroundSet((11,)), (6,))
-    tracemalloc.start()
-    try:
-        r = max_t_intersecting(space, 1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert (r.max_size, r.bound_used, r.nodes_explored) == (462, 252, 1)
-    assert r.witness == space
-    assert peak < 1 << 20, peak
+    for solve, seed in ((max_t_intersecting, 462), (_without(monkeypatch, "seed"), 252)):
+        tracemalloc.start()
+        try:
+            r = solve(space, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (r.max_size, r.bound_used, r.nodes_explored) == (462, seed, 1)
+        assert r.witness == space
+        assert peak < 1 << 20, peak
 
 
 def _assert_shifted_witness(witness, space, t):
