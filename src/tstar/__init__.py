@@ -1,11 +1,12 @@
 """Exact toolkit for t-intersecting families over partitioned ground sets.
 
-The names below are exported lazily: `tstar.X` and `from tstar import X`
-import X's submodule on first use, so importing the package loads none
-of its submodules, and the CLI loads only those its subcommand runs.  A
-name is looked up in its submodule on every access and never stored
-here, so a rebinding in the submodule (a test's monkeypatch, a tracer's
-wrapper) is seen at once and undone with it.
+The names below are the public API, declared here only, and exported
+lazily: `tstar.X` and `from tstar import X` import X's submodule on
+first use, so importing the package loads none of its submodules, and
+the CLI loads only those its subcommand runs.  A name is looked up in
+its submodule on every access and never stored here, so a rebinding in
+the submodule (a test's monkeypatch, a tracer's wrapper) is seen at once
+and undone with it.
 """
 
 from importlib import import_module
@@ -16,8 +17,8 @@ _EXPORTS = {
     "core": (
         "Error", "InvalidParametersError", "InstanceTooLargeError", "EmptyFamilyError",
         "HypothesisViolationError", "InvariantError", "GroundSet", "Family", "ProfileSet",
-        "binom", "mask_of", "elements_of", "block_size", "enumerate_block", "union_size",
-        "enumerate_profile_union", "quota_size", "enumerate_quota", "trivial_star",
+        "binom", "mask_of", "elements_of", "block_size", "enumerate_block",
+        "enumerate_profile_union", "enumerate_quota", "trivial_star",
         "format_family", "parse_family", "write_family", "read_family",
     ),
     "bounds": (

@@ -49,24 +49,6 @@ from .core import (
 if TYPE_CHECKING:
     from fractions import Fraction
 
-__all__ = [
-    "RatioEntry",
-    "BoundReport",
-    "RatioBound",
-    "ratio_entries",
-    "optimal_t_distributions",
-    "max_star_size",
-    "max_window_family",
-    "enumerate_distribution_argmax",
-    "exchange_optimal",
-    "ratio_bound",
-    "DELSARTE_CLASS_CAP",
-    "delsarte_bound",
-    "union_star_sizes",
-    "max_union_star_size",
-    "hypothesis_flags",
-]
-
 
 class RatioEntry(_Frozen):
     """One link of a part's ratio chain: value = (k_i - j)/(n_i - j)."""
@@ -107,7 +89,7 @@ def _check_block_params(ground: GroundSet, k: tuple[int, ...]) -> tuple[int, ...
 
 
 def ratio_entries(ground: GroundSet, k: tuple[int, ...]) -> list[RatioEntry]:
-    """The merged ratio chain, sorted by decreasing value.
+    """The merged ratio chain in _chain_links' order, by decreasing value.
 
     Ties across parts stay adjacent; within one part the chain is
     strictly decreasing, so a part contributes at most one entry to any
@@ -116,16 +98,13 @@ def ratio_entries(ground: GroundSet, k: tuple[int, ...]) -> list[RatioEntry]:
     from fractions import Fraction
 
     k = _check_block_params(ground, k)
-    entries = [RatioEntry(i, j, Fraction(k_i - j, n_i - j))
-               for i, (k_i, n_i) in enumerate(zip(k, ground.sizes))
-               for j in range(k_i)]
-    entries.sort(key=lambda e: (-e.value, e.part, e.level))
-    return entries
+    return [RatioEntry(i, j, Fraction(k[i] - j, ground.sizes[i] - j))
+            for i, j in _chain_links(ground.sizes, k)]
 
 
 def _chain_links(sizes: tuple[int, ...], k: tuple[int, ...]) -> Iterator[tuple[int, int]]:
-    """The merged ratio chain as (part, level) links, in ratio_entries'
-    order: decreasing (k_i - j)/(n_i - j), ties to the lower part.
+    """The merged ratio chain as (part, level) links: decreasing
+    (k_i - j)/(n_i - j), ties to the lower part.
 
     Each part's chain decreases, so the merge compares only the parts'
     next links, by cross-multiplying their integer numerators and

@@ -21,42 +21,11 @@ floating point is used anywhere in a comparison.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections.abc import Iterable, Iterator
 from functools import cached_property
 from itertools import combinations, product
 from operator import attrgetter
-
-__all__ = [
-    "Error",
-    "InvalidParametersError",
-    "InstanceTooLargeError",
-    "EmptyFamilyError",
-    "HypothesisViolationError",
-    "InvariantError",
-    "DEFAULT_ENUMERATION_CAP",
-    "DEFAULT_SEARCH_CAP",
-    "enumeration_cap",
-    "search_cap",
-    "binom",
-    "mask_of",
-    "elements_of",
-    "GroundSet",
-    "Family",
-    "ProfileSet",
-    "bounded_compositions",
-    "block_size",
-    "enumerate_block",
-    "union_size",
-    "enumerate_profile_union",
-    "quota_profiles",
-    "quota_size",
-    "enumerate_quota",
-    "trivial_star",
-    "format_family",
-    "parse_family",
-    "write_family",
-    "read_family",
-]
 
 
 # ---------------------------------------------------------------------------
@@ -252,10 +221,7 @@ class GroundSet(_Frozen):
         """0-based part index containing a 1-based element."""
         if not 1 <= element <= self.n:
             raise InvalidParametersError(f"element {element} not in [1, {self.n}]")
-        for i, off in enumerate(self.offsets):
-            if element <= off + self.sizes[i]:
-                return i
-        raise AssertionError("unreachable")
+        return bisect_right(self.offsets, element - 1) - 1
 
     def profile(self, mask: int) -> tuple[int, ...]:
         """Per-part intersection sizes of a subset mask."""
@@ -467,12 +433,6 @@ def _enumerate_blocks(ground: GroundSet, profiles: tuple[tuple[int, ...], ...],
     return Family(ground, frozenset(members))
 
 
-def union_size(ground: GroundSet, profiles: ProfileSet) -> int:
-    """Size of the profile-union family."""
-    profiles.check_against(ground)
-    return _blocks_size(ground, profiles.profiles)
-
-
 def enumerate_profile_union(ground: GroundSet, profiles: ProfileSet,
                             cap: int | None = None) -> Family:
     """Union of the blocks of every profile in the set."""
@@ -499,10 +459,6 @@ def quota_profiles(ground: GroundSet, k: int,
         raise InvalidParametersError(
             f"quotas sum to {sum(quotas)} which exceeds k={k}")
     return tuple(bounded_compositions(k, quotas, ground.sizes))
-
-
-def quota_size(ground: GroundSet, k: int, quotas: tuple[int, ...]) -> int:
-    return _blocks_size(ground, quota_profiles(ground, k, quotas))
 
 
 def enumerate_quota(ground: GroundSet, k: int, quotas: tuple[int, ...],

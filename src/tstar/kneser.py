@@ -25,20 +25,13 @@ from .core import (
     mask_of,
 )
 
-__all__ = [
-    "KneserParams",
-    "vertices",
-    "is_connected",
-    "is_connected_union_find",
-]
 
 Vertex = tuple[int, ...]
 
 
 class KneserParams(_Frozen):
     """Factor list (g_i, h_i); each factor needs g_i >= 2 h_i >= 2 so no
-    vertex is isolated.  g_i > 2 h_i, the connectivity regime, is
-    recorded separately as strict_hypothesis."""
+    vertex is isolated."""
 
     pairs: tuple[tuple[int, int], ...]
 
@@ -51,10 +44,6 @@ class KneserParams(_Frozen):
                 raise InvalidParametersError(
                     f"factor ({g},{h}) violates g >= 2h >= 2")
         object.__setattr__(self, "pairs", pairs)
-
-    @property
-    def strict_hypothesis(self) -> bool:
-        return all(g > 2 * h for g, h in self.pairs)
 
     @cached_property
     def vertex_count(self) -> int:

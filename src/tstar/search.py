@@ -496,8 +496,8 @@ def _kron(masks: list[int], sizes: list[int]) -> int:
     return out
 
 
-def _search_down_sets(space: Family, ground: GroundSet, k: tuple[int, ...],
-                      t: int, goal: int) -> SearchResult:
+def _search_down_sets(space: Family, k: tuple[int, ...], t: int,
+                      goal: int) -> SearchResult:
     """max_t_intersecting for the full block space of profile k, searched
     over the down-sets of the product shifting order only.
 
@@ -519,6 +519,7 @@ def _search_down_sets(space: Family, ground: GroundSet, k: tuple[int, ...],
     s' as u meets s.  So the taken set and the candidates always form a
     down-set, and dropping the conflicts of a take drops their up-sets.
     """
+    ground = space.ground
     size, r, w = max_window_family(t, ground, k)
     window = sum(ground.prefix_mask(i, w_i) for i, w_i in enumerate(w))
     seed = Family(ground, frozenset(m for m in space.members
@@ -651,7 +652,7 @@ def check_block_maximum(ground: GroundSet, k: tuple[int, ...], t: int,
         center = sum(ground.prefix_mask(i, t_i) for i, t_i in enumerate(dist))
         result = SearchResult(star_bound, trivial_star(space, center), 0, star_bound)
     else:
-        result = _search_down_sets(space, ground, k, t, goal)
+        result = _search_down_sets(space, k, t, goal)
         center = is_full_t_star(result.witness, space, t)
     if lp_bound is not None and result.max_size > lp_bound:
         raise InvariantError(f"a {result.max_size}-member t-intersecting family "

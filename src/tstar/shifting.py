@@ -25,16 +25,6 @@ from typing import Iterator
 
 from .core import Family, GroundSet, InvalidParametersError, elements_of
 
-__all__ = [
-    "compress_member",
-    "compress_family",
-    "shift_closure",
-    "is_l_shifted",
-    "is_shifted",
-    "simultaneous_closure",
-    "family_weight",
-]
-
 
 def _pair_bits(i: int, j: int, n: int | None) -> tuple[int, int]:
     if i < 1 or j < 1:

@@ -23,16 +23,6 @@ from .core import (
 )
 from .shifting import compress_family, is_l_shifted, is_shifted
 
-__all__ = [
-    "is_t_intersecting",
-    "are_cross_t_intersecting",
-    "is_full_t_star",
-    "check_prefix_intersection",
-    "check_partwise_prefix_intersection",
-    "check_star_preservation",
-    "star_preservation_hypothesis",
-]
-
 
 def is_t_intersecting(fam: Family, t: int) -> bool:
     """True iff every two members (a member with itself included) share

@@ -15,8 +15,8 @@ from tstar.core import (
     ProfileSet,
     bounded_compositions,
     enumerate_block,
+    enumerate_profile_union,
     mask_of,
-    union_size,
 )
 from tstar import bounds
 from tstar.bounds import (
@@ -204,8 +204,12 @@ def test_integer_chain_and_exchange_match_fraction_references():
     tied = 0
     for sizes, k in blocks:
         g = GroundSet(sizes)
-        entries = sorted(ratio_entries(g, k), key=lambda e: (-e.value, e.part, e.level))
-        assert list(bounds._chain_links(sizes, k)) == [(e.part, e.level) for e in entries]
+        entries = ratio_entries(g, k)
+        # the order _chain_links merges by integers is the Fraction sort's
+        assert entries == sorted(entries, key=lambda e: (-e.value, e.part, e.level))
+        assert sorted((e.part, e.level, e.value) for e in entries) == [
+            (i, j, Fraction(k_i - j, n_i - j))
+            for i, (k_i, n_i) in enumerate(zip(k, sizes)) for j in range(k_i)]
         tied += any(a.value == b.value for a, b in zip(entries, entries[1:]))
         for t in range(sum(k) + 1):
             assert optimal_t_distributions(t, g, k) == _fraction_cut(entries, t, g.p), (sizes, k, t)
@@ -417,7 +421,7 @@ def test_union_star_t_zero_is_whole_space():
     g = GroundSet((6, 6))
     ps = ProfileSet(((2, 2), (3, 2)))
     rep = max_union_star_size(0, g, ps)
-    assert rep.value == union_size(g, ps)
+    assert rep.value == len(enumerate_profile_union(g, ps).members)
     assert rep.optimal_distributions == {(0, 0)}
 
 

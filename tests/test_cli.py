@@ -198,6 +198,17 @@ def test_search_shifted_checks_the_cap_before_enumerating(capsys, monkeypatch):
     assert code == 3
 
 
+def test_search_quota_checks_the_cap_before_enumerating(capsys, monkeypatch):
+    def refuse(*pools):
+        raise AssertionError("enumerated an over-cap quota family")
+
+    monkeypatch.setattr(core, "product", refuse)
+    # the quota family's 100 members are counted, not enumerated
+    assert main(["search", "--n", "5,5", "--k", "3", "--quota", "1,1",
+                 "--search-cap", "10"]) == 3
+    assert "quota family has 100 members, cap is 10" in capsys.readouterr().err
+
+
 def test_shift_stdout_reparses(tmp_path, capsys):
     g = GroundSet((4,))
     path = tmp_path / "in.fam"

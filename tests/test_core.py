@@ -24,10 +24,8 @@ from tstar.core import (
     format_family,
     mask_of,
     parse_family,
-    quota_size,
     read_family,
     trivial_star,
-    union_size,
     write_family,
 )
 
@@ -94,6 +92,17 @@ def test_ground_set_layout():
     assert g.prefix_mask(1, 2) == 0b11 << 8
     assert g.element_part(8) == 0
     assert g.element_part(9) == 1
+
+
+def test_element_part_matches_profile():
+    for sizes in ((1,), (1, 1, 1), (3, 1, 4), (8, 10)):
+        g = GroundSet(sizes)
+        for e in range(1, g.n + 1):
+            assert g.profile(1 << (e - 1)) == tuple(int(i == g.element_part(e))
+                                                    for i in range(g.p)), (sizes, e)
+        for e in (0, g.n + 1):
+            with pytest.raises(InvalidParametersError):
+                g.element_part(e)
 
 
 def test_ground_set_profile():
@@ -182,7 +191,6 @@ def test_profile_union_example():
     ps = ProfileSet(((1, 1), (2, 2)))
     fam = enumerate_profile_union(g, ps)
     assert len(fam) == 52
-    assert union_size(g, ps) == 52
     # a singleton profile set degenerates to the block
     for sizes in ((4,), (3, 4), (2, 3, 2)):
         g = GroundSet(sizes)
@@ -217,7 +225,6 @@ def test_quota_examples():
     assert len(enumerate_quota(g, 4, (0, 0))) == 70
     g2 = GroundSet((3, 3))
     assert len(enumerate_quota(g2, 3, (2, 0))) == 10
-    assert quota_size(g2, 3, (2, 0)) == 10
 
 
 def test_quota_is_filtered_ksets():

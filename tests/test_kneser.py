@@ -25,8 +25,6 @@ def test_params_validation():
 def test_params_properties():
     pr = KneserParams(((5, 2), (7, 3)))
     assert pr.vertex_count == 350
-    assert pr.strict_hypothesis
-    assert not KneserParams(((4, 2),)).strict_hypothesis
 
 
 def test_vertices_colex_order():

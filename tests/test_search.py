@@ -10,7 +10,7 @@ from itertools import product
 
 import pytest
 
-from tstar import search
+from tstar import core, search
 from tstar.bounds import delsarte_bound, union_star_sizes
 from tstar.core import (Family, GroundSet, InstanceTooLargeError,
                         InvariantError, block_size, enumerate_block,
@@ -400,7 +400,7 @@ def test_down_set_search_matches_the_solver_on_three_parts():
                 continue
             space = enumerate_block(g, k)
             for t in range(1, sum(k) + 1):
-                got = search._search_down_sets(space, g, k, t, len(space.members))
+                got = search._search_down_sets(space, k, t, len(space.members))
                 assert got.max_size == max_t_intersecting(space, t).max_size, (sizes, k, t)
                 assert len(got.witness.members) == got.max_size
                 _assert_shifted_witness(got.witness, space, t)
@@ -542,7 +542,7 @@ def test_solvers_do_not_judge_their_witness(monkeypatch):
         assert oracle(space, _candidates(space, 1), 1).max_size == 4
     g = GroundSet((5, 6))
     space = enumerate_block(g, (2, 3))
-    assert search._search_down_sets(space, g, (2, 3), 2, len(space.members)).max_size == 46
+    assert search._search_down_sets(space, (2, 3), 2, len(space.members)).max_size == 46
 
 
 def test_quota_report_flag_violations():
@@ -589,3 +589,12 @@ def test_check_quota_family_checks_the_star_bound(monkeypatch):
                         lambda ground, profiles, dists: [10 ** 6 for _ in dists])
     with pytest.raises(InvariantError, match="below the star size"):
         check_quota_family(GroundSet((4, 4)), 4, (1, 1))
+
+
+def test_check_quota_family_searches_under_the_callers_cap(monkeypatch):
+    # the one cap that refused the space before it was enumerated also
+    # bounds the search, above the default too
+    monkeypatch.setattr(core, "DEFAULT_SEARCH_CAP", 10)
+    with pytest.raises(InstanceTooLargeError, match="quota family has 100 members"):
+        check_quota_family(GroundSet((5, 5)), 3, (1, 1))
+    assert check_quota_family(GroundSet((5, 5)), 3, (1, 1), cap=100)["max_size"] == 30
