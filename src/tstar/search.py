@@ -123,22 +123,6 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _matching_bound(conflict: list[int], pmask: int) -> int:
-    """Greedy maximal matching in the conflict graph restricted to the
-    candidates pmask: an independent set keeps at most one vertex per
-    matched pair."""
-    pairs = 0
-    rest = pmask
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        nb = conflict[low.bit_length() - 1] & rest
-        if nb:
-            rest ^= nb & -nb
-            pairs += 1
-    return pmask.bit_count() - pairs
-
-
 def _refuted(live: int, classes: list[int], conflict: list[int]) -> bool:
     """Whether no independent set inside `live` takes a vertex of every
     class, by unit propagation: the failed-literal test of MaxCLQ (Li and
@@ -485,13 +469,22 @@ def _part_tables(n: int, k: int, t: int) -> tuple[list, ...]:
     return subsets, down, up, meet, fewer, least
 
 
-def _kron(masks: list[int], sizes: list[int]) -> int:
+def _kron(masks: list[int], sizes: list[int], spread: dict) -> int:
     """Kronecker product of per-part index masks: bit v of the result is
     set when every part's index in the mixed-radix index v (part 0 most
-    significant) is set in that part's mask."""
+    significant) is set in that part's mask.
+
+    A copy of the product so far at every set bit a of the next mask is
+    that product times the sum of 1 << a * width; the product is below
+    2 ** width, so the copies do not overlap.  spread caches those
+    factors by (mask, width).
+    """
     out, width = masks[-1], sizes[-1]
     for m, size in zip(masks[-2::-1], sizes[-2::-1]):
-        out = sum(out << (a * width) for a in _bits(m))
+        factor = spread.get((m, width))
+        if factor is None:
+            factor = spread[m, width] = sum(1 << a * width for a in _bits(m))
+        out *= factor
         width *= size
     return out
 
@@ -542,15 +535,16 @@ def _search_down_sets(space: Family, k: tuple[int, ...], t: int,
         n = len(verts)
         down, up, conflict = [0] * n, [0] * n, [0] * n
         alive = 0
+        spread: dict = {}
         for v, a in enumerate(product(*map(range, sizes))):
             if sum(least[a_i] for least, a_i in zip(leasts, a)) < t:
                 continue    # down(v) holds a conflicting pair
             alive |= 1 << v
-            down[v] = _kron([part[a_i] for part, a_i in zip(downs, a)], sizes)
-            up[v] = _kron([part[a_i] for part, a_i in zip(ups, a)], sizes)
+            down[v] = _kron([part[a_i] for part, a_i in zip(downs, a)], sizes, spread)
+            up[v] = _kron([part[a_i] for part, a_i in zip(ups, a)], sizes, spread)
             for s in splits:
                 conflict[v] |= _kron([meet[s_i][a_i] for meet, s_i, a_i in zip(meets, s, a)]
-                                     + [fewers[-1][t - sum(s)][a[-1]]], sizes)
+                                     + [fewers[-1][t - sum(s)][a[-1]]], sizes, spread)
 
         # depth-first on an explicit stack of nodes (down-set taken, its
         # size, candidates); the candidates and the taken set form a down-set
@@ -559,19 +553,31 @@ def _search_down_sets(space: Family, k: tuple[int, ...], t: int,
             r_mask, r_size, pmask = stack.pop()
             while True:
                 nodes += 1
-                free = 0
+                # one ascending pass: degrees, free vertices, the pick, and
+                # a greedy matching of each unmatched vertex to its least
+                # unmatched conflict above it; rest drops a vertex once seen
+                # or matched, and a free vertex, in no row, is never matched
+                free = pairs = 0
                 pick = -1
                 pick_deg = 0
-                rest = pmask
-                while rest:
-                    low = rest & -rest
-                    rest ^= low
+                scan = rest = pmask
+                while scan:
+                    low = scan & -scan
+                    scan ^= low
                     v = low.bit_length() - 1
-                    d = (conflict[v] & pmask).bit_count()
+                    row = conflict[v] & pmask
+                    d = row.bit_count()
                     if d == 0:
                         free |= low
-                    elif d > pick_deg:
+                        continue
+                    if d > pick_deg:
                         pick, pick_deg = v, d
+                    if rest & low:
+                        rest ^= low
+                        row &= rest
+                        if row:
+                            rest ^= row & -row
+                            pairs += 1
                 take = 0
                 for v in _bits(free):
                     if not down[v] & pmask & ~free:
@@ -585,7 +591,7 @@ def _search_down_sets(space: Family, k: tuple[int, ...], t: int,
                     if best_size >= goal:
                         stack.clear()
                         break
-                if not pmask or r_size + _matching_bound(conflict, pmask) <= best_size:
+                if not pmask or r_size + pmask.bit_count() - pairs <= best_size:
                     break
                 stack.append((r_mask, r_size, pmask & ~up[pick]))
                 new = down[pick] & pmask

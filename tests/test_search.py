@@ -389,6 +389,32 @@ def test_block_report_closes_the_frontier():
         _assert_shifted_witness(rep["witness"], enumerate_block(GroundSet(sizes), k), 2)
 
 
+def test_kron_matches_a_per_index_reference():
+    # bit v is set when every part's digit of the mixed-radix index v
+    # (part 0 most significant) is set in that part's mask, each index
+    # tested on its own; one factor cache serves every call
+    def reference(masks, sizes):
+        return sum(1 << v for v, digits in enumerate(product(*map(range, sizes)))
+                   if all(m >> d & 1 for m, d in zip(masks, digits)))
+
+    rng = random.Random(20261019)
+    spread = {}
+    checked = 0
+    for p in (1, 2, 3):
+        for _ in range(60):
+            sizes = [rng.randint(1, 6) for _ in range(p)]
+            full = [(1 << s) - 1 for s in sizes]
+            for masks in ([rng.getrandbits(s) for s in sizes], [0] * p, full,
+                          full[:-1] + [0], [0] + full[1:]):
+                assert search._kron(masks, sizes, spread) == reference(masks, sizes), \
+                    (masks, sizes)
+                checked += 1
+        sizes = [1] * p
+        for masks in ([0] * p, [1] * p):
+            assert search._kron(masks, sizes, spread) == reference(masks, sizes)
+    assert checked == 900
+
+
 def test_down_set_search_matches_the_solver_on_three_parts():
     # every block with p = 3, 2 <= n_i <= 5, 0 < k_i < n_i and at most 90
     # members, at every 1 <= t <= sum(k), searched without the LP stop
