@@ -32,7 +32,11 @@ the answer and nothing is searched.  Otherwise the block is searched
 over shifted families only: every in-part shift keeps a family's size
 and t-intersection, so some maximum family is a down-set of the product
 shifting order, and _search_down_sets branches on down-sets, seeded by
-the best window family (bounds.max_window_family).  Quota spaces and
+the best window family (bounds.max_window_family).  One ascending pass
+over a node's candidates counts their degrees, finds the free ones and
+builds a greedy matching of the conflicts, whose pairs bound the node;
+it branches on the candidate of most conflicts, those with vertices the
+root dropped included.  Quota spaces and
 profile unions are closed under in-part shifts too, but have no LP
 bound here; they are searched over their whole conflict graph by
 max_t_intersecting, as are arbitrary subfamilies.  `search --shifted` is
@@ -500,8 +504,17 @@ def _search_down_sets(space: Family, k: tuple[int, ...], t: int,
     Taking a vertex v brings in all of down(v) and drops what conflicts
     with it; dropping v drops up(v).  The root drops every vertex whose
     down-set holds a conflicting pair, a free vertex whose candidates
-    below are all free joins without a branch, the matching bound
-    prunes, and the search stops once it meets `goal`.  The masks are
+    below are all free joins without a branch, and the search stops once
+    it meets `goal`.  Each node makes one ascending pass over its
+    candidates: it counts their conflicts among the candidates, finds
+    the free ones, and matches each unmatched candidate greedily to its
+    least unmatched conflict above it.  An independent set keeps at most
+    one vertex of a pair, so the taken size plus the candidates less the
+    pairs bounds the node.  The branch vertex is a candidate, never
+    free, of most conflicts among the candidates plus with the vertices
+    the root dropped: those say how constraining it is in the whole
+    block, and any candidate is a safe pick, because the root drop keeps
+    only vertices whose down-sets are t-intersecting.  The masks are
     Kronecker products of per-part tables (_part_tables), in mixed-radix
     index order; no pair of members is compared.
 
@@ -545,6 +558,12 @@ def _search_down_sets(space: Family, k: tuple[int, ...], t: int,
             for s in splits:
                 conflict[v] |= _kron([meet[s_i][a_i] for meet, s_i, a_i in zip(meets, s, a)]
                                      + [fewers[-1][t - sum(s)][a[-1]]], sizes, spread)
+        # the pick counts the conflicts the root dropped as well; the free
+        # test and the matching see live candidates only
+        extra = [0] * n
+        for v in _bits(alive):
+            extra[v] = (conflict[v] & ~alive).bit_count()
+            conflict[v] &= alive
 
         # depth-first on an explicit stack of nodes (down-set taken, its
         # size, candidates); the candidates and the taken set form a down-set
@@ -570,8 +589,8 @@ def _search_down_sets(space: Family, k: tuple[int, ...], t: int,
                     if d == 0:
                         free |= low
                         continue
-                    if d > pick_deg:
-                        pick, pick_deg = v, d
+                    if d + extra[v] > pick_deg:
+                        pick, pick_deg = v, d + extra[v]
                     if rest & low:
                         rest ^= low
                         row &= rest

@@ -377,9 +377,10 @@ def test_block_report_closes_the_frontier():
     # blocks the plain solver does not close in seconds; 46 is pinned by
     # it, 118 and 225 come from the down-set search alone.  The node
     # counts pin the search tree, as test_search_tree_is_pinned does for
-    # max_t_intersecting
-    for sizes, k, size, nodes in (((5, 6), (2, 3), 46, 47), ((6, 6), (3, 3), 118, 237),
-                                  ((7, 7), (3, 3), 225, 313)):
+    # max_t_intersecting: they move with the pick rule (which counts the
+    # conflicts the root dropped) or the matching bound
+    for sizes, k, size, nodes in (((5, 6), (2, 3), 46, 21), ((6, 6), (3, 3), 118, 157),
+                                  ((7, 7), (3, 3), 225, 83)):
         start = time.perf_counter()
         rep = check_block_maximum(GroundSet(sizes), k, 2)
         elapsed = time.perf_counter() - start
@@ -387,6 +388,21 @@ def test_block_report_closes_the_frontier():
         assert elapsed < 5.0, (sizes, elapsed)
         assert len(rep["witness"].members) == size
         _assert_shifted_witness(rep["witness"], enumerate_block(GroundSet(sizes), k), 2)
+
+
+def test_block_report_closes_eight_eight_at_t_three():
+    # 4,900 members, above the best star (525) and below the LP floor
+    # (1010): the window family of 805 is a maximum, and the down-set
+    # search proves it in a pinned number of nodes
+    g, k = GroundSet((8, 8)), (4, 4)
+    start = time.perf_counter()
+    rep = check_block_maximum(g, k, 3)
+    elapsed = time.perf_counter() - start
+    assert (rep["max_size"], rep["star_bound"], rep["lp_bound"]) == (805, 525, 1010)
+    assert rep["nodes_explored"] == 635
+    assert elapsed < 20.0, elapsed
+    assert len(rep["witness"].members) == 805
+    _assert_shifted_witness(rep["witness"], enumerate_block(g, k), 3)
 
 
 def test_kron_matches_a_per_index_reference():
