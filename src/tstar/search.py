@@ -589,8 +589,9 @@ def _search_down_sets(space: Family, k: tuple[int, ...], t: int,
                     if d == 0:
                         free |= low
                         continue
-                    if d + extra[v] > pick_deg:
-                        pick, pick_deg = v, d + extra[v]
+                    d += extra[v]
+                    if d > pick_deg:
+                        pick, pick_deg = v, d
                     if rest & low:
                         rest ^= low
                         row &= rest
