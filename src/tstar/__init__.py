@@ -31,8 +31,7 @@ _EXPORTS = {
         "max_t_intersecting",
     ),
     "shifting": (
-        "compress_family", "compress_member", "is_l_shifted", "is_shifted", "shift_closure",
-        "simultaneous_closure",
+        "compress_family", "is_l_shifted", "is_shifted", "shift_closure", "simultaneous_closure",
     ),
     "verify": (
         "are_cross_t_intersecting", "check_partwise_prefix_intersection",

@@ -134,6 +134,17 @@ def _check_out(path: str | None) -> None:
             f"cannot write {path!r}: no such directory or permission denied")
 
 
+def _write_family_text(text: str, args, report: dict) -> None:
+    """Family text to --out, then the report with the path on stdout;
+    without --out, the text alone on stdout."""
+    if args.out is None:
+        sys.stdout.write(text)
+        return
+    with open(args.out, "w", encoding="ascii") as fh:
+        fh.write(text)
+    emit_report({**report, "out": args.out}, args.format)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -223,17 +234,8 @@ def cmd_shift(args) -> int:
                 f"--part must be in 1..{fam.ground.p}, got {args.part}")
         parts = (args.part - 1,)
     closed, steps = shifting.shift_closure(fam, parts)
-    text = format_family(closed) + f"# steps: {steps}\n"
-    if args.out is not None:
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(text)
-        emit_report({
-            "steps": steps,
-            "size": len(closed.members),
-            "out": args.out,
-        }, args.format)
-    else:
-        sys.stdout.write(text)
+    _write_family_text(format_family(closed) + f"# steps: {steps}\n", args,
+                       {"steps": steps, "size": len(closed.members)})
     return 0
 
 
@@ -257,16 +259,8 @@ def cmd_verify(args) -> int:
         holds = verify.check_partwise_prefix_intersection(
             fam, read_family(args.other), args.t, args.profile_a, args.profile_b)
     else:  # star-shift
-        space = read_family(args.space)
-        ground = space.ground
-        if ground.element_part(args.i) != ground.element_part(args.j):
-            raise InvalidParametersError("--i and --j must be elements of one part")
-        if not verify.star_preservation_hypothesis(space, args.t):
-            raise HypothesisViolationError(
-                "star_preservation_hypothesis fails: every part must exceed "
-                f"2(t+1) = {2 * (args.t + 1)} times the largest per-part "
-                "member footprint of the space")
-        holds = verify.check_star_preservation(fam, space, args.t, args.i, args.j)
+        holds = verify.check_star_preservation(fam, read_family(args.space), args.t,
+                                               args.i, args.j)
     emit_report({"holds": holds, **extra}, args.format)
     return 0 if holds else 1
 
@@ -292,11 +286,7 @@ def cmd_enumerate(args) -> int:
     else:
         fam = enumerate_profile_union(ground, ProfileSet(args.profiles),
                                       cap=args.enum_cap)
-    if args.out is not None:
-        write_family(fam, args.out)
-        emit_report({"size": len(fam.members), "out": args.out}, args.format)
-    else:
-        sys.stdout.write(format_family(fam))
+    _write_family_text(format_family(fam), args, {"size": len(fam.members)})
     return 0
 
 

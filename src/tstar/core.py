@@ -403,11 +403,6 @@ def enumerate_block(ground: GroundSet, profile: tuple[int, ...],
     return _enumerate_blocks(ground, (tuple(profile),), "block", cap)
 
 
-def _blocks_size(ground: GroundSet, profiles: Iterable[tuple[int, ...]]) -> int:
-    # the blocks of distinct profiles are pairwise disjoint
-    return sum(block_size(ground, r) for r in profiles)
-
-
 def _enumerate_blocks(ground: GroundSet, profiles: tuple[tuple[int, ...], ...],
                       what: str, cap: int | None = None) -> Family:
     """Union of the blocks of distinct profiles (zero entries allowed), named
@@ -416,7 +411,8 @@ def _enumerate_blocks(ground: GroundSet, profiles: tuple[tuple[int, ...], ...],
     A member of a block is one r_i-subset of each part; the parts hold
     disjoint bits, so summing the per-part masks is their union.
     """
-    size = _blocks_size(ground, profiles)
+    # the blocks of distinct profiles are pairwise disjoint
+    size = sum(block_size(ground, r) for r in profiles)
     limit = enumeration_cap(cap)
     if size > limit:
         raise InstanceTooLargeError(f"{what} has {size} members, cap is {limit}")

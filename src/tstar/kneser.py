@@ -60,12 +60,6 @@ def _coordinates(params: KneserParams, cap: int | None) -> list[list[int]]:
             for g, h in params.pairs]
 
 
-def vertices(params: KneserParams) -> list[Vertex]:
-    """All product vertices, colex order per coordinate, last coordinate
-    fastest; refused above the default enumeration cap."""
-    return [tuple(v) for v in product(*_coordinates(params, None))]
-
-
 def _neighbors(u: Vertex, coords: list[list[int]]) -> list[Vertex]:
     per = [[m for m in coord if not m & x] for coord, x in zip(coords, u)]
     return [tuple(v) for v in product(*per)]
@@ -96,8 +90,9 @@ def is_connected(params: KneserParams, cap: int | None = None) -> bool:
 
 def is_connected_union_find(params: KneserParams) -> bool:
     """Independent connectivity route: union-find over the explicit edge
-    list from an all-pairs scan.  O(V^2); meant for cross-checks."""
-    verts = vertices(params)
+    list from an all-pairs scan.  O(V^2); meant for cross-checks.  The
+    vertices are refused above the default enumeration cap."""
+    verts = list(product(*_coordinates(params, None)))
     parent = list(range(len(verts)))
 
     def find(x: int) -> int:

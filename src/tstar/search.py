@@ -191,23 +191,23 @@ def max_t_intersecting(space: Family, t: int, cap: int | None = None) -> SearchR
     (they fail the requirement against themselves) and are dropped up
     front.  When the greedy star seed holds every candidate it is the
     answer: nodes_explored is 0 and no conflict graph is built.
-    Otherwise the candidates are indexed by ascending conflict degree,
-    ties by ascending mask order, and the star is grown to a local
-    optimum (_local_search); that set is the seed, and bound_used its
-    size, only when it has more members than the star.  A depth-first
-    search takes each node's candidates without a conflict among them at
-    once, then colours the rest into conflict cliques, taking them by
-    ascending conflict degree among the candidates, ties by index.  It
-    branches on the vertices whose colour could beat the incumbent, last
-    coloured first; the child taking v keeps the vertices coloured before
-    v that do not conflict with it, and v's colour minus one bounds what
-    they add.  When that bound beats the incumbent by one only, the child
-    must take a vertex of every lower colour, and it is not opened when
-    unit propagation over those classes (_refuted) empties one; v leaves
-    the node's candidates either way.  A refuted child holds no strict
-    gain, so the refutation changes nodes_explored only.  Deterministic;
-    the incumbent changes only on a strict gain, so the star is the
-    witness whenever it is optimal.
+    Otherwise the candidates are indexed in ascending mask order, and the
+    star is grown to a local optimum (_local_search), the star itself
+    when nothing joins it; that set is the seed and the first incumbent,
+    and bound_used its size.  A depth-first search takes each node's
+    candidates without a conflict among them at once, then colours the
+    rest into conflict cliques, taking them by ascending conflict degree
+    among the candidates, ties by index.  It branches on the vertices
+    whose colour could beat the incumbent, last coloured first; the child
+    taking v keeps the vertices coloured before v that do not conflict
+    with it, and v's colour minus one bounds what they add.  When that
+    bound beats the incumbent by one only, the child must take a vertex
+    of every lower colour, and it is not opened when unit propagation
+    over those classes (_refuted) empties one; v leaves the node's
+    candidates either way.  A refuted child holds no strict gain, so the
+    refutation changes nodes_explored only.  Deterministic; the incumbent
+    changes only on a strict gain, so the star is the witness whenever
+    it is optimal.
     """
     if t < 0:
         raise InvalidParametersError(f"t must be >= 0, got {t}")
@@ -223,25 +223,17 @@ def max_t_intersecting(space: Family, t: int, cap: int | None = None) -> SearchR
         # the seed is optimal, which covers t = 0: nothing to search
         return SearchResult(seed_size, seed, 0, seed_size)
 
-    # the conflict graph, built in root order: ascending conflict degree
-    # (descending intersection degree), ties by ascending mask order
-    nbrs: list[list[int]] = [[] for _ in range(n)]
+    # the conflict graph over the candidates in ascending mask order
+    conflict = [0] * n
     for a in range(n):
         ma = verts[a]
         for b in range(a + 1, n):
             if (ma & verts[b]).bit_count() < t:
-                nbrs[a].append(b)
-                nbrs[b].append(a)
-    perm = sorted(range(n), key=lambda v: (len(nbrs[v]), v))
-    inv = {old: new for new, old in enumerate(perm)}
-    verts = [verts[old] for old in perm]
-    conflict = [sum(1 << inv[b] for b in nbrs[old]) for old in perm]
+                conflict[a] |= 1 << b
+                conflict[b] |= 1 << a
     best_mask = _local_search(
         conflict, sum(1 << i for i, m in enumerate(verts) if m in seed.members))
-    if best_mask.bit_count() > seed_size:
-        best_size = seed_size = best_mask.bit_count()
-    else:
-        best_mask = 0   # the star stays the seed and the incumbent
+    best_size = seed_size = best_mask.bit_count()
     nodes = 0
 
     # depth-first branch and bound without recursion.  A frame on the
@@ -329,8 +321,7 @@ def max_t_intersecting(space: Family, t: int, cap: int | None = None) -> SearchR
         else:
             break
 
-    witness = seed if not best_mask else Family(
-        space.ground, frozenset(verts[i - 1] for i in elements_of(best_mask)))
+    witness = Family(space.ground, frozenset(verts[i - 1] for i in elements_of(best_mask)))
     return SearchResult(best_size, witness, nodes, seed_size)
 
 

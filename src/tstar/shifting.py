@@ -26,22 +26,14 @@ from typing import Iterator
 from .core import Family, GroundSet, InvalidParametersError, elements_of
 
 
-def _pair_bits(i: int, j: int, n: int | None) -> tuple[int, int]:
+def _pair_bits(i: int, j: int, n: int) -> tuple[int, int]:
     if i < 1 or j < 1:
         raise InvalidParametersError(f"elements are 1-based, got i={i}, j={j}")
     if i == j:
         raise InvalidParametersError("need two distinct elements")
-    if n is not None and (i > n or j > n):
+    if i > n or j > n:
         raise InvalidParametersError(f"element out of range [1, {n}]")
     return 1 << (i - 1), 1 << (j - 1)
-
-
-def compress_member(mask: int, i: int, j: int, n: int | None = None) -> int:
-    """Replace j by i in the mask when j is in and i is out; else identity."""
-    bi, bj = _pair_bits(i, j, n)
-    if mask & bj and not mask & bi:
-        return (mask ^ bj) | bi
-    return mask
 
 
 def _movers(members, bi: int, bj: int):

@@ -191,15 +191,21 @@ def check_star_preservation(fam: Family, space: Family, t: int,
     """Black-box implication: if the (i, j)-compressed family is a full
     t-star of the space, the original family must be one too.
 
-    The caller guarantees fam is a t-intersecting subfamily of space;
-    the largeness hypothesis is reported via
-    star_preservation_hypothesis, never enforced here.
+    The caller guarantees fam is a t-intersecting subfamily of space.
+    The largeness hypothesis (star_preservation_hypothesis) is enforced:
+    a space that fails it raises HypothesisViolationError, after the
+    ground and same-part checks.
     """
     ground = fam.ground
     if space.ground != ground:
         raise InvalidParametersError("family and space must share a ground set")
     if ground.element_part(i) != ground.element_part(j):
         raise InvalidParametersError("i and j must lie in a common part")
+    if not star_preservation_hypothesis(space, t):
+        raise HypothesisViolationError(
+            "star_preservation_hypothesis fails: every part must exceed "
+            f"2(t+1) = {2 * (t + 1)} times the largest per-part "
+            "member footprint of the space")
     compressed = compress_family(fam, i, j)
     if is_full_t_star(compressed, space, t) is None:
         return True

@@ -239,6 +239,7 @@ def test_ratio_bound_examples():
     assert rb.hypothesis_ok
     assert ratio_bound(GroundSet((4, 8)), (2, 2)).ratio == Fraction(1, 2)
     assert ratio_bound(GroundSet((6, 9)), (2, 3)).ratio == Fraction(1, 3)
+    assert ratio_bound(GroundSet((5, 4)), (1, 2)).ratio == Fraction(1, 2)  # the later part
 
 
 def test_ratio_bound_flags_small_parts():

@@ -81,6 +81,8 @@ def test_bound_flag_conflicts(capsys):
     assert code == 2
     code, _ = run(capsys, "bound", "--n", "6,6", "--profiles", "2,2", "--t", "1", "--lp")
     assert code == 2
+    assert main(["bound", "--n", "4,4", "--k", "2,2", "--ratio", "--t", "2"]) == 2
+    assert "t=1 only" in capsys.readouterr().err
 
 
 def test_bound_union_t_above_c_exits_2(capsys):
@@ -116,6 +118,19 @@ def test_malformed_vector_usage_error(capsys):
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == 2, argv
+    # the argument types say what they expected
+    for argv, expected in ((["bound", "--n", "5", "--profiles", "2;x", "--t", "1"],
+                            "expected profiles like"),
+                           (["kneser", "--params", "5-2"], "expected pairs like"),
+                           (["kneser", "--params", "5:2", "--enum-cap", "x"],
+                            "expected an integer"),
+                           (["kneser", "--params", "5:2", "--enum-cap", "0"],
+                            "expected a positive integer")):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2, argv
+        assert expected in capsys.readouterr().err, argv
 
 
 def test_search_block(tmp_path, capsys):
@@ -131,6 +146,11 @@ def test_search_block(tmp_path, capsys):
     witness = read_family(str(out_file))
     assert len(witness.members) == 4
     assert is_t_intersecting(witness, 1)
+    # the table prints a null value as "-"
+    code, out = run(capsys, "search", "--n", "5", "--k", "2", "--t", "1",
+                    "--format", "table")
+    assert code == 0
+    assert "witness_file: -" in out.splitlines()
 
 
 def test_search_shifted(tmp_path, capsys):
@@ -177,6 +197,8 @@ def test_search_quota_flag_conflicts(capsys):
     code, _ = run(capsys, "search", "--n", "3,3", "--k", "7",
                   "--quota", "1,1")
     assert code == 2
+    assert main(["search", "--n", "4,4", "--k", "2,2"]) == 2
+    assert "need --t" in capsys.readouterr().err
 
 
 def test_search_cap_exit_3(capsys):
@@ -295,6 +317,11 @@ def test_verify_prefix_hypothesis_exit_2(tmp_path, capsys):
     write_family(Family.from_iterables(g, [[1, 2]]), str(b))
     code, _ = run(capsys, "verify", "prefix", str(a), str(b),
                   "--t", "1", "--r", "2", "--s", "2")
+    assert code == 2
+    parts = ["--t", "1", "--profile-a", "2", "--profile-b", "2"]
+    code, data = run_json(capsys, "verify", "prefix-parts", str(b), str(b), *parts)
+    assert (code, data) == (0, {"holds": True})
+    code, _ = run(capsys, "verify", "prefix-parts", str(a), str(b), *parts)
     assert code == 2
 
 
@@ -442,6 +469,9 @@ def test_enumerate_stdout(capsys):
     assert code == 0
     fam = parse_family(out)
     assert len(fam.members) == 36
+    code, out = run(capsys, "enumerate", "--n", "4,4", "--profiles", "2,2;1,2")
+    assert code == 0
+    assert len(parse_family(out).members) == 36 + 24
 
 
 def test_enumerate_quota_and_errors(tmp_path, capsys):

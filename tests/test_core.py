@@ -217,6 +217,8 @@ def test_profile_set_invariants():
         ProfileSet(((1, 0),))
     with pytest.raises(InvalidParametersError):
         ProfileSet(((1, 2), (1, 2, 3)))
+    with pytest.raises(InvalidParametersError, match="2 parts, ground set has 1"):
+        enumerate_profile_union(GroundSet((4,)), ProfileSet(((1, 2),)))
 
 
 def test_quota_examples():
@@ -243,6 +245,10 @@ def test_quota_validation():
         enumerate_quota(g, 4, (4, 0))  # quota must stay below part size
     with pytest.raises(InvalidParametersError, match="exceeds the ground set size 8"):
         enumerate_quota(g, 9, (1, 1))  # no 9-set in 8 elements
+    with pytest.raises(InvalidParametersError, match="quota length 1"):
+        enumerate_quota(g, 4, (1,))
+    with pytest.raises(InvalidParametersError, match="k must be >= 0"):
+        enumerate_quota(g, -1, (0, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +342,10 @@ def test_parse_rejects_bad_input():
         parse_family("ground: 3\n1,5\n")  # out of range
     with pytest.raises(InvalidParametersError):
         parse_family("ground: 3\n1,x\n")
+    with pytest.raises(InvalidParametersError, match="bad ground sizes"):
+        parse_family("ground: 3,x\n1,2\n")
+    with pytest.raises(InvalidParametersError, match="missing 'ground:' header"):
+        parse_family("# a comment only\n\n")
 
 
 def test_parse_rejects_duplicate_member():

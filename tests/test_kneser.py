@@ -2,12 +2,14 @@ from __future__ import annotations
 
 import pytest
 
+from itertools import combinations
+
 from tstar.core import InstanceTooLargeError, InvalidParametersError, mask_of
 from tstar.kneser import (
     KneserParams,
+    _coordinates,
     is_connected,
     is_connected_union_find,
-    vertices,
 )
 
 
@@ -28,10 +30,9 @@ def test_params_properties():
 
 
 def test_vertices_colex_order():
-    verts = vertices(KneserParams(((4, 2),)))
-    assert len(verts) == 6
+    (masks,) = _coordinates(KneserParams(((4, 2),)), None)
+    assert len(masks) == 6
     # numeric mask order == colex on the subsets
-    masks = [v[0] for v in verts]
     assert masks == sorted(masks)
     assert masks[0] == mask_of([1, 2])
 
@@ -46,8 +47,7 @@ def test_connectivity():
 
 def test_kg42_components():
     # three perfect-matching pairs: {12,34}, {13,24}, {14,23}
-    pr = KneserParams(((4, 2),))
-    verts = vertices(pr)
+    verts = [(mask_of(c),) for c in combinations(range(1, 5), 2)]
     comps = []
     remaining = set(verts)
     while remaining:

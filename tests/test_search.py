@@ -405,6 +405,24 @@ def test_block_report_closes_eight_eight_at_t_three():
     _assert_shifted_witness(rep["witness"], enumerate_block(g, k), 3)
 
 
+def test_down_set_search_improves_on_a_weak_seed(monkeypatch):
+    # every block tested elsewhere has an optimal window seed, so the
+    # kernel never raises its incumbent there.  Seeded with the best star
+    # of (5,6)/(2,3) at t=2 (40 members, r = 0), it must find 46 on its
+    # own, proving it below the LP floor of 57, and stop at a goal of 46
+    monkeypatch.setattr(search, "max_window_family", lambda t, ground, k: (40, 0, (1, 1)))
+    g, k = GroundSet((5, 6)), (2, 3)
+    space = enumerate_block(g, k)
+    rep = check_block_maximum(g, k, 2)
+    assert (rep["max_size"], rep["star_bound"], rep["lp_bound"]) == (46, 40, 57)
+    assert len(rep["witness"].members) == 46
+    _assert_shifted_witness(rep["witness"], space, 2)
+    stopped = search._search_down_sets(space, k, 2, 46)
+    assert (stopped.max_size, stopped.bound_used) == (46, 40)
+    assert 0 < stopped.nodes_explored < rep["nodes_explored"]
+    _assert_shifted_witness(stopped.witness, space, 2)
+
+
 def test_kron_matches_a_per_index_reference():
     # bit v is set when every part's digit of the mixed-radix index v
     # (part 0 most significant) is set in that part's mask, each index

@@ -130,6 +130,7 @@ def test_prefix_intersection_trivial():
     g = GroundSet((4,))
     a = _fam(g, [1, 2])
     assert check_prefix_intersection(a, a, 1, 2, 2)
+    assert check_prefix_intersection(Family(g, frozenset()), a, 1, 2, 2)
 
 
 def test_prefix_intersection_flags_unshifted():
@@ -147,6 +148,11 @@ def test_prefix_intersection_flags_bad_sizes():
         check_prefix_intersection(a, b, 1, 2, 2)  # B is not 2-uniform
     with pytest.raises(HypothesisViolationError):
         check_prefix_intersection(b, a, 1, 3, 2)  # r > s
+    with pytest.raises(HypothesisViolationError, match="A must be r-uniform"):
+        check_prefix_intersection(b, b, 1, 2, 3)
+    for other in (_fam(GroundSet((5,)), [1, 2]), _fam(GroundSet((2, 2)), [1, 3])):
+        with pytest.raises(HypothesisViolationError, match="single-part ground"):
+            check_prefix_intersection(a, other, 1, 2, 2)
 
 
 def test_prefix_intersection_randomized():
@@ -176,6 +182,7 @@ def test_partwise_prefix_trivial():
     g = GroundSet((6, 6))
     a = _fam(g, [1, 2, 7, 8])
     assert check_partwise_prefix_intersection(a, a, 2, (2, 2), (2, 2))
+    assert check_partwise_prefix_intersection(a, Family(g, frozenset()), 2, (2, 2), (2, 2))
 
 
 def test_partwise_prefix_non_shifted_witness():
@@ -195,6 +202,15 @@ def test_partwise_prefix_flags_small_parts():
     with pytest.raises(HypothesisViolationError):
         # part 0 needs n_0 > rA_0 + rB_0 - 1 = 4, and n_0 is exactly 4
         check_partwise_prefix_intersection(a, a, 2, (2, 2), (3, 2))
+    with pytest.raises(HypothesisViolationError, match="share a ground set"):
+        check_partwise_prefix_intersection(a, _fam(GroundSet((4, 8)), [1, 2, 8, 9]),
+                                           2, (2, 2), (2, 2))
+    with pytest.raises(HypothesisViolationError, match="t must be >= 0"):
+        check_partwise_prefix_intersection(a, a, -1, (2, 2), (2, 2))
+    with pytest.raises(HypothesisViolationError, match="member of A is off-profile"):
+        check_partwise_prefix_intersection(a, a, 2, (1, 3), (2, 2))
+    with pytest.raises(HypothesisViolationError, match="member of B is off-profile"):
+        check_partwise_prefix_intersection(a, a, 2, (2, 2), (1, 3))
 
 
 def test_partwise_prefix_part_left_empty_by_both_profiles():
@@ -271,6 +287,13 @@ def test_star_preservation_hypothesis_flag():
     g = GroundSet((4,))
     space = enumerate_block(g, (1,))
     assert not star_preservation_hypothesis(space, 1)  # needs n > 4
+    # the checker enforces it, after its own argument checks
+    star = trivial_star(space, mask_of([1]))
+    with pytest.raises(HypothesisViolationError, match="star_preservation_hypothesis fails"):
+        check_star_preservation(star, space, 1, 1, 2)
+    with pytest.raises(InvalidParametersError, match="common part"):
+        check_star_preservation(Family(GroundSet((2, 2)), frozenset()),
+                                Family(GroundSet((2, 2)), frozenset()), 1, 1, 3)
     g2 = GroundSet((5,))
     assert star_preservation_hypothesis(enumerate_block(g2, (1,)), 1)
 
