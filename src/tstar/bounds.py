@@ -315,12 +315,18 @@ def delsarte_bound(ground: GroundSet, k: tuple[int, ...], t: int) -> Fraction:
     """
     from fractions import Fraction
 
+    return Fraction(*_delsarte_lp(ground, k, t))
+
+
+def _delsarte_lp(ground: GroundSet, k: tuple[int, ...], t: int) -> tuple[int, int]:
+    """delsarte_bound as an integer numerator and a positive denominator,
+    for a caller that needs only its floor and no Fraction."""
     k = tuple(k)
     ground.check_profile(k)
     if t < 0:
         raise InvalidParametersError(f"t must be >= 0, got {t}")
     if t > sum(k):
-        return Fraction(0)
+        return 0, 1
     tops = [range(min(k_i, n_i - k_i) + 1) for k_i, n_i in zip(k, ground.sizes)]
     count = math.prod(map(len, tops))
     if count > DELSARTE_CLASS_CAP:
@@ -335,11 +341,13 @@ def delsarte_bound(ground: GroundSet, k: tuple[int, ...], t: int) -> Fraction:
         return math.prod(eig[i][d_i][e_i] for i, (d_i, e_i) in enumerate(zip(d, e)))
 
     rows = [[-eigenvalue(d, e) for d in dists] for e in classes[1:]]
-    return 1 + _simplex_max([eigenvalue(d, classes[0]) for d in dists], rows)
+    num, den = _simplex_max([eigenvalue(d, classes[0]) for d in dists], rows)
+    return den + num, den
 
 
-def _simplex_max(c: list[int], rows: list[list[int]]) -> Fraction:
-    """max c.y subject to row.y <= 1 for every row and y >= 0, exactly.
+def _simplex_max(c: list[int], rows: list[list[int]]) -> tuple[int, int]:
+    """max c.y subject to row.y <= 1 for every row and y >= 0, exactly,
+    as an integer numerator and a positive denominator.
 
     The origin is feasible, so the tableau starts from the slack basis;
     Bland's rule (lowest-index entering column, lowest-index basic
@@ -355,8 +363,6 @@ def _simplex_max(c: list[int], rows: list[list[int]]) -> Fraction:
     checked by a primal-dual certificate (_check_certificate) before it
     is returned.
     """
-    from fractions import Fraction
-
     n, m = len(c), len(rows)
     tab = [list(row) + [int(r == i) for i in range(m)] + [1]
            for r, row in enumerate(rows)]
@@ -391,7 +397,7 @@ def _simplex_max(c: list[int], rows: list[list[int]]) -> Fraction:
         if b < n:
             y[b] = tab[r][-1]
     _check_certificate(c, rows, y, cost[n:n + m], cost[-1], det)
-    return Fraction(cost[-1], det)
+    return cost[-1], det
 
 
 def _check_certificate(c: list[int], rows: list[list[int]], y: list[int],

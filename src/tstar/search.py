@@ -8,6 +8,10 @@ max_t_intersecting is a maximum-clique branch and bound with a greedy
 colouring bound (Tomita and Seki 2003) on bitsets (San Segundo et al.
 2011): a colour class is a clique of the conflict graph, of which a
 solution keeps at most one member, so the colour count bounds a node.
+The bitsets start at the build: one pass indexes the candidates by
+element, and both the greedy star seed (t most frequent elements, one at
+a time) and every conflict row (a bit-sliced count of shared elements
+over the row's elements) are read off that index.
 Each node takes its conflict-free candidates at once and colours the
 rest in ascending order of their conflict degree among them, counted
 again at every node, as MaxCliqueDyn (Konc and Janezic 2007) re-sorts by
@@ -44,16 +48,17 @@ check_block_maximum(..., shifted=True), which checks that the witness is
 shifted.
 
 A deliberately naive brute-force oracle is kept alongside for
-validation; it shares no data structures with the solver.
+validation; it shares no data structures with the solver.  It compares
+pairs of candidates on purpose, as verify.is_t_intersecting does: they
+are the slow independent route, and do not use the element index.
 """
 
 from __future__ import annotations
 
-import math
 from itertools import combinations, product
 from typing import Iterator
 
-from .bounds import (delsarte_bound, exchange_optimal, hypothesis_flags,
+from .bounds import (_delsarte_lp, exchange_optimal, hypothesis_flags,
                      max_window_family, optimal_t_distributions, union_star_sizes)
 from .core import (
     Family,
@@ -96,28 +101,6 @@ class SearchResult(_Frozen):
     witness: Family
     nodes_explored: int
     bound_used: int
-
-
-def _greedy_star(space: Family, t: int) -> Family:
-    """Best-effort trivial t-star inside the space, grown one center
-    element at a time; each step keeps the element most frequent among
-    the members still containing the partial center."""
-    members = [m for m in space.members if m.bit_count() >= t]
-    center = 0
-    for _ in range(t):
-        counts: dict[int, int] = {}
-        for m in members:
-            rest = m & ~center
-            while rest:
-                low = rest & -rest
-                counts[low] = counts.get(low, 0) + 1
-                rest ^= low
-        if not counts:
-            return Family(space.ground, frozenset())
-        best = max(counts.items(), key=lambda kv: (kv[1], -kv[0]))[0]
-        center |= best
-        members = [m for m in members if m & center == center]
-    return Family(space.ground, frozenset(members))
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -189,10 +172,16 @@ def max_t_intersecting(space: Family, t: int, cap: int | None = None) -> SearchR
 
     Members with fewer than t elements cannot appear in any solution
     (they fail the requirement against themselves) and are dropped up
-    front.  When the greedy star seed holds every candidate it is the
-    answer: nodes_explored is 0 and no conflict graph is built.
-    Otherwise the candidates are indexed in ascending mask order, and the
-    star is grown to a local optimum (_local_search), the star itself
+    front.  The candidates are indexed in ascending mask order, and once
+    by element: has[e] is the bitmask of the candidates holding element
+    e.  The greedy star seed takes t center elements, each time the first
+    element outside the center held by most candidates that hold the
+    center so far.  When it holds every candidate it is the answer:
+    nodes_explored is 0 and no conflict graph is built.  Otherwise each
+    candidate's conflict row is read off bit-sliced counters of how many
+    of its elements the others share, summed over its elements' has
+    masks; no pair of candidates is compared.  The star is grown to a
+    local optimum (_local_search), the star itself
     when nothing joins it; that set is the seed and the first incumbent,
     and bound_used its size.  A depth-first search takes each node's
     candidates without a conflict among them at once, then colours the
@@ -217,22 +206,58 @@ def max_t_intersecting(space: Family, t: int, cap: int | None = None) -> SearchR
             f"search space has {len(space.members)} members, cap is {limit}")
     verts = sorted(m for m in space.members if m.bit_count() >= t)
     n = len(verts)
-    seed = _greedy_star(space, t)
-    best_size = seed_size = len(seed.members)
-    if seed_size >= n:
-        # the seed is optimal, which covers t = 0: nothing to search
-        return SearchResult(seed_size, seed, 0, seed_size)
+    full = (1 << n) - 1
+    # the element index: has[e] holds the candidates with element e, built
+    # in the pass that lists each candidate's elements
+    has = [0] * space.ground.n
+    elems = []
+    for i, m in enumerate(verts):
+        bit = 1 << i
+        els = []
+        while m:
+            low = m & -m
+            m ^= low
+            e = low.bit_length() - 1
+            has[e] |= bit
+            els.append(e)
+        elems.append(els)
+    # the greedy star: t times, the element outside the center that most
+    # candidates holding the center hold, the first on ties
+    star = full
+    center = 0
+    for _ in range(t):
+        pick = most = 0
+        for e, h in enumerate(has):
+            c = (h & star).bit_count()
+            if c > most and not center >> e & 1:
+                pick, most = e, c
+        center |= 1 << pick
+        star &= has[pick]
+    if star == full:
+        # the star holds every candidate, which covers t = 0: nothing to search
+        return SearchResult(n, Family(space.ground, frozenset(verts)), 0, n)
 
-    # the conflict graph over the candidates in ascending mask order
-    conflict = [0] * n
-    for a in range(n):
-        ma = verts[a]
-        for b in range(a + 1, n):
-            if (ma & verts[b]).bit_count() < t:
-                conflict[a] |= 1 << b
-                conflict[b] |= 1 << a
-    best_mask = _local_search(
-        conflict, sum(1 << i for i, m in enumerate(verts) if m in seed.members))
+    # the conflict graph over the candidates in ascending mask order.  A
+    # candidate's row comes from bit-sliced counters: shared[j] holds the
+    # candidates sharing more than j of its elements so far, and each of
+    # its elements carries has[e] up the counters until no carry is left.
+    # Its conflicts are the candidates outside shared[t - 1]; it is not
+    # among them, as it shares its t or more elements with itself
+    conflict = []
+    top = t - 1
+    for els in elems:
+        shared = [0] * t
+        for e in els:
+            carry, j = has[e], 0
+            while carry:
+                c = shared[j]
+                shared[j] = c | carry
+                if j == top:
+                    break
+                carry &= c
+                j += 1
+        conflict.append(full ^ shared[top])
+    best_mask = _local_search(conflict, star)
     best_size = seed_size = best_mask.bit_count()
     nodes = 0
 
@@ -243,7 +268,7 @@ def max_t_intersecting(space: Family, t: int, cap: int | None = None) -> SearchR
     # its children are made one at a time, so the stack holds one mask per
     # open node, not one per child
     stack: list[list] = []
-    taken, size, pmask = 0, 0, (1 << n) - 1
+    taken, size, pmask = 0, 0, full
     while True:
         nodes += 1
         # one scan groups the candidates by live conflict degree
@@ -660,7 +685,8 @@ def check_block_maximum(ground: GroundSet, k: tuple[int, ...], t: int,
     dist = max(optimal_t_distributions(t, ground, k))
     star_bound = union_star_sizes(ground, (k,), [dist])[0]
     try:
-        lp_bound = math.floor(delsarte_bound(ground, k, t))
+        num, den = _delsarte_lp(ground, k, t)
+        lp_bound = num // den
     except InstanceTooLargeError:
         lp_bound = None     # too many distance classes: search without it
     goal = len(space.members) if lp_bound is None else min(lp_bound, len(space.members))

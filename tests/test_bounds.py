@@ -366,15 +366,15 @@ def test_simplex_matches_vertex_enumeration_on_delsarte_lps(monkeypatch):
     assert len(small) >= 60
     for c, rows in small:
         c, rows = list(c), [list(row) for row in rows]
-        assert bounds._simplex_max(c, rows) == _vertex_max(c, rows), (c, rows)
+        assert Fraction(*bounds._simplex_max(c, rows)) == _vertex_max(c, rows), (c, rows)
 
 
 def test_simplex_hand_lps():
     # fractional optimum y = (2/5, 1/5)
-    assert bounds._simplex_max([1, 1], [[2, 1], [1, 3]]) == Fraction(3, 5)
+    assert Fraction(*bounds._simplex_max([1, 1], [[2, 1], [1, 3]])) == Fraction(3, 5)
     # both rows tie on the first ratio; the second pivot is degenerate
     tied = ([1, 1], [[1, 0], [1, 1]])
-    assert bounds._simplex_max(*tied) == 1 == _vertex_max(*tied)
+    assert Fraction(*bounds._simplex_max(*tied)) == 1 == _vertex_max(*tied)
     with pytest.raises(InvariantError, match="unbounded"):
         bounds._simplex_max([1, 1], [[-1, 1]])
 

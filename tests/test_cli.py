@@ -417,7 +417,7 @@ NO_BOUNDS = ("tstar.bounds", "tstar.search", "tstar.acceptance", *NO_RATIO)
     (["bound", "--n", "8,10", "--k", "4,4", "--t", "2"],
      ("tstar.search", "tstar.kneser", *NO_RATIO)),
     (["search", "--n", "5,5", "--k", "2,2", "--t", "1"],
-     ("tstar.kneser", "tstar.acceptance", "dataclasses")),
+     ("tstar.kneser", "tstar.acceptance", *NO_RATIO)),
     (["search", "--n", "5,5", "--k", "3", "--quota", "1,1"],
      ("tstar.kneser", "tstar.acceptance", *NO_RATIO)),
     (["repro", "--only", "10"], ("dataclasses",)),

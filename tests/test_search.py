@@ -1,11 +1,11 @@
 """Solver tests: oracle agreement, witness validity, report builders."""
 
+import hashlib
 import math
 import random
 import sys
 import time
 import tracemalloc
-from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -142,6 +142,66 @@ def _candidates(fam, t):
     return sorted(m for m in fam.members if m.bit_count() >= t)
 
 
+def _greedy_star(fam, t):
+    """The solver's star seed, counted member by member: t times, the
+    element most frequent among the candidates holding the center so far,
+    the least on ties."""
+    members = _candidates(fam, t)
+    center = 0
+    for _ in range(t):
+        counts = {}
+        for m in members:
+            for e in core.elements_of(m & ~center):
+                counts[e] = counts.get(e, 0) + 1
+        if not counts:
+            break
+        center |= mask_of([min(counts, key=lambda e: (-counts[e], e))])
+        members = [m for m in members if m & center == center]
+    return Family(fam.ground, frozenset(members))
+
+
+def _pairwise_conflicts(verts, t):
+    """Conflict rows by comparing every pair of candidates."""
+    return [sum(1 << b for b, mb in enumerate(verts) if b != a and (ma & mb).bit_count() < t)
+            for a, ma in enumerate(verts)]
+
+
+def test_conflict_rows_match_a_pairwise_reference(monkeypatch):
+    # the rows the solver hands its local search, with the star seed, on
+    # random members of any size (those below t are dropped); a family
+    # whose star holds every candidate builds no rows, and then no two
+    # candidates conflict
+    seen = []
+    real = search._local_search
+    monkeypatch.setattr(search, "_local_search",
+                        lambda conflict, chosen: seen.append((conflict, chosen))
+                        or real(conflict, chosen))
+    rng = random.Random(20261023)
+    families = [(Family(GroundSet((5,)), frozenset()), 1),
+                (Family.from_iterables(GroundSet((3, 3)), [[1, 4]]), 2),
+                (Family.from_iterables(GroundSet((4,)), [[1], [2], [1, 2]]), 3)]
+    for _ in range(400):
+        g = GroundSet(tuple(rng.randint(1, 7) for _ in range(rng.randint(1, 3))))
+        members = {rng.randrange(1 << g.n) for _ in range(rng.randint(0, 30))}
+        families.append((Family(g, frozenset(members)), rng.randint(0, 5)))
+    built = 0
+    for fam, t in families:
+        verts = _candidates(fam, t)
+        want = _pairwise_conflicts(verts, t)
+        seen.clear()
+        max_t_intersecting(fam, t)
+        if not seen:
+            assert not any(want), (sorted(fam.members), t)
+            continue
+        built += 1
+        (conflict, chosen), = seen
+        assert conflict == want, (sorted(fam.members), t)
+        assert not any(row >> i & 1 for i, row in enumerate(conflict))
+        star = _greedy_star(fam, t).members
+        assert chosen == sum(1 << i for i, m in enumerate(verts) if m in star)
+    assert built > 100, built
+
+
 def test_brute_force_modes_agree():
     for n, k, t in ((5, 2, 1), (4, 2, 1), (6, 2, 2)):
         space = enumerate_block(GroundSet((n,)), (k,))
@@ -229,6 +289,20 @@ def test_search_tree_is_pinned():
         assert r.bound_used == r.max_size, (sizes, k, t)
 
 
+def test_search_tree_is_pinned_on_subfamilies():
+    # the totals over 100 seeded subfamilies, which have no symmetry, and
+    # a digest of their witnesses in order
+    nodes = seeds = 0
+    digest = hashlib.sha256()
+    for fam, t in _seeded_subfamilies(20261021, 100, 10, 60, _GRID_BLOCKS):
+        r = max_t_intersecting(fam, t)
+        nodes += r.nodes_explored
+        seeds += r.bound_used
+        digest.update(repr(sorted(r.witness.members)).encode())
+    assert (nodes, seeds) == (614, 1527)
+    assert digest.hexdigest()[:16] == "91e1de76893274b9"
+
+
 # the 2-sets {i, i+2} of a 5-cycle: each is disjoint from two others, so
 # the conflict graph at t = 1 is a 5-cycle, whose maximum is 2 but whose
 # colouring needs three conflict cliques
@@ -263,7 +337,7 @@ def test_margin_child_is_refuted(monkeypatch):
     plain = _without(monkeypatch, "refute")(fam, 1)
     assert verdicts == [True]
     assert (r.max_size, r.nodes_explored, plain.nodes_explored) == (2, 1, 2)
-    assert r.witness == plain.witness == search._greedy_star(fam, 1)
+    assert r.witness == plain.witness == _greedy_star(fam, 1)
     assert r.bound_used == plain.bound_used == 2
 
 
@@ -282,7 +356,7 @@ def test_refutation_changes_only_the_node_count(monkeypatch):
         refuted += r.nodes_explored < p.nodes_explored
         s = star_seeded(fam, t)
         assert r.max_size == s.max_size and r.nodes_explored <= s.nodes_explored
-        assert r.bound_used >= s.bound_used == len(search._greedy_star(fam, t).members)
+        assert r.bound_used >= s.bound_used == len(_greedy_star(fam, t).members)
         if r.bound_used == s.bound_used:
             assert r.witness == s.witness
         else:
@@ -296,7 +370,7 @@ def test_optimal_star_stays_the_witness(monkeypatch):
     for fam, t in ((Family.from_iterables(GroundSet((5,)), _PENTAGRAM), 1),
                    (enumerate_block(GroundSet((7,)), (3,)), 1),
                    (enumerate_quota(GroundSet((5, 5)), 3, (1, 1)), 1)):
-        star = search._greedy_star(fam, t)
+        star = _greedy_star(fam, t)
         r = max_t_intersecting(fam, t)
         assert (r.witness, r.bound_used) == (star, r.max_size)
         assert r.nodes_explored <= _without(monkeypatch, "seed")(fam, t).nodes_explored
@@ -499,15 +573,16 @@ def test_block_report_closes_a_large_block_at_the_root():
 
 def test_block_report_refuses_a_bound_below_the_seed(monkeypatch):
     # the best star of (5,)/(2,) at t=1 has 4 members
-    monkeypatch.setattr(search, "delsarte_bound", lambda ground, k, t: Fraction(3))
+    monkeypatch.setattr(search, "_delsarte_lp", lambda ground, k, t: (3, 1))
     with pytest.raises(InvariantError, match="beats the upper bound 3"):
         check_block_maximum(GroundSet((5,)), (2,), 1)
 
 
 def test_upper_below_an_improvement_raises(monkeypatch):
     # (5,6)/(2,3) at t=2: the best star has 40 members, below the bound,
-    # so the down-set search runs, and its window seed has 46
-    monkeypatch.setattr(search, "delsarte_bound", lambda ground, k, t: Fraction(45))
+    # so the down-set search runs, and its window seed has 46, above the
+    # floor of the bound 91/2
+    monkeypatch.setattr(search, "_delsarte_lp", lambda ground, k, t: (91, 2))
     with pytest.raises(InvariantError, match="beats the upper bound 45"):
         check_block_maximum(GroundSet((5, 6)), (2, 3), 2)
 
