@@ -11,7 +11,8 @@ solution keeps at most one member, so the colour count bounds a node.
 The bitsets start at the build: one pass indexes the candidates by
 element, and both the greedy star seed (t most frequent elements, one at
 a time) and every conflict row (a bit-sliced count of shared elements
-over the row's elements) are read off that index.
+over the row's elements) are read off that index; so are the down-set
+kernel's rows.
 Each node takes its conflict-free candidates at once and colours the
 rest in ascending order of their conflict degree among them, counted
 again at every node, as MaxCliqueDyn (Konc and Janezic 2007) re-sorts by
@@ -167,6 +168,43 @@ def _local_search(conflict: list[int], chosen: int) -> int:
             return chosen
 
 
+def _element_index(verts: list[int], n: int) -> tuple[list[int], list[list[int]]]:
+    """In one pass over the vertex masks verts: has[e], the mask of the
+    vertices holding element e of n, and elems[v], vertex v's elements."""
+    has = [0] * n
+    elems = []
+    for i, m in enumerate(verts):
+        bit = 1 << i
+        els = []
+        while m:
+            low = m & -m
+            m ^= low
+            e = low.bit_length() - 1
+            has[e] |= bit
+            els.append(e)
+        elems.append(els)
+    return has, elems
+
+
+def _conflict_row(has: list[int], els: list[int], t: int, full: int) -> int:
+    """The vertices under full sharing fewer than t >= 1 of the elements
+    els, read off the element index has by bit-sliced counters: shared[j]
+    holds the vertices sharing more than j of els so far, and each element
+    carries has[e] up them until no carry is left."""
+    shared = [0] * t
+    top = t - 1
+    for e in els:
+        carry, j = has[e], 0
+        while carry:
+            c = shared[j]
+            shared[j] = c | carry
+            if j == top:
+                break
+            carry &= c
+            j += 1
+    return full ^ shared[top]
+
+
 def max_t_intersecting(space: Family, t: int, cap: int | None = None) -> SearchResult:
     """Exact maximum t-intersecting subfamily of `space`.
 
@@ -207,20 +245,7 @@ def max_t_intersecting(space: Family, t: int, cap: int | None = None) -> SearchR
     verts = sorted(m for m in space.members if m.bit_count() >= t)
     n = len(verts)
     full = (1 << n) - 1
-    # the element index: has[e] holds the candidates with element e, built
-    # in the pass that lists each candidate's elements
-    has = [0] * space.ground.n
-    elems = []
-    for i, m in enumerate(verts):
-        bit = 1 << i
-        els = []
-        while m:
-            low = m & -m
-            m ^= low
-            e = low.bit_length() - 1
-            has[e] |= bit
-            els.append(e)
-        elems.append(els)
+    has, elems = _element_index(verts, space.ground.n)
     # the greedy star: t times, the element outside the center that most
     # candidates holding the center hold, the first on ties
     star = full
@@ -237,26 +262,8 @@ def max_t_intersecting(space: Family, t: int, cap: int | None = None) -> SearchR
         # the star holds every candidate, which covers t = 0: nothing to search
         return SearchResult(n, Family(space.ground, frozenset(verts)), 0, n)
 
-    # the conflict graph over the candidates in ascending mask order.  A
-    # candidate's row comes from bit-sliced counters: shared[j] holds the
-    # candidates sharing more than j of its elements so far, and each of
-    # its elements carries has[e] up the counters until no carry is left.
-    # Its conflicts are the candidates outside shared[t - 1]; it is not
-    # among them, as it shares its t or more elements with itself
-    conflict = []
-    top = t - 1
-    for els in elems:
-        shared = [0] * t
-        for e in els:
-            carry, j = has[e], 0
-            while carry:
-                c = shared[j]
-                shared[j] = c | carry
-                if j == top:
-                    break
-                carry &= c
-                j += 1
-        conflict.append(full ^ shared[top])
+    # the conflict graph over the candidates in ascending mask order
+    conflict = [_conflict_row(has, els, t, full) for els in elems]
     best_mask = _local_search(conflict, star)
     best_size = seed_size = best_mask.bit_count()
     nodes = 0
@@ -346,7 +353,7 @@ def max_t_intersecting(space: Family, t: int, cap: int | None = None) -> SearchR
         else:
             break
 
-    witness = Family(space.ground, frozenset(verts[i - 1] for i in elements_of(best_mask)))
+    witness = Family(space.ground, frozenset(verts[v] for v in _bits(best_mask)))
     return SearchResult(best_size, witness, nodes, seed_size)
 
 
@@ -447,16 +454,15 @@ def _cliques_max(space: Family, verts: list[int], t: int) -> SearchResult:
 # ---------------------------------------------------------------------------
 # down-set search on a full block
 
-def _part_tables(n: int, k: int, t: int) -> tuple[list, ...]:
+def _part_tables(n: int, k: int) -> tuple[list, ...]:
     """Tables over the k-subsets of an n-element part, as bit masks over
     their indices in ascending mask order, an order that extends the
     shifting order (a <= b when a's sorted elements are at most b's, one
     by one).
 
-    Returns (subsets, down, up, meet, fewer, least): down[j] and up[j]
-    hold the subsets below and above subset j, meet[s][j] those sharing
-    exactly s elements with it, fewer[x][j] (x <= t) those sharing fewer
-    than x, and least[j] is the fewest elements two subsets below j share.
+    Returns (subsets, down, up, least): down[j] and up[j] hold the
+    subsets below and above subset j, and least[j] is the fewest elements
+    two subsets below j share.
     """
     subsets = sorted(sum(1 << e for e in c) for c in combinations(range(n), k))
     index = {m: j for j, m in enumerate(subsets)}
@@ -474,19 +480,11 @@ def _part_tables(n: int, k: int, t: int) -> tuple[list, ...]:
         for b in range(n - 1):
             if m >> b & 1 and not m >> (b + 1) & 1:
                 up[j] |= up[index[m ^ (3 << b)]]
-    meet = [[0] * size for _ in range(k + 1)]
-    for j, a in enumerate(subsets):
-        for i, b in enumerate(subsets):
-            meet[(a & b).bit_count()][j] |= 1 << i
-    fewer = [[0] * size]
-    for x in range(min(t, k + 1)):
-        fewer.append([lo | eq for lo, eq in zip(fewer[-1], meet[x])])
-    fewer += [fewer[-1]] * (t + 1 - len(fewer))
     # two subsets below j sharing s elements make j share at most s with
     # one of them (the lemma in _search_down_sets), so pairs with j suffice
     least = [min((m & subsets[x]).bit_count() for x in _bits(down[j]))
              for j, m in enumerate(subsets)]
-    return subsets, down, up, meet, fewer, least
+    return subsets, down, up, least
 
 
 def _kron(masks: list[int], sizes: list[int], spread: dict) -> int:
@@ -530,9 +528,10 @@ def _search_down_sets(space: Family, k: tuple[int, ...], t: int,
     free, of most conflicts among the candidates plus with the vertices
     the root dropped: those say how constraining it is in the whole
     block, and any candidate is a safe pick, because the root drop keeps
-    only vertices whose down-sets are t-intersecting.  The masks are
-    Kronecker products of per-part tables (_part_tables), in mixed-radix
-    index order; no pair of members is compared.
+    only vertices whose down-sets are t-intersecting.  The down and up
+    masks are Kronecker products of per-part tables (_part_tables), in
+    mixed-radix index order, and each conflict row is read off the element
+    index (_conflict_row); no pair of members is compared.
 
     Lemma: what conflicts with a down-set S is an up-set.  If u meets
     s in S in fewer than t elements and u' is u with a replaced by b > a
@@ -552,16 +551,14 @@ def _search_down_sets(space: Family, k: tuple[int, ...], t: int,
     best_size = seed_size = size
     best_mask = nodes = 0
     if best_size < goal:
-        subsets, downs, ups, meets, fewers, leasts = zip(
-            *(_part_tables(n_i, k_i, t) for n_i, k_i in zip(ground.sizes, k)))
+        subsets, downs, ups, leasts = zip(
+            *(_part_tables(n_i, k_i) for n_i, k_i in zip(ground.sizes, k)))
         sizes = [len(part) for part in subsets]
         verts = [sum(m << off for m, off in zip(parts, ground.offsets))
                  for parts in product(*subsets)]
-        # conflicts split the t-1 or fewer shared elements among the parts:
-        # exactly s_i in each part but the last, fewer than the rest there
-        splits = [s for s in product(*(range(min(k_i, t - 1) + 1) for k_i in k[:-1]))
-                  if sum(s) < t]
         n = len(verts)
+        full = (1 << n) - 1
+        has, elems = _element_index(verts, ground.n)
         down, up, conflict = [0] * n, [0] * n, [0] * n
         alive = 0
         spread: dict = {}
@@ -571,15 +568,13 @@ def _search_down_sets(space: Family, k: tuple[int, ...], t: int,
             alive |= 1 << v
             down[v] = _kron([part[a_i] for part, a_i in zip(downs, a)], sizes, spread)
             up[v] = _kron([part[a_i] for part, a_i in zip(ups, a)], sizes, spread)
-            for s in splits:
-                conflict[v] |= _kron([meet[s_i][a_i] for meet, s_i, a_i in zip(meets, s, a)]
-                                     + [fewers[-1][t - sum(s)][a[-1]]], sizes, spread)
         # the pick counts the conflicts the root dropped as well; the free
         # test and the matching see live candidates only
         extra = [0] * n
         for v in _bits(alive):
-            extra[v] = (conflict[v] & ~alive).bit_count()
-            conflict[v] &= alive
+            row = _conflict_row(has, elems[v], t, full)
+            extra[v] = (row & ~alive).bit_count()
+            conflict[v] = row & alive
 
         # depth-first on an explicit stack of nodes (down-set taken, its
         # size, candidates); the candidates and the taken set form a down-set

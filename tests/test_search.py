@@ -201,6 +201,38 @@ def test_conflict_rows_match_a_pairwise_reference(monkeypatch):
         assert chosen == sum(1 << i for i, m in enumerate(verts) if m in star)
     assert built > 100, built
 
+    # the down-set kernel's rows over its mixed-radix vertices, read from
+    # its locals as it returns: a row cut to the vertices the root keeps
+    # (alive), and extra[v], v's conflicts among those the root dropped
+    kernel = search._search_down_sets.__code__
+    kept = {}
+
+    def returned(frame, event, arg):
+        if event == "return" and frame.f_code is kernel:
+            kept.update(frame.f_locals)
+
+    built = 0
+    for sizes, k in (((7,), (3,)), ((5, 6), (2, 3)), ((2, 3, 4), (1, 1, 2)),
+                     ((3, 4, 5), (1, 2, 3)), ((4, 4, 4), (2, 2, 2))):
+        space = enumerate_block(GroundSet(sizes), k)
+        for t in range(1, sum(k) + 1):
+            kept.clear()
+            previous = sys.getprofile()
+            sys.setprofile(returned)
+            try:
+                search._search_down_sets(space, k, t, len(space.members))
+            finally:
+                sys.setprofile(previous)
+            if "conflict" not in kept:
+                continue    # the window family holds the block: no rows built
+            built += 1
+            verts, alive = kept["verts"], kept["alive"]
+            assert sorted(verts) == sorted(space.members)
+            for v, row in enumerate(_pairwise_conflicts(verts, t)):
+                want = (row & alive, (row & ~alive).bit_count()) if alive >> v & 1 else (0, 0)
+                assert (kept["conflict"][v], kept["extra"][v]) == want, (sizes, k, t, v)
+    assert built == 23, built
+
 
 def test_brute_force_modes_agree():
     for n, k, t in ((5, 2, 1), (4, 2, 1), (6, 2, 2)):
