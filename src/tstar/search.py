@@ -454,57 +454,26 @@ def _cliques_max(space: Family, verts: list[int], t: int) -> SearchResult:
 # ---------------------------------------------------------------------------
 # down-set search on a full block
 
-def _part_tables(n: int, k: int) -> tuple[list, ...]:
-    """Tables over the k-subsets of an n-element part, as bit masks over
-    their indices in ascending mask order, an order that extends the
-    shifting order (a <= b when a's sorted elements are at most b's, one
-    by one).
+def _least(m: int) -> int:
+    """The fewest elements two sets below m in the shifting order of its
+    part share, for a set m of one part (bit b is the element at 1-based
+    position b + 1): with m's sorted elements m_1 < m_2 < ..., it is
+    max(0, max_l (2l - m_l)).
 
-    Returns (subsets, down, up, least): down[j] and up[j] hold the
-    subsets below and above subset j, and least[j] is the fewest elements
-    two subsets below j share.
+    Two sets below m sharing s elements make m share at most s with one
+    of them (the lemma in _search_down_sets), so it is the fewest m
+    shares with one x <= m.  Bound: any x <= m has x_1..x_l in [1, m_l],
+    of which only m_l - l lie outside m, so x shares at least 2l - m_l
+    elements with m.  Equality: let x take, place by place, the least
+    unused element outside m while one is at most m_l, else m_l itself.
+    Its l-th smallest element is at most m_l, so x <= m, and it takes an
+    element of m only once the m_l - l outside elements up to m_l are used
+    up, so it shares exactly max(0, max_l (2l - m_l)) elements with m.
     """
-    subsets = sorted(sum(1 << e for e in c) for c in combinations(range(n), k))
-    index = {m: j for j, m in enumerate(subsets)}
-    size = len(subsets)
-    # a cover of the order moves one element to the free place beside it
-    down, up = [0] * size, [0] * size
-    for j, m in enumerate(subsets):
-        down[j] = 1 << j
-        for b in range(1, n):
-            if m >> b & 1 and not m >> (b - 1) & 1:
-                down[j] |= down[index[m ^ (3 << (b - 1))]]
-    for j in reversed(range(size)):
-        m = subsets[j]
-        up[j] = 1 << j
-        for b in range(n - 1):
-            if m >> b & 1 and not m >> (b + 1) & 1:
-                up[j] |= up[index[m ^ (3 << b)]]
-    # two subsets below j sharing s elements make j share at most s with
-    # one of them (the lemma in _search_down_sets), so pairs with j suffice
-    least = [min((m & subsets[x]).bit_count() for x in _bits(down[j]))
-             for j, m in enumerate(subsets)]
-    return subsets, down, up, least
-
-
-def _kron(masks: list[int], sizes: list[int], spread: dict) -> int:
-    """Kronecker product of per-part index masks: bit v of the result is
-    set when every part's index in the mixed-radix index v (part 0 most
-    significant) is set in that part's mask.
-
-    A copy of the product so far at every set bit a of the next mask is
-    that product times the sum of 1 << a * width; the product is below
-    2 ** width, so the copies do not overlap.  spread caches those
-    factors by (mask, width).
-    """
-    out, width = masks[-1], sizes[-1]
-    for m, size in zip(masks[-2::-1], sizes[-2::-1]):
-        factor = spread.get((m, width))
-        if factor is None:
-            factor = spread[m, width] = sum(1 << a * width for a in _bits(m))
-        out *= factor
-        width *= size
-    return out
+    most = 0
+    for l, b in enumerate(_bits(m), 1):
+        most = max(most, 2 * l - b - 1)
+    return most
 
 
 def _search_down_sets(space: Family, k: tuple[int, ...], t: int,
@@ -528,10 +497,18 @@ def _search_down_sets(space: Family, k: tuple[int, ...], t: int,
     free, of most conflicts among the candidates plus with the vertices
     the root dropped: those say how constraining it is in the whole
     block, and any candidate is a safe pick, because the root drop keeps
-    only vertices whose down-sets are t-intersecting.  The down and up
-    masks are Kronecker products of per-part tables (_part_tables), in
-    mixed-radix index order, and each conflict row is read off the element
-    index (_conflict_row); no pair of members is compared.
+    only vertices whose down-sets are t-intersecting.  The vertices come
+    in mixed-radix order (part 0 most significant) over each part's
+    subsets in ascending mask order, an order that extends the shifting
+    order.  The root keeps a vertex when its parts' closed-form least
+    values (_least) sum to at least t.  The down and up masks are built
+    from covers: a cover moves one element to the free place beside it in
+    its part, so down(v) is v with the down-sets of its lower covers, in
+    ascending order, and up(v), cut to the kept vertices, is v with the
+    up-sets of its kept upper covers, in descending order.  Each conflict
+    row is read off the element index (_conflict_row); no pair of members
+    is compared.  When the window family meets `goal`, it is returned and
+    nothing is built.
 
     Lemma: what conflicts with a down-set S is an up-set.  If u meets
     s in S in fewer than t elements and u' is u with a replaced by b > a
@@ -548,95 +525,114 @@ def _search_down_sets(space: Family, k: tuple[int, ...], t: int,
     if len(seed.members) != size:
         raise InvariantError(
             f"the window family has {len(seed.members)} members, counted {size}")
-    best_size = seed_size = size
-    best_mask = nodes = 0
-    if best_size < goal:
-        subsets, downs, ups, leasts = zip(
-            *(_part_tables(n_i, k_i) for n_i, k_i in zip(ground.sizes, k)))
-        sizes = [len(part) for part in subsets]
-        verts = [sum(m << off for m, off in zip(parts, ground.offsets))
-                 for parts in product(*subsets)]
-        n = len(verts)
-        full = (1 << n) - 1
-        has, elems = _element_index(verts, ground.n)
-        down, up, conflict = [0] * n, [0] * n, [0] * n
-        alive = 0
-        spread: dict = {}
-        for v, a in enumerate(product(*map(range, sizes))):
-            if sum(least[a_i] for least, a_i in zip(leasts, a)) < t:
-                continue    # down(v) holds a conflicting pair
-            alive |= 1 << v
-            down[v] = _kron([part[a_i] for part, a_i in zip(downs, a)], sizes, spread)
-            up[v] = _kron([part[a_i] for part, a_i in zip(ups, a)], sizes, spread)
-        # the pick counts the conflicts the root dropped as well; the free
-        # test and the matching see live candidates only
-        extra = [0] * n
-        for v in _bits(alive):
-            row = _conflict_row(has, elems[v], t, full)
-            extra[v] = (row & ~alive).bit_count()
-            conflict[v] = row & alive
+    if size >= goal:
+        return SearchResult(size, seed, 0, size)
 
-        # depth-first on an explicit stack of nodes (down-set taken, its
-        # size, candidates); the candidates and the taken set form a down-set
-        stack = [(0, 0, alive)]
-        while stack:
-            r_mask, r_size, pmask = stack.pop()
-            while True:
-                nodes += 1
-                # one ascending pass: degrees, free vertices, the pick, and
-                # a greedy matching of each unmatched vertex to its least
-                # unmatched conflict above it; rest drops a vertex once seen
-                # or matched, and a free vertex, in no row, is never matched
-                free = pairs = 0
-                pick = -1
-                pick_deg = 0
-                scan = rest = pmask
-                while scan:
-                    low = scan & -scan
-                    scan ^= low
-                    v = low.bit_length() - 1
-                    row = conflict[v] & pmask
-                    d = row.bit_count()
-                    if d == 0:
-                        free |= low
-                        continue
-                    d += extra[v]
-                    if d > pick_deg:
-                        pick, pick_deg = v, d
-                    if rest & low:
-                        rest ^= low
-                        row &= rest
-                        if row:
-                            rest ^= row & -row
-                            pairs += 1
-                take = 0
-                for v in _bits(free):
-                    if not down[v] & pmask & ~free:
-                        take |= 1 << v
-                r_mask |= take
-                r_size += take.bit_count()
-                pmask &= ~take
-                if r_size > best_size:
-                    best_size = r_size
-                    best_mask = r_mask
-                    if best_size >= goal:
-                        stack.clear()
-                        break
-                if not pmask or r_size + pmask.bit_count() - pairs <= best_size:
+    # each part's subsets in ascending mask order, with their least
+    parts = []
+    for n_i, k_i, off in zip(ground.sizes, k, ground.offsets):
+        masks = sorted(sum(1 << e for e in c) for c in combinations(range(n_i), k_i))
+        parts.append([(m << off, _least(m)) for m in masks])
+    verts = []
+    alive = 0
+    for v, vert in enumerate(product(*parts)):
+        verts.append(sum(m for m, _ in vert))
+        if sum(least for _, least in vert) >= t:
+            alive |= 1 << v     # else down(v) holds a conflicting pair
+    n = len(verts)
+    full = (1 << n) - 1
+    best_size = size
+    best_mask = sum(1 << v for v, m in enumerate(verts) if m in seed.members)
+    nodes = 0
+    # a lower cover is a kept vertex of lower index, the kept vertices being
+    # a down-set; an upper cover that is not kept adds nothing, as up stays 0
+    # there, so up(v) is cut to the kept vertices
+    index = {m: v for v, m in enumerate(verts)}
+    firsts = sum(1 << off for off in ground.offsets)
+    lasts = firsts >> 1 | 1 << ground.n - 1
+    down, up = [0] * n, [0] * n
+    kept = list(_bits(alive))
+    for v in kept:
+        m = verts[v]
+        row = 1 << v
+        for b in _bits(m & ~(m << 1) & ~firsts):
+            row |= down[index[m ^ 3 << b - 1]]
+        down[v] = row
+    for v in reversed(kept):
+        m = verts[v]
+        row = 1 << v
+        for b in _bits(m & ~(m >> 1) & ~lasts):
+            row |= up[index[m ^ 3 << b]]
+        up[v] = row
+    # the pick counts the conflicts the root dropped as well; the free test
+    # and the matching see live candidates only
+    has, elems = _element_index(verts, ground.n)
+    conflict, extra = [0] * n, [0] * n
+    for v in kept:
+        row = _conflict_row(has, elems[v], t, full)
+        extra[v] = (row & ~alive).bit_count()
+        conflict[v] = row & alive
+
+    # depth-first on an explicit stack of nodes (down-set taken, its
+    # size, candidates); the candidates and the taken set form a down-set
+    stack = [(0, 0, alive)]
+    while stack:
+        r_mask, r_size, pmask = stack.pop()
+        while True:
+            nodes += 1
+            # one ascending pass: degrees, free vertices, the pick, and
+            # a greedy matching of each unmatched vertex to its least
+            # unmatched conflict above it; rest drops a vertex once seen
+            # or matched, and a free vertex, in no row, is never matched
+            free = pairs = 0
+            pick = -1
+            pick_deg = 0
+            scan = rest = pmask
+            while scan:
+                low = scan & -scan
+                scan ^= low
+                v = low.bit_length() - 1
+                row = conflict[v] & pmask
+                d = row.bit_count()
+                if d == 0:
+                    free |= low
+                    continue
+                d += extra[v]
+                if d > pick_deg:
+                    pick, pick_deg = v, d
+                if rest & low:
+                    rest ^= low
+                    row &= rest
+                    if row:
+                        rest ^= row & -row
+                        pairs += 1
+            take = 0
+            for v in _bits(free):
+                if not down[v] & pmask & ~free:
+                    take |= 1 << v
+            r_mask |= take
+            r_size += take.bit_count()
+            pmask &= ~take
+            if r_size > best_size:
+                best_size = r_size
+                best_mask = r_mask
+                if best_size >= goal:
+                    stack.clear()
                     break
-                stack.append((r_mask, r_size, pmask & ~up[pick]))
-                new = down[pick] & pmask
-                r_mask |= new
-                r_size += new.bit_count()
-                pmask &= ~new
-                hit = 0
-                for x in _bits(new):
-                    hit |= conflict[x]
-                pmask &= ~hit
+            if not pmask or r_size + pmask.bit_count() - pairs <= best_size:
+                break
+            stack.append((r_mask, r_size, pmask & ~up[pick]))
+            new = down[pick] & pmask
+            r_mask |= new
+            r_size += new.bit_count()
+            pmask &= ~new
+            hit = 0
+            for x in _bits(new):
+                hit |= conflict[x]
+            pmask &= ~hit
 
-    witness = seed if not best_mask else Family(
-        ground, frozenset(verts[v] for v in _bits(best_mask)))
-    return SearchResult(best_size, witness, nodes, seed_size)
+    witness = Family(ground, frozenset(verts[v] for v in _bits(best_mask)))
+    return SearchResult(best_size, witness, nodes, size)
 
 
 # ---------------------------------------------------------------------------

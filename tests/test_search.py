@@ -6,7 +6,7 @@ import random
 import sys
 import time
 import tracemalloc
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -203,7 +203,9 @@ def test_conflict_rows_match_a_pairwise_reference(monkeypatch):
 
     # the down-set kernel's rows over its mixed-radix vertices, read from
     # its locals as it returns: a row cut to the vertices the root keeps
-    # (alive), and extra[v], v's conflicts among those the root dropped
+    # (alive), and extra[v], v's conflicts among those the root dropped.
+    # For each kept v, down[v] holds the vertices partwise below v, which
+    # are all kept, and up[v] the kept vertices above v
     kernel = search._search_down_sets.__code__
     kept = {}
 
@@ -214,7 +216,9 @@ def test_conflict_rows_match_a_pairwise_reference(monkeypatch):
     built = 0
     for sizes, k in (((7,), (3,)), ((5, 6), (2, 3)), ((2, 3, 4), (1, 1, 2)),
                      ((3, 4, 5), (1, 2, 3)), ((4, 4, 4), (2, 2, 2))):
-        space = enumerate_block(GroundSet(sizes), k)
+        g = GroundSet(sizes)
+        space = enumerate_block(g, k)
+        below = None
         for t in range(1, sum(k) + 1):
             kept.clear()
             previous = sys.getprofile()
@@ -231,7 +235,25 @@ def test_conflict_rows_match_a_pairwise_reference(monkeypatch):
             for v, row in enumerate(_pairwise_conflicts(verts, t)):
                 want = (row & alive, (row & ~alive).bit_count()) if alive >> v & 1 else (0, 0)
                 assert (kept["conflict"][v], kept["extra"][v]) == want, (sizes, k, t, v)
+            if below is None:
+                below = _partwise_below(g, verts)
+            for v in range(len(verts)):
+                if alive >> v & 1:
+                    down = sum(1 << u for u in range(len(verts)) if below[u][v])
+                    up = sum(1 << u for u in range(len(verts)) if below[v][u])
+                    assert kept["down"][v] == down, (sizes, k, t, v)
+                    assert kept["up"][v] == up & alive, (sizes, k, t, v)
+                    assert not down & ~alive, (sizes, k, t, v)
     assert built == 23, built
+
+
+def _partwise_below(ground, verts):
+    """below[u][v]: whether vertex u lies below v in the product shifting
+    order, its sorted elements at most v's, one by one, in every part."""
+    parts = [ground.prefix_mask(i, s) for i, s in enumerate(ground.sizes)]
+    split = [[core.elements_of(m & part) for part in parts] for m in verts]
+    return [[all(a <= b for x, y in zip(su, sv) for a, b in zip(x, y)) for sv in split]
+            for su in split]
 
 
 def test_brute_force_modes_agree():
@@ -529,30 +551,24 @@ def test_down_set_search_improves_on_a_weak_seed(monkeypatch):
     _assert_shifted_witness(stopped.witness, space, 2)
 
 
-def test_kron_matches_a_per_index_reference():
-    # bit v is set when every part's digit of the mixed-radix index v
-    # (part 0 most significant) is set in that part's mask, each index
-    # tested on its own; one factor cache serves every call
-    def reference(masks, sizes):
-        return sum(1 << v for v, digits in enumerate(product(*map(range, sizes)))
-                   if all(m >> d & 1 for m, d in zip(masks, digits)))
-
-    rng = random.Random(20261019)
-    spread = {}
+def test_least_matches_a_brute_force_minimum():
+    # every k-subset m of a part of n <= 10 elements: the fewest elements m
+    # shares with a set below it in the shifting order, which compares
+    # sorted elements one by one; up to n = 7 also the fewest two sets
+    # below m share
     checked = 0
-    for p in (1, 2, 3):
-        for _ in range(60):
-            sizes = [rng.randint(1, 6) for _ in range(p)]
-            full = [(1 << s) - 1 for s in sizes]
-            for masks in ([rng.getrandbits(s) for s in sizes], [0] * p, full,
-                          full[:-1] + [0], [0] + full[1:]):
-                assert search._kron(masks, sizes, spread) == reference(masks, sizes), \
-                    (masks, sizes)
+    for n in range(1, 11):
+        for k in range(n + 1):
+            subsets = list(combinations(range(n), k))
+            for m in subsets:
+                below = [set(x) for x in subsets if all(a <= b for a, b in zip(x, m))]
+                want = min(len(x & set(m)) for x in below)
+                got = search._least(sum(1 << e for e in m))
+                assert got == want, (n, m)
+                if n <= 7:
+                    assert got == min(len(x & y) for x in below for y in below), (n, m)
                 checked += 1
-        sizes = [1] * p
-        for masks in ([0] * p, [1] * p):
-            assert search._kron(masks, sizes, spread) == reference(masks, sizes)
-    assert checked == 900
+    assert checked == 2046
 
 
 def test_down_set_search_matches_the_solver_on_three_parts():
