@@ -202,10 +202,8 @@ def cmd_search(args) -> int:
     _check_out(args.witness_out)
     ground = GroundSet(args.n)
     if args.quota is not None:
-        k = _quota_k(args)
-        if args.t not in (None, 1):
-            raise InvalidParametersError("the quota check is about t=1 only")
-        report = search.check_quota_family(ground, k, args.quota,
+        report = search.check_quota_family(ground, _quota_k(args), args.quota,
+                                           1 if args.t is None else args.t,
                                            cap=args.search_cap)
     elif args.t is None:
         raise InvalidParametersError("need --t")
@@ -353,8 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--shifted", action="store_true",
                       help="return a shifted witness")
     mode.add_argument("--quota", type=_int_vector,
-                      help="per-part minimum quotas; switches to the t=1 "
-                           "quota-family check")
+                      help="per-part minimum quotas; switches to the "
+                           "quota-family check (t defaults to 1)")
     s.add_argument("--witness-out", metavar="FILE",
                    help="write the witness family here")
     s.set_defaults(func=cmd_search)

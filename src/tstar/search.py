@@ -4,10 +4,17 @@ The largest t-intersecting subfamily of a finite family is a maximum
 clique in the graph whose vertices are the members and whose edges join
 members sharing at least t elements, an independent set of the
 "conflict" graph (members sharing fewer than t elements).
-max_t_intersecting is a maximum-clique branch and bound with a greedy
-colouring bound (Tomita and Seki 2003) on bitsets (San Segundo et al.
-2011): a colour class is a clique of the conflict graph, of which a
-solution keeps at most one member, so the colour count bounds a node.
+Every in-part shift keeps a family's size and its t-intersection
+(Frankl 1987), so a family closed under in-part lower shifts (a block, a
+profile union, a quota space, any shifted family) has a maximum that is
+a down-set of the product shifting order.  max_t_intersecting searches
+such a family over its down-sets (_search_down_sets) and any other with
+a maximum-clique branch and bound (_max_clique), which on shift-closed
+families stays the independent route.
+_max_clique has a greedy colouring bound (Tomita and Seki 2003) on
+bitsets (San Segundo et al. 2011): a colour class is a clique of the
+conflict graph, of which a solution keeps at most one member, so the
+colour count bounds a node.
 The bitsets start at the build: one pass indexes the candidates by
 element, and both the greedy star seed (t most frequent elements, one at
 a time) and every conflict row (a bit-sliced count of shared elements
@@ -33,20 +40,16 @@ check_block_maximum stops as soon as its incumbent meets the floor of
 Delsarte's LP bound (bounds.delsarte_bound); blocks with more distance
 classes than the LP's cap are searched without it.  When the best star
 (bounds.optimal_t_distributions, in closed form) meets it, that star is
-the answer and nothing is searched.  Otherwise the block is searched
-over shifted families only: every in-part shift keeps a family's size
-and t-intersection, so some maximum family is a down-set of the product
-shifting order, and _search_down_sets branches on down-sets, seeded by
-the best window family (bounds.max_window_family).  One ascending pass
-over a node's candidates counts their degrees, finds the free ones and
-builds a greedy matching of the conflicts, whose pairs bound the node;
-it branches on the candidate of most conflicts, those with vertices the
-root dropped included.  Quota spaces and
-profile unions are closed under in-part shifts too, but have no LP
-bound here; they are searched over their whole conflict graph by
-max_t_intersecting, as are arbitrary subfamilies.  `search --shifted` is
-check_block_maximum(..., shifted=True), which checks that the witness is
-shifted.
+the answer and nothing is searched.  Otherwise the down-set kernel
+searches the block from the best window family
+(bounds.max_window_family).  One ascending pass over a node's
+candidates counts their degrees, finds the free ones and builds a greedy
+matching of the conflicts, whose pairs bound the node; it branches on
+the candidate of most conflicts, those with vertices the root dropped
+included.  Quota spaces and profile unions have no LP bound here; the
+kernel searches them from the greedy star, up to their candidate count.
+`search --shifted` is check_block_maximum(..., shifted=True), which
+checks that the witness is shifted.
 
 A deliberately naive brute-force oracle is kept alongside for
 validation; it shares no data structures with the solver.  It compares
@@ -68,6 +71,7 @@ from .core import (
     InvalidParametersError,
     InvariantError,
     _Frozen,
+    bounded_compositions,
     elements_of,
     enumerate_block,
     enumerate_quota,
@@ -87,15 +91,18 @@ class SearchResult(_Frozen):
 
     max_size is the exact optimum.  witness is one optimal subfamily;
     whether it is a full star is for the caller to judge
-    (verify.is_full_t_star).  nodes_explored counts the nodes of
-    max_t_intersecting that neither its colouring bound pruned nor unit
-    propagation refuted, or the nodes of the down-set search for a block
-    that check_block_maximum searches.  It is 0, and no conflict graph or
-    table is built, when the seed is already optimal: it holds every
-    candidate, or, in the down-set search, meets the goal.
+    (verify.is_full_t_star).  nodes_explored counts the nodes of the
+    route that searched: the down-set kernel's nodes for a shift-closed
+    family or a block that check_block_maximum searches, else the nodes
+    of the clique search that neither its colouring bound pruned nor unit
+    propagation refuted.  It is 0, and no conflict graph or table is
+    built, when the seed is already optimal: it holds every candidate,
+    or, in the down-set search, meets the goal.
     bound_used records the seed's size, the initial lower bound the
-    search started from: in max_t_intersecting the star's, or the local
-    search's when that beats it.
+    search started from: the window family's in a block report, the
+    greedy star's in the down-set route of max_t_intersecting, and in
+    the clique route the star's, or the local search's when that beats
+    it.
     """
 
     max_size: int
@@ -205,49 +212,10 @@ def _conflict_row(has: list[int], els: list[int], t: int, full: int) -> int:
     return full ^ shared[top]
 
 
-def max_t_intersecting(space: Family, t: int, cap: int | None = None) -> SearchResult:
-    """Exact maximum t-intersecting subfamily of `space`.
-
-    Members with fewer than t elements cannot appear in any solution
-    (they fail the requirement against themselves) and are dropped up
-    front.  The candidates are indexed in ascending mask order, and once
-    by element: has[e] is the bitmask of the candidates holding element
-    e.  The greedy star seed takes t center elements, each time the first
-    element outside the center held by most candidates that hold the
-    center so far.  When it holds every candidate it is the answer:
-    nodes_explored is 0 and no conflict graph is built.  Otherwise each
-    candidate's conflict row is read off bit-sliced counters of how many
-    of its elements the others share, summed over its elements' has
-    masks; no pair of candidates is compared.  The star is grown to a
-    local optimum (_local_search), the star itself
-    when nothing joins it; that set is the seed and the first incumbent,
-    and bound_used its size.  A depth-first search takes each node's
-    candidates without a conflict among them at once, then colours the
-    rest into conflict cliques, taking them by ascending conflict degree
-    among the candidates, ties by index.  It branches on the vertices
-    whose colour could beat the incumbent, last coloured first; the child
-    taking v keeps the vertices coloured before v that do not conflict
-    with it, and v's colour minus one bounds what they add.  When that
-    bound beats the incumbent by one only, the child must take a vertex
-    of every lower colour, and it is not opened when unit propagation
-    over those classes (_refuted) empties one; v leaves the node's
-    candidates either way.  A refuted child holds no strict gain, so the
-    refutation changes nodes_explored only.  Deterministic; the incumbent
-    changes only on a strict gain, so the star is the witness whenever
-    it is optimal.
-    """
-    if t < 0:
-        raise InvalidParametersError(f"t must be >= 0, got {t}")
-    limit = search_cap(cap)
-    if len(space.members) > limit:
-        raise InstanceTooLargeError(
-            f"search space has {len(space.members)} members, cap is {limit}")
-    verts = sorted(m for m in space.members if m.bit_count() >= t)
-    n = len(verts)
-    full = (1 << n) - 1
-    has, elems = _element_index(verts, space.ground.n)
-    # the greedy star: t times, the element outside the center that most
-    # candidates holding the center hold, the first on ties
+def _greedy_star(has: list[int], t: int, full: int) -> int:
+    """The candidates under full holding the greedy star's center: t
+    times, the element outside the center that most candidates holding
+    the center hold, the first on ties, read off the element index has."""
     star = full
     center = 0
     for _ in range(t):
@@ -258,6 +226,75 @@ def max_t_intersecting(space: Family, t: int, cap: int | None = None) -> SearchR
                 pick, most = e, c
         center |= 1 << pick
         star &= has[pick]
+    return star
+
+
+def max_t_intersecting(space: Family, t: int, cap: int | None = None) -> SearchResult:
+    """Exact maximum t-intersecting subfamily of `space`.
+
+    Members with fewer than t elements cannot appear in any solution
+    (they fail the requirement against themselves) and are dropped up
+    front.  When each candidate's in-part lower covers (an element moved
+    to the free place below it in its part) are members, found by one
+    pass that stops at the first that is not, the candidates are closed
+    under in-part lower shifts, as blocks, profile unions, quota spaces
+    and shifted families are.  _search_down_sets then searches them,
+    listed by part components, part 0 first, from the greedy star up to
+    their count; the star's center is a union of part prefixes, so the
+    star is a down-set, and it stays the witness whenever it is optimal.
+    Any other family goes to the clique search (_max_clique).
+    """
+    if t < 0:
+        raise InvalidParametersError(f"t must be >= 0, got {t}")
+    limit = search_cap(cap)
+    if len(space.members) > limit:
+        raise InstanceTooLargeError(
+            f"search space has {len(space.members)} members, cap is {limit}")
+    ground, members = space.ground, space.members
+    firsts = sum(1 << off for off in ground.offsets)
+    if not all(m ^ 3 << b - 1 in members for m in members if m.bit_count() >= t
+               for b in _bits(m & ~(m << 1) & ~firsts)):
+        return _max_clique(space, t)
+    parts = [ground.prefix_mask(i, s) for i, s in enumerate(ground.sizes)]
+    verts = sorted((m for m in members if m.bit_count() >= t),
+                   key=lambda m: [m & q for q in parts])
+    star = _greedy_star(_element_index(verts, ground.n)[0], t, (1 << len(verts)) - 1)
+    return _search_down_sets(ground, verts, t, len(verts), star)
+
+
+def _max_clique(space: Family, t: int) -> SearchResult:
+    """max_t_intersecting by a maximum-clique branch and bound over the
+    whole conflict graph, the route of families not closed under in-part
+    lower shifts and the independent check on those that are.
+
+    The candidates, the members with at least t elements, are indexed in
+    ascending mask order, and once by element: has[e] is the bitmask of
+    the candidates holding element e.  When the greedy star (_greedy_star)
+    holds every candidate it is the answer: nodes_explored is 0 and no
+    conflict graph is built.  Otherwise each candidate's conflict row is
+    read off bit-sliced counters of how many of its elements the others
+    share, summed over its elements' has masks; no pair of candidates is
+    compared.  The star is grown to a local optimum (_local_search), the
+    star itself when nothing joins it; that set is the seed and the first
+    incumbent, and bound_used its size.  A depth-first search takes each
+    node's candidates without a conflict among them at once, then colours
+    the rest into conflict cliques, taking them by ascending conflict
+    degree among the candidates, ties by index.  It branches on the vertices whose colour could beat the
+    incumbent, last coloured first; the child taking v keeps the vertices
+    coloured before v that do not conflict with it, and v's colour minus
+    one bounds what they add.  When that bound beats the incumbent by one
+    only, the child must take a vertex of every lower colour, and it is
+    not opened when unit propagation over those classes (_refuted)
+    empties one; v leaves the node's candidates either way.  A refuted
+    child holds no strict gain, so the refutation changes nodes_explored
+    only.  Deterministic; the incumbent changes only on a strict gain, so
+    the star is the witness whenever it is optimal.
+    """
+    verts = sorted(m for m in space.members if m.bit_count() >= t)
+    n = len(verts)
+    full = (1 << n) - 1
+    has, elems = _element_index(verts, space.ground.n)
+    star = _greedy_star(has, t, full)
     if star == full:
         # the star holds every candidate, which covers t = 0: nothing to search
         return SearchResult(n, Family(space.ground, frozenset(verts)), 0, n)
@@ -452,7 +489,7 @@ def _cliques_max(space: Family, verts: list[int], t: int) -> SearchResult:
 
 
 # ---------------------------------------------------------------------------
-# down-set search on a full block
+# down-set search on a shift-closed family
 
 def _least(m: int) -> int:
     """The fewest elements two sets below m in the shifting order of its
@@ -476,39 +513,60 @@ def _least(m: int) -> int:
     return most
 
 
-def _search_down_sets(space: Family, k: tuple[int, ...], t: int,
-                      goal: int) -> SearchResult:
-    """max_t_intersecting for the full block space of profile k, searched
-    over the down-sets of the product shifting order only.
+def _block_vertices(ground: GroundSet, k: tuple[int, ...],
+                    t: int) -> tuple[list[int], int]:
+    """The block of profile k in the down-set kernel's order, each part's
+    k_i-subsets in ascending mask order, part 0 most significant, and the
+    mask of its best window family (bounds.max_window_family) over them."""
+    per_part = [sorted(sum(1 << e for e in c) << off for c in combinations(range(n_i), k_i))
+                for n_i, k_i, off in zip(ground.sizes, k, ground.offsets)]
+    verts = list(map(sum, product(*per_part)))
+    size, r, w = max_window_family(t, ground, k)
+    window = sum(ground.prefix_mask(i, w_i) for i, w_i in enumerate(w))
+    seed = sum(1 << v for v, m in enumerate(verts) if (m & window).bit_count() >= t + r)
+    if seed.bit_count() != size:
+        raise InvariantError(
+            f"the window family has {seed.bit_count()} members, counted {size}")
+    return verts, seed
 
-    Every in-part shift keeps a family's size, its block and its
-    t-intersection, so some maximum family is a down-set.  The seed is
-    the best window family (bounds.max_window_family), itself a down-set.
-    Taking a vertex v brings in all of down(v) and drops what conflicts
-    with it; dropping v drops up(v).  The root drops every vertex whose
-    down-set holds a conflicting pair, a free vertex whose candidates
-    below are all free joins without a branch, and the search stops once
-    it meets `goal`.  Each node makes one ascending pass over its
-    candidates: it counts their conflicts among the candidates, finds
+
+def _search_down_sets(ground: GroundSet, verts: list[int], t: int, goal: int,
+                      seed: int) -> SearchResult:
+    """max_t_intersecting for the candidates verts, closed under in-part
+    lower shifts, searched over the down-sets of the product shifting
+    order only, from the t-intersecting family whose vertices the mask
+    seed holds.
+
+    Every in-part shift keeps a family's size, its part counts and its
+    t-intersection, so some maximum family is a down-set.  The vertices
+    come by part components, part 0 first, each part's in ascending mask
+    order (a block's mixed-radix order), an order that extends the
+    shifting order.  Taking a vertex v brings in all of down(v) and drops
+    what conflicts with it; dropping v drops up(v).  The root drops every
+    vertex whose down-set holds a conflicting pair, a free vertex whose
+    candidates below are all free joins without a branch, and the search
+    stops once it meets `goal`.  Each node makes one ascending pass over
+    its candidates: it counts their conflicts among the candidates, finds
     the free ones, and matches each unmatched candidate greedily to its
     least unmatched conflict above it.  An independent set keeps at most
     one vertex of a pair, so the taken size plus the candidates less the
     pairs bounds the node.  The branch vertex is a candidate, never
     free, of most conflicts among the candidates plus with the vertices
-    the root dropped: those say how constraining it is in the whole
-    block, and any candidate is a safe pick, because the root drop keeps
-    only vertices whose down-sets are t-intersecting.  The vertices come
-    in mixed-radix order (part 0 most significant) over each part's
-    subsets in ascending mask order, an order that extends the shifting
-    order.  The root keeps a vertex when its parts' closed-form least
-    values (_least) sum to at least t.  The down and up masks are built
-    from covers: a cover moves one element to the free place beside it in
-    its part, so down(v) is v with the down-sets of its lower covers, in
-    ascending order, and up(v), cut to the kept vertices, is v with the
-    up-sets of its kept upper covers, in descending order.  Each conflict
+    the root dropped: those say how constraining it is among all the
+    candidates, and any candidate is a safe pick, because the root drop
+    keeps only vertices whose down-sets are t-intersecting.  A down-set
+    stays in one profile's block, so the root keeps a vertex when the
+    closed-form least values (_least) of its part components, computed
+    once per distinct component, sum to at least t.  The down and up
+    masks are built from covers: a cover moves one element to the free
+    place beside it in its part, so down(v) is v with the down-sets of
+    its lower covers, all present by closure, in ascending order, and
+    up(v), cut to the kept vertices, is v with the up-sets of its kept
+    upper covers, in descending order; a shifted family need not be
+    closed upward, so an absent upper cover is skipped.  Each conflict
     row is read off the element index (_conflict_row); no pair of members
-    is compared.  When the window family meets `goal`, it is returned and
-    nothing is built.
+    is compared.  When the seed meets `goal`, it is returned and nothing
+    is built.
 
     Lemma: what conflicts with a down-set S is an up-set.  If u meets
     s in S in fewer than t elements and u' is u with a replaced by b > a
@@ -517,40 +575,35 @@ def _search_down_sets(space: Family, k: tuple[int, ...], t: int,
     s' as u meets s.  So the taken set and the candidates always form a
     down-set, and dropping the conflicts of a take drops their up-sets.
     """
-    ground = space.ground
-    size, r, w = max_window_family(t, ground, k)
-    window = sum(ground.prefix_mask(i, w_i) for i, w_i in enumerate(w))
-    seed = Family(ground, frozenset(m for m in space.members
-                                    if (m & window).bit_count() >= t + r))
-    if len(seed.members) != size:
-        raise InvariantError(
-            f"the window family has {len(seed.members)} members, counted {size}")
+    best_mask = seed
+    best_size = size = seed.bit_count()
     if size >= goal:
-        return SearchResult(size, seed, 0, size)
-
-    # each part's subsets in ascending mask order, with their least
-    parts = []
-    for n_i, k_i, off in zip(ground.sizes, k, ground.offsets):
-        masks = sorted(sum(1 << e for e in c) for c in combinations(range(n_i), k_i))
-        parts.append([(m << off, _least(m)) for m in masks])
-    verts = []
+        return SearchResult(size, Family(ground, frozenset(verts[v] for v in _bits(seed))),
+                            0, size)
+    # the part components' least, once per distinct component
+    parts = [(ground.prefix_mask(i, s), ground.offsets[i]) for i, s in enumerate(ground.sizes)]
+    least: dict[int, int] = {}
     alive = 0
-    for v, vert in enumerate(product(*parts)):
-        verts.append(sum(m for m, _ in vert))
-        if sum(least for _, least in vert) >= t:
+    for v, m in enumerate(verts):
+        total = 0
+        for q, off in parts:
+            c = m & q
+            if c not in least:
+                least[c] = _least(c >> off)
+            total += least[c]
+        if total >= t:
             alive |= 1 << v     # else down(v) holds a conflicting pair
     n = len(verts)
     full = (1 << n) - 1
-    best_size = size
-    best_mask = sum(1 << v for v, m in enumerate(verts) if m in seed.members)
     nodes = 0
     # a lower cover is a kept vertex of lower index, the kept vertices being
     # a down-set; an upper cover that is not kept adds nothing, as up stays 0
-    # there, so up(v) is cut to the kept vertices
+    # there, so up(v) is cut to the kept vertices, and an absent one reads
+    # the 0 at up[n]
     index = {m: v for v, m in enumerate(verts)}
     firsts = sum(1 << off for off in ground.offsets)
     lasts = firsts >> 1 | 1 << ground.n - 1
-    down, up = [0] * n, [0] * n
+    down, up = [0] * n, [0] * (n + 1)
     kept = list(_bits(alive))
     for v in kept:
         m = verts[v]
@@ -562,7 +615,7 @@ def _search_down_sets(space: Family, k: tuple[int, ...], t: int,
         m = verts[v]
         row = 1 << v
         for b in _bits(m & ~(m >> 1) & ~lasts):
-            row |= up[index[m ^ 3 << b]]
+            row |= up[index.get(m ^ 3 << b, n)]
         up[v] = row
     # the pick counts the conflicts the root dropped as well; the free test
     # and the matching see live candidates only
@@ -658,8 +711,9 @@ def check_block_maximum(ground: GroundSet, k: tuple[int, ...], t: int,
     witness and nodes_explored is 0: its t-distribution is the optimal
     one that gives tied ratio links to the lowest parts, its center each
     part's first elements.  Otherwise _search_down_sets searches the
-    shifted families, from the best window family; nodes_explored
-    counts its nodes (0 when the window family meets lp_bound), and
+    block's shifted families, from the best window family, up to the
+    goal min(lp_bound, block size); nodes_explored counts its nodes (0
+    when the window family meets that goal), and
     witness_center is the witness's center when it is a full star
     (verify.is_full_t_star), else None.
     lp_bound is None, and the search runs without it, when the block has
@@ -686,7 +740,8 @@ def check_block_maximum(ground: GroundSet, k: tuple[int, ...], t: int,
         center = sum(ground.prefix_mask(i, t_i) for i, t_i in enumerate(dist))
         result = SearchResult(star_bound, trivial_star(space, center), 0, star_bound)
     else:
-        result = _search_down_sets(space, k, t, goal)
+        verts, seed = _block_vertices(ground, k, t)
+        result = _search_down_sets(ground, verts, t, goal, seed)
         center = is_full_t_star(result.witness, space, t)
     if lp_bound is not None and result.max_size > lp_bound:
         raise InvariantError(f"a {result.max_size}-member t-intersecting family "
@@ -714,29 +769,37 @@ def check_block_maximum(ground: GroundSet, k: tuple[int, ...], t: int,
 
 
 def check_quota_family(ground: GroundSet, k: int, quotas: tuple[int, ...],
-                       cap: int | None = None) -> dict:
-    """Exact maximum intersecting subfamily of a quota family versus its
-    best single-element star.
+                       t: int = 1, cap: int | None = None) -> dict:
+    """Exact maximum t-intersecting subfamily of a quota family versus
+    its best full t-star.
 
-    The star side is exact counting over all possible centers, not
-    search; within one part every element gives the same count.  The
-    verdict is "non-trivial" when the maximum strictly beats every star,
-    else "trivial": a full star attains the maximum, not every maximum
-    is a star.  The solver's greedy seed is the star of a most frequent
-    element, so a best star; its local search replaces it only with a
-    larger family, and its incumbent changes only on a strict gain: for
-    k >= 1 a "trivial" witness is that star, and
-    witness_center names its center.  star_center is None when the best
-    star has no member, as for k = 0.  The report's keys and order are
+    The star side is exact counting over every t-distribution (t_i
+    center elements in part i; within one part every choice gives the
+    same count, so a center of per-part prefixes stands for them all),
+    not search.  star_center is the center of the best distribution,
+    ties going to the largest, which gives them to the lowest parts; it
+    is None when the best star has no member, as for t > k or k = 0 (or
+    t > n, with no distribution at all).  The verdict is "non-trivial"
+    when the maximum strictly beats every star, else "trivial": a full
+    star attains the maximum, not every maximum is a star.  A quota space is closed under in-part shifts, so
+    max_t_intersecting searches its down-sets from the greedy star, and
+    its incumbent changes only on a strict gain.  At t = 1 the greedy
+    star is a best star, so for k >= 1 a "trivial" witness is that star;
+    witness_center names the witness's center when it is a full t-star
+    (verify.is_full_t_star), else None.  The report's keys and order are
     those of `tstar search --quota`.
     """
     quotas = tuple(quotas)
     profiles = quota_profiles(ground, k, quotas)
+    if t < 0:
+        raise InvalidParametersError(f"t must be >= 0, got {t}")
     space = enumerate_quota(ground, k, quotas, cap=search_cap(cap))
-    units = [tuple(int(j == i) for j in range(ground.p)) for i in range(ground.p)]
-    star_sizes = union_star_sizes(ground, profiles, units)   # e_i: one element of part i
-    star_best = max(star_sizes)
-    result = max_t_intersecting(space, 1, cap=cap)
+    dists = list(bounded_compositions(t, (0,) * ground.p,
+                                      tuple(min(t, n_i) for n_i in ground.sizes)))
+    star_best, dist = max(zip(union_star_sizes(ground, profiles, dists), dists),
+                          default=(0, ()))
+    center = sum(ground.prefix_mask(i, t_i) for i, t_i in enumerate(dist))
+    result = max_t_intersecting(space, t, cap=cap)
     if result.max_size < star_best:
         raise InvariantError(
             f"solver maximum {result.max_size} is below the star size {star_best}")
@@ -751,15 +814,14 @@ def check_quota_family(ground: GroundSet, k: int, quotas: tuple[int, ...],
     return {
         "max_size": result.max_size,
         "star_size": star_best,
-        "star_center": [ground.part_elements(star_sizes.index(star_best))[0]]
-                       if star_best else None,
+        "star_center": _elements(center) if star_best else None,
         "verdict": "non-trivial" if result.max_size > star_best else "trivial",
         "hypotheses": {
             "parts_double_quota": double,
             "slack_all_but_one": slack,
             "applies": double and slack,
         },
-        "witness_center": _elements(is_full_t_star(result.witness, space, 1)),
+        "witness_center": _elements(is_full_t_star(result.witness, space, t)),
         "nodes_explored": result.nodes_explored,
         "witness": result.witness,
     }

@@ -185,11 +185,18 @@ def test_search_quota(capsys):
     assert data["star_size"] == "34"
     assert data["verdict"] == "trivial"
     assert data["hypotheses"]["applies"] is True
+    # any t: at t = 2 the best star, on {1,5}, has 15 members, and the 17
+    # members meeting {1,2,5,6} in at least 3 elements beat it
+    code, data = run_json(capsys, "search", "--n", "4,4", "--k", "4",
+                          "--quota", "1,1", "--t", "2")
+    assert code == 0
+    assert (data["max_size"], data["star_size"], data["star_center"]) == ("17", "15", [1, 5])
+    assert (data["verdict"], data["witness_center"]) == ("non-trivial", None)
 
 
 def test_search_quota_flag_conflicts(capsys):
     code, _ = run(capsys, "search", "--n", "4,4", "--k", "4",
-                  "--quota", "1,1", "--t", "2")
+                  "--quota", "1,1", "--t", "-1")
     assert code == 2
     code, _ = run(capsys, "search", "--n", "4,4", "--k", "2,2",
                   "--quota", "1,1")

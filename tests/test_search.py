@@ -13,11 +13,12 @@ import pytest
 from tstar import core, search
 from tstar.bounds import delsarte_bound, union_star_sizes
 from tstar.core import (Family, GroundSet, InstanceTooLargeError,
-                        InvariantError, block_size, enumerate_block,
-                        enumerate_quota, mask_of, quota_profiles, trivial_star)
+                        InvariantError, ProfileSet, block_size, enumerate_block,
+                        enumerate_profile_union, enumerate_quota, mask_of,
+                        quota_profiles, trivial_star)
 from tstar.search import (brute_force_max, check_block_maximum,
                           check_quota_family, max_t_intersecting)
-from tstar.shifting import is_shifted
+from tstar.shifting import is_shifted, shift_closure
 from tstar.verify import is_full_t_star, is_t_intersecting
 
 
@@ -166,11 +167,19 @@ def _pairwise_conflicts(verts, t):
             for a, ma in enumerate(verts)]
 
 
+def _block_kernel(ground, k, t, goal=None):
+    """The down-set kernel on the block of profile k from its best window
+    family, as check_block_maximum runs it, by default up to the block's
+    size (no LP stop)."""
+    verts, seed = search._block_vertices(ground, k, t)
+    return search._search_down_sets(ground, verts, t, len(verts) if goal is None else goal, seed)
+
+
 def test_conflict_rows_match_a_pairwise_reference(monkeypatch):
-    # the rows the solver hands its local search, with the star seed, on
-    # random members of any size (those below t are dropped); a family
-    # whose star holds every candidate builds no rows, and then no two
-    # candidates conflict
+    # the rows the clique route hands its local search, with the star
+    # seed, on random members of any size (those below t are dropped); a
+    # family whose star holds every candidate builds no rows, and then no
+    # two candidates conflict
     seen = []
     real = search._local_search
     monkeypatch.setattr(search, "_local_search",
@@ -189,7 +198,7 @@ def test_conflict_rows_match_a_pairwise_reference(monkeypatch):
         verts = _candidates(fam, t)
         want = _pairwise_conflicts(verts, t)
         seen.clear()
-        max_t_intersecting(fam, t)
+        search._max_clique(fam, t)
         if not seen:
             assert not any(want), (sorted(fam.members), t)
             continue
@@ -224,7 +233,7 @@ def test_conflict_rows_match_a_pairwise_reference(monkeypatch):
             previous = sys.getprofile()
             sys.setprofile(returned)
             try:
-                search._search_down_sets(space, k, t, len(space.members))
+                _block_kernel(g, k, t)
             finally:
                 sys.setprofile(previous)
             if "conflict" not in kept:
@@ -292,6 +301,82 @@ def test_solver_matches_the_oracles_on_a_seeded_grid():
         assert is_t_intersecting(got.witness, t)
 
 
+def _lower_covers(ground, m):
+    """m with one element e moved to e - 1, of the same part and not in m."""
+    firsts = {ground.part_elements(i)[0] for i in range(ground.p)}
+    els = set(core.elements_of(m))
+    return [m ^ mask_of([e, e - 1]) for e in sorted(els) if e not in firsts and e - 1 not in els]
+
+
+def _refuse(*args):
+    raise AssertionError("the wrong route searched")
+
+
+def test_kernel_route_matches_the_clique_route_on_shifted_families(monkeypatch):
+    # seeded shift closures of random families (p <= 3, parts of 1-6
+    # elements, 0-40 members, t = 1..4) are closed under in-part lower
+    # shifts, so max_t_intersecting searches their down-sets; the clique
+    # route, called directly, and brute force give the same maximum.
+    # With one lower cover removed a family is not closed, and takes the
+    # clique route: the same result as calling it directly
+    rng = random.Random(20261027)
+    opened = 0
+    for _ in range(1500):
+        g = GroundSet(tuple(rng.randint(1, 6) for _ in range(rng.randint(1, 3))))
+        members = {rng.randrange(1 << g.n) for _ in range(rng.randint(0, 40))}
+        closed, _ = shift_closure(Family(g, frozenset(members)))
+        t = rng.randint(1, 4)
+        with monkeypatch.context() as m:
+            m.setattr(search, "_max_clique", _refuse)
+            got = max_t_intersecting(closed, t)
+        want = search._max_clique(closed, t)
+        assert got.max_size == want.max_size == brute_force_max(closed, t).max_size, \
+            (g.sizes, sorted(closed.members), t)
+        for r in (got, want):
+            assert len(r.witness.members) == r.max_size
+            assert r.witness.members <= closed.members
+            assert is_t_intersecting(r.witness, t)
+        covers = [c for m in _candidates(closed, t) for c in _lower_covers(g, m)]
+        if covers:
+            broken = Family(g, closed.members - {rng.choice(covers)})
+            with monkeypatch.context() as m:
+                m.setattr(search, "_search_down_sets", _refuse)
+                r = max_t_intersecting(broken, t)
+            d = search._max_clique(broken, t)
+            assert (r.max_size, r.witness, r.nodes_explored, r.bound_used) == \
+                (d.max_size, d.witness, d.nodes_explored, d.bound_used)
+            opened += 1
+    assert opened == 1003, opened
+
+
+def test_kernel_route_matches_the_clique_route_on_unions_and_quotas(monkeypatch):
+    # every union of two profiles and every quota space with p <= 2,
+    # parts of 2-5 elements and at most 60 members, at t = 1, 2, 3: each
+    # is closed under in-part lower shifts, so max_t_intersecting searches
+    # its down-sets, to the clique route's maximum
+    spaces = []
+    for p in (1, 2):
+        for sizes in product(range(2, 6), repeat=p):
+            g = GroundSet(sizes)
+            for pair in combinations(product(*(range(1, n + 1) for n in sizes)), 2):
+                if sum(block_size(g, r) for r in pair) <= 60:
+                    spaces.append(enumerate_profile_union(g, ProfileSet(pair)))
+            for k in range(1, g.n + 1):
+                for quotas in product(*(range(n) for n in sizes)):
+                    if sum(quotas) <= k and sum(block_size(g, r) for r in
+                                                quota_profiles(g, k, quotas)) <= 60:
+                        spaces.append(enumerate_quota(g, k, quotas))
+    for space in spaces:
+        for t in (1, 2, 3):
+            with monkeypatch.context() as m:
+                m.setattr(search, "_max_clique", _refuse)
+                got = max_t_intersecting(space, t)
+            want = search._max_clique(space, t)
+            assert got.max_size == want.max_size, (space.ground.sizes, sorted(space.members), t)
+            assert is_t_intersecting(got.witness, t) and got.witness.members <= space.members
+    assert len(spaces) == 2160
+
+
 def test_brute_force_limits():
     big = enumerate_block(GroundSet((8,)), (2,))     # 28 members
     assert brute_force_max(big, 1).max_size == 7
@@ -331,16 +416,22 @@ def test_search_cap():
 
 
 def test_search_tree_is_pinned():
-    # (max_size, nodes_explored) of four full blocks; a change to the
-    # colouring, the bound, the refutation or the branching order shows
-    # here first.  Their stars are optimal, so the seed is the star
-    for sizes, k, t, want in (((8,), (3,), 1, (21, 30)),
-                              ((10,), (4,), 2, (28, 876)),
-                              ((6, 6), (2, 2), 1, (75, 731)),
-                              ((9,), (4,), 1, (56, 1_677))):
-        r = max_t_intersecting(enumerate_block(GroundSet(sizes), k), t)
+    # (max_size, nodes_explored) of four full blocks in the clique route;
+    # a change to the colouring, the bound, the refutation or the
+    # branching order shows here first.  Their stars are optimal, so the
+    # seed is the star.  max_t_intersecting searches a block's down-sets,
+    # from the same star, in the kernel's pinned number of nodes
+    for sizes, k, t, want, kernel in (((8,), (3,), 1, (21, 30), (21, 1)),
+                                      ((10,), (4,), 2, (28, 876), (28, 3)),
+                                      ((6, 6), (2, 2), 1, (75, 731), (75, 7)),
+                                      ((9,), (4,), 1, (56, 1_677), (56, 9))):
+        space = enumerate_block(GroundSet(sizes), k)
+        r = search._max_clique(space, t)
         assert (r.max_size, r.nodes_explored) == want, (sizes, k, t)
         assert r.bound_used == r.max_size, (sizes, k, t)
+        d = max_t_intersecting(space, t)
+        assert (d.max_size, d.nodes_explored) == kernel, (sizes, k, t)
+        assert (d.witness, d.bound_used) == (r.witness, r.max_size), (sizes, k, t)
 
 
 def test_search_tree_is_pinned_on_subfamilies():
@@ -364,7 +455,7 @@ _PENTAGRAM = [[1, 3], [2, 4], [3, 5], [4, 1], [5, 2]]
 
 
 def _without(monkeypatch, *levers):
-    """max_t_intersecting with the margin refutation ("refute") or the
+    """The clique route with the margin refutation ("refute") or the
     local-search seed ("seed") switched off."""
     def solve(space, t):
         with monkeypatch.context() as m:
@@ -372,7 +463,7 @@ def _without(monkeypatch, *levers):
                 m.setattr(search, "_refuted", lambda live, classes, conflict: False)
             if "seed" in levers:
                 m.setattr(search, "_local_search", lambda conflict, chosen: chosen)
-            return max_t_intersecting(space, t)
+            return search._max_clique(space, t)
     return solve
 
 
@@ -420,19 +511,28 @@ def test_refutation_changes_only_the_node_count(monkeypatch):
 
 def test_optimal_star_stays_the_witness(monkeypatch):
     # the local search only grows its set, and is adopted only when it
-    # beats the star: an optimal star stays the witness
+    # beats the star: an optimal star stays the witness.  The down-set
+    # kernel starts from the same star and changes its incumbent only on
+    # a strict gain, so on the shift-closed block and quota space it
+    # keeps the star too
     for fam, t in ((Family.from_iterables(GroundSet((5,)), _PENTAGRAM), 1),
                    (enumerate_block(GroundSet((7,)), (3,)), 1),
                    (enumerate_quota(GroundSet((5, 5)), 3, (1, 1)), 1)):
         star = _greedy_star(fam, t)
-        r = max_t_intersecting(fam, t)
+        r = search._max_clique(fam, t)
         assert (r.witness, r.bound_used) == (star, r.max_size)
         assert r.nodes_explored <= _without(monkeypatch, "seed")(fam, t).nodes_explored
+        d = max_t_intersecting(fam, t)
+        assert (d.max_size, d.witness, d.bound_used) == (r.max_size, star, r.max_size)
     rep = check_quota_family(GroundSet((5, 5)), 3, (1, 1))
-    assert (rep["verdict"], rep["witness_center"], rep["nodes_explored"]) == ("trivial", [1], 28)
-    # here the star of 30 is not optimal: the seed finds the 34 at once
-    r = max_t_intersecting(enumerate_quota(GroundSet((4, 4)), 4, (1, 2)), 1)
+    assert (rep["verdict"], rep["witness_center"], rep["nodes_explored"]) == ("trivial", [1], 5)
+    # here the star of 30 is not optimal: the seed finds the 34 at once;
+    # the kernel, from the star, needs 29 nodes to find and prove it
+    space = enumerate_quota(GroundSet((4, 4)), 4, (1, 2))
+    r = search._max_clique(space, 1)
     assert (r.max_size, r.bound_used, r.nodes_explored) == (34, 34, 1)
+    d = max_t_intersecting(space, 1)
+    assert (d.max_size, d.bound_used, d.nodes_explored) == (34, 30, 29)
 
 
 def test_conflict_free_candidates_are_taken_in_one_node(monkeypatch):
@@ -442,7 +542,8 @@ def test_conflict_free_candidates_are_taken_in_one_node(monkeypatch):
     # them all at once, with no chain of nodes and no stack of candidate
     # masks behind it
     space = enumerate_block(GroundSet((11,)), (6,))
-    for solve, seed in ((max_t_intersecting, 462), (_without(monkeypatch, "seed"), 252)):
+    for solve, seed in ((search._max_clique, 462), (_without(monkeypatch, "seed"), 252),
+                        (max_t_intersecting, 252)):
         tracemalloc.start()
         try:
             r = solve(space, 1)
@@ -463,8 +564,9 @@ def _assert_shifted_witness(witness, space, t):
 def test_lp_and_block_report_on_every_small_block():
     # every block with p <= 2, n_i <= 6 and at most 60 members, edge parts
     # k_i = 0 and k_i = n_i included, at every 1 <= t <= sum(k): the LP
-    # bounds the maximum, and on blocks without edge parts the report has
-    # the same maximum, with a shifted witness inside the space
+    # bounds the maximum, the down-set route and the clique route agree,
+    # and on blocks without edge parts the report has the same maximum,
+    # with a shifted witness inside the space
     checked = reported = 0
     for p in (1, 2):
         for sizes in product(range(1, 7), repeat=p):
@@ -476,6 +578,7 @@ def test_lp_and_block_report_on_every_small_block():
                 interior = all(0 < k_i < n for k_i, n in zip(k, sizes))
                 for t in range(1, sum(k) + 1):
                     plain = max_t_intersecting(space, t)
+                    assert plain.max_size == search._max_clique(space, t).max_size, (sizes, k, t)
                     if len(space.members) <= 24:
                         exact = brute_force_max(space, t).max_size
                         assert plain.max_size == exact, (sizes, k, t)
@@ -545,7 +648,7 @@ def test_down_set_search_improves_on_a_weak_seed(monkeypatch):
     assert (rep["max_size"], rep["star_bound"], rep["lp_bound"]) == (46, 40, 57)
     assert len(rep["witness"].members) == 46
     _assert_shifted_witness(rep["witness"], space, 2)
-    stopped = search._search_down_sets(space, k, 2, 46)
+    stopped = _block_kernel(g, k, 2, 46)
     assert (stopped.max_size, stopped.bound_used) == (46, 40)
     assert 0 < stopped.nodes_explored < rep["nodes_explored"]
     _assert_shifted_witness(stopped.witness, space, 2)
@@ -582,8 +685,8 @@ def test_down_set_search_matches_the_solver_on_three_parts():
                 continue
             space = enumerate_block(g, k)
             for t in range(1, sum(k) + 1):
-                got = search._search_down_sets(space, k, t, len(space.members))
-                assert got.max_size == max_t_intersecting(space, t).max_size, (sizes, k, t)
+                got = _block_kernel(g, k, t)
+                assert got.max_size == search._max_clique(space, t).max_size, (sizes, k, t)
                 assert len(got.witness.members) == got.max_size
                 _assert_shifted_witness(got.witness, space, t)
                 checked += 1
@@ -678,6 +781,10 @@ def test_quota_report_frozen_instance():
     assert rep["verdict"] == "trivial"
     assert rep["hypotheses"] == {"parts_double_quota": True,
                                  "slack_all_but_one": True, "applies": True}
+    # 480 members: the down-set kernel proves the star of 155 in 13 nodes
+    rep = check_quota_family(GroundSet((6, 6)), 4, (1, 1))
+    assert (rep["max_size"], rep["verdict"], rep["witness_center"],
+            rep["nodes_explored"]) == (155, "trivial", [1], 13)
 
 
 def test_quota_report_zero_quotas_classical():
@@ -720,12 +827,16 @@ def test_solvers_do_not_judge_their_witness(monkeypatch):
     assert max_t_intersecting(trivial_star(space, 1), 1).max_size == 4
     assert max_t_intersecting(space, 1).max_size == 4
     assert max_t_intersecting(enumerate_block(GroundSet((3,)), (2,)), 1).max_size == 3
+    # the same three through the clique route
+    assert search._max_clique(trivial_star(space, 1), 1).max_size == 4
+    assert search._max_clique(space, 1).max_size == 4
+    assert search._max_clique(enumerate_block(GroundSet((3,)), (2,)), 1).max_size == 3
     assert brute_force_max(space, 0).max_size == 10
     for oracle in (search._subsets_max, search._cliques_max):
         assert oracle(space, _candidates(space, 1), 1).max_size == 4
     g = GroundSet((5, 6))
     space = enumerate_block(g, (2, 3))
-    assert search._search_down_sets(space, (2, 3), 2, len(space.members)).max_size == 46
+    assert _block_kernel(g, (2, 3), 2).max_size == 46
 
 
 def test_quota_report_flag_violations():
@@ -754,6 +865,44 @@ def test_quota_star_counts_match_enumeration():
         for part in range(p):
             e = g.part_elements(part)[0]
             assert counted[part] == len(trivial_star(space, 1 << (e - 1)).members)
+
+
+def test_quota_report_at_every_t_matches_brute_force():
+    # every quota space with p <= 2, parts of 2-5 elements and at most 40
+    # members, at t = 2 and 3: the maximum is brute force's, the best star
+    # the most members holding one t-set, and the centers hold what the
+    # report says
+    checked = non_trivial = 0
+    for p in (1, 2):
+        for sizes in product(range(2, 6), repeat=p):
+            g = GroundSet(sizes)
+            for k in range(1, g.n + 1):
+                for quotas in product(*(range(n) for n in sizes)):
+                    if sum(quotas) > k or sum(block_size(g, r) for r in
+                                              quota_profiles(g, k, quotas)) > 40:
+                        continue
+                    space = enumerate_quota(g, k, quotas)
+                    for t in (2, 3):
+                        rep = check_quota_family(g, k, quotas, t)
+                        key = (sizes, k, quotas, t)
+                        assert rep["max_size"] == brute_force_max(space, t).max_size, key
+                        stars = [len(trivial_star(space, mask_of(c)).members)
+                                 for c in combinations(range(1, g.n + 1), t)]
+                        assert rep["star_size"] == max(stars, default=0), key
+                        if rep["star_center"] is None:
+                            assert rep["star_size"] == 0, key
+                        else:
+                            center = trivial_star(space, mask_of(rep["star_center"]))
+                            assert len(rep["star_center"]) == t, key
+                            assert len(center.members) == rep["star_size"], key
+                        trivial = rep["max_size"] == rep["star_size"]
+                        assert rep["verdict"] == ("trivial" if trivial else "non-trivial"), key
+                        if rep["witness_center"] is not None:
+                            assert rep["witness"] == trivial_star(
+                                space, mask_of(rep["witness_center"])), key
+                        checked += 1
+                        non_trivial += not trivial
+    assert (checked, non_trivial) == (1864, 946)
 
 
 def test_shifted_search_refuses_an_unshifted_witness(monkeypatch):
