@@ -47,7 +47,7 @@ candidates counts their degrees, finds the free ones and builds a greedy
 matching of the conflicts, whose pairs bound the node; it branches on
 the candidate of most conflicts, those with vertices the root dropped
 included.  Quota spaces and profile unions have no LP bound here; the
-kernel searches them from the greedy star, up to their candidate count.
+kernel searches them from a star up to their candidate count.
 `search --shifted` is check_block_maximum(..., shifted=True), which
 checks that the witness is shifted.
 
@@ -59,8 +59,7 @@ are the slow independent route, and do not use the element index.
 
 from __future__ import annotations
 
-from itertools import combinations, product
-from typing import Iterator
+from typing import AbstractSet, Iterator
 
 from .bounds import (_delsarte_lp, exchange_optimal, hypothesis_flags,
                      max_window_family, optimal_t_distributions, union_star_sizes)
@@ -99,10 +98,10 @@ class SearchResult(_Frozen):
     built, when the seed is already optimal: it holds every candidate,
     or, in the down-set search, meets the goal.
     bound_used records the seed's size, the initial lower bound the
-    search started from: the window family's in a block report, the
-    greedy star's in the down-set route of max_t_intersecting, and in
-    the clique route the star's, or the local search's when that beats
-    it.
+    search started from: the window family's in a block report, the best
+    star's in a quota report, the greedy star's in the down-set route of
+    max_t_intersecting, and in the clique route the star's, or the local
+    search's when that beats it.
     """
 
     max_size: int
@@ -175,10 +174,11 @@ def _local_search(conflict: list[int], chosen: int) -> int:
             return chosen
 
 
-def _element_index(verts: list[int], n: int) -> tuple[list[int], list[list[int]]]:
+def _element_index(verts: list[int]) -> tuple[list[int], list[list[int]]]:
     """In one pass over the vertex masks verts: has[e], the mask of the
-    vertices holding element e of n, and elems[v], vertex v's elements."""
-    has = [0] * n
+    vertices holding element e, up to the widest vertex's top element,
+    and elems[v], vertex v's elements."""
+    has = [0] * max(verts, default=0).bit_length()
     elems = []
     for i, m in enumerate(verts):
         bit = 1 << i
@@ -219,13 +219,13 @@ def _greedy_star(has: list[int], t: int, full: int) -> int:
     star = full
     center = 0
     for _ in range(t):
-        pick = most = 0
+        pick = most = held = 0
         for e, h in enumerate(has):
             c = (h & star).bit_count()
             if c > most and not center >> e & 1:
-                pick, most = e, c
+                pick, most, held = e, c, h
         center |= 1 << pick
-        star &= has[pick]
+        star &= held
     return star
 
 
@@ -238,11 +238,11 @@ def max_t_intersecting(space: Family, t: int, cap: int | None = None) -> SearchR
     to the free place below it in its part) are members, found by one
     pass that stops at the first that is not, the candidates are closed
     under in-part lower shifts, as blocks, profile unions, quota spaces
-    and shifted families are.  _search_down_sets then searches them,
-    listed by part components, part 0 first, from the greedy star up to
-    their count; the star's center is a union of part prefixes, so the
-    star is a down-set, and it stays the witness whenever it is optimal.
-    Any other family goes to the clique search (_max_clique).
+    and shifted families are.  _search_down_sets then searches them from
+    the greedy star up to their count; the star's center is a union of
+    part prefixes, so the star is a down-set, and it stays the witness
+    whenever it is optimal.  Any other family goes to the clique search
+    (_max_clique).
     """
     if t < 0:
         raise InvalidParametersError(f"t must be >= 0, got {t}")
@@ -250,16 +250,15 @@ def max_t_intersecting(space: Family, t: int, cap: int | None = None) -> SearchR
     if len(space.members) > limit:
         raise InstanceTooLargeError(
             f"search space has {len(space.members)} members, cap is {limit}")
-    ground, members = space.ground, space.members
-    firsts = sum(1 << off for off in ground.offsets)
+    members = space.members
+    width = max(members, default=0).bit_length()
+    firsts = sum(1 << off for off in space.ground.offsets if off < width)
     if not all(m ^ 3 << b - 1 in members for m in members if m.bit_count() >= t
                for b in _bits(m & ~(m << 1) & ~firsts)):
         return _max_clique(space, t)
-    parts = [ground.prefix_mask(i, s) for i, s in enumerate(ground.sizes)]
-    verts = sorted((m for m in members if m.bit_count() >= t),
-                   key=lambda m: [m & q for q in parts])
-    star = _greedy_star(_element_index(verts, ground.n)[0], t, (1 << len(verts)) - 1)
-    return _search_down_sets(ground, verts, t, len(verts), star)
+    verts = [m for m in members if m.bit_count() >= t]
+    star = _greedy_star(_element_index(verts)[0], t, (1 << len(verts)) - 1)
+    return _search_down_sets(space, t, len(verts), {verts[v] for v in _bits(star)})
 
 
 def _max_clique(space: Family, t: int) -> SearchResult:
@@ -293,7 +292,7 @@ def _max_clique(space: Family, t: int) -> SearchResult:
     verts = sorted(m for m in space.members if m.bit_count() >= t)
     n = len(verts)
     full = (1 << n) - 1
-    has, elems = _element_index(verts, space.ground.n)
+    has, elems = _element_index(verts)
     star = _greedy_star(has, t, full)
     if star == full:
         # the star holds every candidate, which covers t = 0: nothing to search
@@ -513,39 +512,23 @@ def _least(m: int) -> int:
     return most
 
 
-def _block_vertices(ground: GroundSet, k: tuple[int, ...],
-                    t: int) -> tuple[list[int], int]:
-    """The block of profile k in the down-set kernel's order, each part's
-    k_i-subsets in ascending mask order, part 0 most significant, and the
-    mask of its best window family (bounds.max_window_family) over them."""
-    per_part = [sorted(sum(1 << e for e in c) << off for c in combinations(range(n_i), k_i))
-                for n_i, k_i, off in zip(ground.sizes, k, ground.offsets)]
-    verts = list(map(sum, product(*per_part)))
-    size, r, w = max_window_family(t, ground, k)
-    window = sum(ground.prefix_mask(i, w_i) for i, w_i in enumerate(w))
-    seed = sum(1 << v for v, m in enumerate(verts) if (m & window).bit_count() >= t + r)
-    if seed.bit_count() != size:
-        raise InvariantError(
-            f"the window family has {seed.bit_count()} members, counted {size}")
-    return verts, seed
-
-
-def _search_down_sets(ground: GroundSet, verts: list[int], t: int, goal: int,
-                      seed: int) -> SearchResult:
-    """max_t_intersecting for the candidates verts, closed under in-part
-    lower shifts, searched over the down-sets of the product shifting
-    order only, from the t-intersecting family whose vertices the mask
-    seed holds.
+def _search_down_sets(space: Family, t: int, goal: int,
+                      seed: AbstractSet[int]) -> SearchResult:
+    """max_t_intersecting for `space`, closed under in-part lower shifts,
+    over the down-sets of the product shifting order only, from `seed`, a
+    t-intersecting down-set of candidates (else InvariantError) as masks.
 
     Every in-part shift keeps a family's size, its part counts and its
-    t-intersection, so some maximum family is a down-set.  The vertices
-    come by part components, part 0 first, each part's in ascending mask
-    order (a block's mixed-radix order), an order that extends the
-    shifting order.  Taking a vertex v brings in all of down(v) and drops
-    what conflicts with it; dropping v drops up(v).  The root drops every
-    vertex whose down-set holds a conflicting pair, a free vertex whose
-    candidates below are all free joins without a branch, and the search
-    stops once it meets `goal`.  Each node makes one ascending pass over
+    t-intersection, so some maximum family is a down-set.  The
+    candidates, the members with at least t elements, are listed by part
+    components, part 0 first, each part's in ascending mask order (a
+    block's mixed-radix order), an order that extends the shifting order;
+    no mask is wider than the widest candidate.  Taking a vertex v brings
+    in all of down(v) and drops what conflicts with it; dropping v drops
+    up(v).  The root drops every vertex whose down-set holds a
+    conflicting pair, a free vertex whose candidates below are all free
+    joins without a branch, and the search stops once it meets `goal`,
+    cut to the candidate count.  Each node makes one ascending pass over
     its candidates: it counts their conflicts among the candidates, finds
     the free ones, and matches each unmatched candidate greedily to its
     least unmatched conflict above it.  An independent set keeps at most
@@ -575,13 +558,21 @@ def _search_down_sets(ground: GroundSet, verts: list[int], t: int, goal: int,
     s' as u meets s.  So the taken set and the candidates always form a
     down-set, and dropping the conflicts of a take drops their up-sets.
     """
-    best_mask = seed
-    best_size = size = seed.bit_count()
+    ground = space.ground
+    verts = [m for m in space.members if m.bit_count() >= t]
+    width = max(verts, default=0).bit_length()
+    parts = [(((1 << min(s, width - off)) - 1) << off, off)
+             for s, off in zip(ground.sizes, ground.offsets) if off < width]
+    verts.sort(key=lambda m: [m & q for q, _ in parts])
+    index = {m: v for v, m in enumerate(verts)}
+    if not seed <= index.keys():
+        raise InvariantError(f"seed member {_elements(min(seed - index.keys()))} is no candidate")
+    best_mask = sum(1 << index[m] for m in seed)
+    best_size = size = best_mask.bit_count()
+    goal = min(goal, len(verts))
     if size >= goal:
-        return SearchResult(size, Family(ground, frozenset(verts[v] for v in _bits(seed))),
-                            0, size)
+        return SearchResult(size, Family(ground, frozenset(seed)), 0, size)
     # the part components' least, once per distinct component
-    parts = [(ground.prefix_mask(i, s), ground.offsets[i]) for i, s in enumerate(ground.sizes)]
     least: dict[int, int] = {}
     alive = 0
     for v, m in enumerate(verts):
@@ -598,11 +589,10 @@ def _search_down_sets(ground: GroundSet, verts: list[int], t: int, goal: int,
     nodes = 0
     # a lower cover is a kept vertex of lower index, the kept vertices being
     # a down-set; an upper cover that is not kept adds nothing, as up stays 0
-    # there, so up(v) is cut to the kept vertices, and an absent one reads
-    # the 0 at up[n]
-    index = {m: v for v, m in enumerate(verts)}
-    firsts = sum(1 << off for off in ground.offsets)
-    lasts = firsts >> 1 | 1 << ground.n - 1
+    # there, so up(v) is cut to the kept vertices, and an absent one, past
+    # the widest candidate too, reads the 0 at up[n]
+    firsts = sum(1 << off for _, off in parts)
+    lasts = firsts >> 1
     down, up = [0] * n, [0] * (n + 1)
     kept = list(_bits(alive))
     for v in kept:
@@ -619,7 +609,7 @@ def _search_down_sets(ground: GroundSet, verts: list[int], t: int, goal: int,
         up[v] = row
     # the pick counts the conflicts the root dropped as well; the free test
     # and the matching see live candidates only
-    has, elems = _element_index(verts, ground.n)
+    has, elems = _element_index(verts)
     conflict, extra = [0] * n, [0] * n
     for v in kept:
         row = _conflict_row(has, elems[v], t, full)
@@ -740,8 +730,12 @@ def check_block_maximum(ground: GroundSet, k: tuple[int, ...], t: int,
         center = sum(ground.prefix_mask(i, t_i) for i, t_i in enumerate(dist))
         result = SearchResult(star_bound, trivial_star(space, center), 0, star_bound)
     else:
-        verts, seed = _block_vertices(ground, k, t)
-        result = _search_down_sets(ground, verts, t, goal, seed)
+        size, r, w = max_window_family(t, ground, k)
+        window = sum(ground.prefix_mask(i, w_i) for i, w_i in enumerate(w))
+        seed = {m for m in space.members if (m & window).bit_count() >= t + r}
+        if len(seed) != size:
+            raise InvariantError(f"the window family has {len(seed)} members, counted {size}")
+        result = _search_down_sets(space, t, goal, seed)
         center = is_full_t_star(result.witness, space, t)
     if lp_bound is not None and result.max_size > lp_bound:
         raise InvariantError(f"a {result.max_size}-member t-intersecting family "
@@ -781,13 +775,16 @@ def check_quota_family(ground: GroundSet, k: int, quotas: tuple[int, ...],
     is None when the best star has no member, as for t > k or k = 0 (or
     t > n, with no distribution at all).  The verdict is "non-trivial"
     when the maximum strictly beats every star, else "trivial": a full
-    star attains the maximum, not every maximum is a star.  A quota space is closed under in-part shifts, so
-    max_t_intersecting searches its down-sets from the greedy star, and
-    its incumbent changes only on a strict gain.  At t = 1 the greedy
-    star is a best star, so for k >= 1 a "trivial" witness is that star;
-    witness_center names the witness's center when it is a full t-star
-    (verify.is_full_t_star), else None.  The report's keys and order are
-    those of `tstar search --quota`.
+    star attains the maximum, not every maximum is a star.  A quota
+    space is closed under in-part shifts, so _search_down_sets searches
+    it from the best star, trivial_star(space, center), up to the
+    candidate count (InvariantError if that star's size is not
+    star_size); the incumbent changes only on a strict gain, so at every
+    t a "trivial" witness is that star.  witness_center names the
+    witness's center when it is a full t-star (verify.is_full_t_star),
+    else None.  hypotheses are the paper's t = 1 conditions, reported at
+    every t; at t >= 2 they predict nothing.  The report's keys and
+    order are those of `tstar search --quota`.
     """
     quotas = tuple(quotas)
     profiles = quota_profiles(ground, k, quotas)
@@ -799,10 +796,11 @@ def check_quota_family(ground: GroundSet, k: int, quotas: tuple[int, ...],
     star_best, dist = max(zip(union_star_sizes(ground, profiles, dists), dists),
                           default=(0, ()))
     center = sum(ground.prefix_mask(i, t_i) for i, t_i in enumerate(dist))
-    result = max_t_intersecting(space, t, cap=cap)
-    if result.max_size < star_best:
-        raise InvariantError(
-            f"solver maximum {result.max_size} is below the star size {star_best}")
+    # with no distribution at all (t > n) the star is empty, not the space
+    star = trivial_star(space, center).members if dist else frozenset()
+    if len(star) != star_best:
+        raise InvariantError(f"the best star has {len(star)} members, counted {star_best}")
+    result = _search_down_sets(space, t, len(space.members), star)
 
     total = sum(quotas)
     p = ground.p

@@ -171,8 +171,12 @@ def _block_kernel(ground, k, t, goal=None):
     """The down-set kernel on the block of profile k from its best window
     family, as check_block_maximum runs it, by default up to the block's
     size (no LP stop)."""
-    verts, seed = search._block_vertices(ground, k, t)
-    return search._search_down_sets(ground, verts, t, len(verts) if goal is None else goal, seed)
+    space = enumerate_block(ground, k)
+    size, r, w = search.max_window_family(t, ground, k)
+    window = sum(ground.prefix_mask(i, w_i) for i, w_i in enumerate(w))
+    seed = {m for m in space.members if (m & window).bit_count() >= t + r}
+    assert len(seed) == size
+    return search._search_down_sets(space, t, len(space.members) if goal is None else goal, seed)
 
 
 def test_conflict_rows_match_a_pairwise_reference(monkeypatch):
@@ -900,6 +904,9 @@ def test_quota_report_at_every_t_matches_brute_force():
                         if rep["witness_center"] is not None:
                             assert rep["witness"] == trivial_star(
                                 space, mask_of(rep["witness_center"])), key
+                        if trivial and rep["star_center"] is not None:
+                            # the search starts from the best star and keeps it
+                            assert rep["witness"] == center, key
                         checked += 1
                         non_trivial += not trivial
     assert (checked, non_trivial) == (1864, 946)
@@ -919,8 +926,49 @@ def test_shifted_search_refuses_an_unshifted_witness(monkeypatch):
 def test_check_quota_family_checks_the_star_bound(monkeypatch):
     monkeypatch.setattr(search, "union_star_sizes",
                         lambda ground, profiles, dists: [10 ** 6 for _ in dists])
-    with pytest.raises(InvariantError, match="below the star size"):
+    with pytest.raises(InvariantError, match="the best star has 34 members, counted 1000000"):
         check_quota_family(GroundSet((4, 4)), 4, (1, 1))
+
+
+def test_a_seed_member_outside_the_candidates_raises():
+    # a seed member must be a candidate: a member of the space with at
+    # least t elements
+    g = GroundSet((5,))
+    space = enumerate_block(g, (2,))
+    with pytest.raises(InvariantError, match=r"seed member \[1, 2, 3\] is no candidate"):
+        search._search_down_sets(space, 1, 10, {mask_of([1, 2]), mask_of([1, 2, 3])})
+    short = Family.from_iterables(g, [[1], [1, 2]])
+    with pytest.raises(InvariantError, match=r"seed member \[1\] is no candidate"):
+        search._search_down_sets(short, 2, 2, {mask_of([1])})
+    assert search._search_down_sets(short, 2, 2, {mask_of([1, 2])}).max_size == 1
+
+
+def test_a_huge_ground_costs_what_its_candidates_span(monkeypatch):
+    # one list entry or mask bit per ground element would take terabytes
+    # for a 10^12-element part; the solver's index and masks stop at the
+    # widest candidate, so each route answers as on a 5-element ground.
+    # {1,2},{1,3},{2,3} is shifted and goes to the down-set search; the
+    # other misses {2,4}, a lower cover of {2,5}, and goes to the clique
+    # search
+    for sizes in ((10 ** 12,), (10 ** 12, 3)):
+        g = GroundSet(sizes)
+        for sets, other in (([[1, 2], [1, 3], [2, 3]], "_max_clique"),
+                            ([[1, 2], [1, 3], [1, 4], [2, 5]], "_search_down_sets")):
+            fam = Family.from_iterables(g, sets)
+            for t in (1, 2):
+                small = max_t_intersecting(Family(GroundSet((5,)), fam.members), t)
+                tracemalloc.start()
+                try:
+                    with monkeypatch.context() as m:
+                        m.setattr(search, other, _refuse)
+                        r = max_t_intersecting(fam, t)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert (r.max_size, r.witness.members, r.nodes_explored, r.bound_used) == \
+                    (small.max_size, small.witness.members, small.nodes_explored,
+                     small.bound_used), (sizes, sets, t)
+                assert peak < 1 << 20, peak
 
 
 def test_check_quota_family_searches_under_the_callers_cap(monkeypatch):
