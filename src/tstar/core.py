@@ -103,6 +103,14 @@ def mask_of(elements: Iterable[int]) -> int:
     return mask
 
 
+def _bits(mask: int) -> Iterator[int]:
+    """Ascending 0-based bit indices of a non-negative mask."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def elements_of(mask: int) -> tuple[int, ...]:
     """Ascending 1-based elements of a bitmask."""
     if mask < 0:

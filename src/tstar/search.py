@@ -59,7 +59,7 @@ are the slow independent route, and do not use the element index.
 
 from __future__ import annotations
 
-from typing import AbstractSet, Iterator
+from typing import AbstractSet
 
 from .bounds import (_delsarte_lp, exchange_optimal, hypothesis_flags,
                      max_window_family, optimal_t_distributions, union_star_sizes)
@@ -70,6 +70,7 @@ from .core import (
     InvalidParametersError,
     InvariantError,
     _Frozen,
+    _bits,
     bounded_compositions,
     elements_of,
     enumerate_block,
@@ -78,7 +79,7 @@ from .core import (
     search_cap,
     trivial_star,
 )
-from .shifting import is_shifted
+from .shifting import _covers_closed, is_shifted
 from .verify import is_full_t_star
 
 DEFAULT_SUBSET_LIMIT = 24
@@ -108,13 +109,6 @@ class SearchResult(_Frozen):
     witness: Family
     nodes_explored: int
     bound_used: int
-
-
-def _bits(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _refuted(live: int, classes: list[int], conflict: list[int]) -> bool:
@@ -234,15 +228,14 @@ def max_t_intersecting(space: Family, t: int, cap: int | None = None) -> SearchR
 
     Members with fewer than t elements cannot appear in any solution
     (they fail the requirement against themselves) and are dropped up
-    front.  When each candidate's in-part lower covers (an element moved
-    to the free place below it in its part) are members, found by one
-    pass that stops at the first that is not, the candidates are closed
-    under in-part lower shifts, as blocks, profile unions, quota spaces
-    and shifted families are.  _search_down_sets then searches them from
-    the greedy star up to their count; the star's center is a union of
-    part prefixes, so the star is a down-set, and it stays the witness
-    whenever it is optimal.  Any other family goes to the clique search
-    (_max_clique).
+    front.  When the candidates pass is_shifted's test
+    (shifting._covers_closed: every in-part lower cover is a member),
+    they are closed under in-part lower shifts, as blocks, profile
+    unions, quota spaces and shifted families are.  _search_down_sets
+    then searches them from the greedy star up to their count; the
+    star's center is a union of part prefixes, so the star is a
+    down-set, and it stays the witness whenever it is optimal.  Any
+    other family goes to the clique search (_max_clique).
     """
     if t < 0:
         raise InvalidParametersError(f"t must be >= 0, got {t}")
@@ -250,13 +243,9 @@ def max_t_intersecting(space: Family, t: int, cap: int | None = None) -> SearchR
     if len(space.members) > limit:
         raise InstanceTooLargeError(
             f"search space has {len(space.members)} members, cap is {limit}")
-    members = space.members
-    width = max(members, default=0).bit_length()
-    firsts = sum(1 << off for off in space.ground.offsets if off < width)
-    if not all(m ^ 3 << b - 1 in members for m in members if m.bit_count() >= t
-               for b in _bits(m & ~(m << 1) & ~firsts)):
+    verts = [m for m in space.members if m.bit_count() >= t]
+    if not _covers_closed(set(verts), space.ground):
         return _max_clique(space, t)
-    verts = [m for m in members if m.bit_count() >= t]
     star = _greedy_star(_element_index(verts)[0], t, (1 << len(verts)) - 1)
     return _search_down_sets(space, t, len(verts), {verts[v] for v in _bits(star)})
 

@@ -6,9 +6,9 @@ compressed image only when it does not collide with an existing member.
 Family size is always preserved.
 
 Closures sweep the in-part pairs i < j, lexicographic within a part and
-part after part, and keep going after a productive pair; they stop after a
-full sweep that moves nothing, so the result is a fixed point of every
-in-part move.  On every input tried, a productive (i, j) never made an
+part after part, and keep going after a productive pair; they stop once
+every family is closed, so the result is a fixed point of every in-part
+move.  On every input tried, a productive (i, j) never made an
 earlier pair productive again, so the sweep reaches the same fixed point
 with the same step count as restarting after every productive pair would.
 That is observed, not proven; tests/test_shifting.py keeps the restart
@@ -23,7 +23,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import Iterator
 
-from .core import Family, GroundSet, InvalidParametersError, elements_of
+from .core import Family, GroundSet, InvalidParametersError, _bits, elements_of
 
 
 def _pair_bits(i: int, j: int, n: int) -> tuple[int, int]:
@@ -36,23 +36,14 @@ def _pair_bits(i: int, j: int, n: int) -> tuple[int, int]:
     return 1 << (i - 1), 1 << (j - 1)
 
 
-def _movers(members, bi: int, bj: int):
-    """Members the (i, j) move replaces: j in, i out, image not yet present.
-
-    Every mover holds bit bj, so none is 0 and any() over them is a test
-    for a productive move.
-    """
-    return (m for m in members
-            if m & bj and not m & bi and ((m ^ bj) | bi) not in members)
-
-
 def _move(members: set[int], bi: int, bj: int) -> bool:
     """Apply the (i, j) move in place; True when a member moved.
 
-    Distinct movers have distinct images, and no image is already a
-    member, so the size is preserved.
+    The movers hold j and not i, and their images are not yet members.
+    Distinct movers have distinct images, so the size is preserved.
     """
-    movers = list(_movers(members, bi, bj))
+    movers = [m for m in members
+              if m & bj and not m & bi and ((m ^ bj) | bi) not in members]
     if not movers:
         return False
     members.difference_update(movers)
@@ -88,12 +79,27 @@ def _held_bits(ground: GroundSet, part: int, member_sets) -> list[int]:
     held = union >> first       # the union's bits in the part, no wider than the union
     if held.bit_length() > size:
         held &= (1 << size) - 1
-    js = []
-    while held:
-        low = held & -held
-        js.append(low << first)
-        held ^= low
-    return js
+    return [1 << first + b for b in _bits(held)]
+
+
+def _covers_closed(members, ground: GroundSet, parts=None) -> bool:
+    """The one closure test, of is_shifted, the closures and the solver's
+    route: True when, in the given parts (default: all), every lower cover
+    of a member (one element moved to the free place just below it in its
+    part) is a member.  Exact: a move (i, j) on a member with j and not i
+    is a chain of covers, the lowest held element above i walking down to
+    i, the next to its old place, and so on up to j.  No mask is wider
+    than the widest member.
+    """
+    width = max(members, default=0).bit_length()
+    movable = 0     # bits of the given parts below `width`, each part's first bit out
+    for part in range(ground.p) if parts is None else parts:
+        elements = ground.part_elements(part)   # bit e - 1 holds element e
+        lo, hi = elements.start, min(elements.stop - 1, width)
+        if lo < hi:
+            movable |= (1 << hi) - (1 << lo)
+    return all(m ^ 3 << b - 1 in members for m in members
+               for b in _bits(m & movable & ~(m << 1)))
 
 
 def _part_moves(ground: GroundSet, part: int, held: list[int]) -> Iterator[tuple[int, int]]:
@@ -125,7 +131,7 @@ def _holds(member_sets, bit: int) -> bool:
 
 def _closure(fams: list[Family], parts) -> tuple[list[Family], int]:
     """Sweep the moves of the given parts over all families at once until
-    a full sweep moves nothing.
+    every family is closed (_covers_closed).
 
     Every family sees the same sequence of moves, and a move that changes
     nothing is the identity, so the families stay in lockstep.  Each pass
@@ -137,19 +143,16 @@ def _closure(fams: list[Family], parts) -> tuple[list[Family], int]:
     sets = [set(f.members) for f in fams]
     parts = range(ground.p) if parts is None else parts
     steps = 0
-    while True:
-        productive = 0
+    while not all(_covers_closed(s, ground, parts) for s in sets):
         for part in parts:
             held = _held_bits(ground, part, sets)
             for bi, bj in _part_moves(ground, part, held):
                 # a list, not a generator: every family takes the move
                 if any([_move(s, bi, bj) for s in sets]):
-                    productive += 1
+                    steps += 1
                     if not _holds(sets, bj):
                         held.remove(bj)
-        if not productive:
-            return [Family(ground, frozenset(s)) for s in sets], steps
-        steps += productive
+    return [Family(ground, frozenset(s)) for s in sets], steps
 
 
 def shift_closure(fam: Family, parts: tuple[int, ...] | None = None) -> tuple[Family, int]:
@@ -163,14 +166,12 @@ def shift_closure(fam: Family, parts: tuple[int, ...] | None = None) -> tuple[Fa
 
 def is_l_shifted(fam: Family, part: int) -> bool:
     """True when every in-part move of the given part fixes the family."""
-    members, ground = fam.members, fam.ground
-    held = _held_bits(ground, part, (members,))
-    return not any(any(_movers(members, bi, bj)) for bi, bj in _part_moves(ground, part, held))
+    return _covers_closed(fam.members, fam.ground, (part,))
 
 
 def is_shifted(fam: Family) -> bool:
     """True when the family is l-shifted for every part l."""
-    return all(is_l_shifted(fam, l) for l in range(fam.ground.p))
+    return _covers_closed(fam.members, fam.ground)
 
 
 def simultaneous_closure(fams: list[Family]) -> list[Family]:

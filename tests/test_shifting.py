@@ -181,15 +181,37 @@ def test_simultaneous_closure_lockstep():
         simultaneous_closure([a, Family(GroundSet((4,)), frozenset())])
 
 
+def test_closing_a_shifted_family_tries_no_move(monkeypatch):
+    # the closures stop on the closure test, before any sweep, when every
+    # family is already closed
+    tried = []
+
+    def move(*args):
+        tried.append(args)
+        return real_move(*args)
+
+    real_move = shifting._move
+    monkeypatch.setattr(shifting, "_move", move)
+    g = GroundSet((5, 5))
+    block, other = enumerate_block(g, (2, 2)), enumerate_block(g, (1, 3))
+    assert shift_closure(block) == (block, 0)
+    assert simultaneous_closure([block, other]) == [block, other]
+    assert tried == []
+
+
 def test_a_huge_part_builds_no_part_sized_pair_list():
     # the moves of a 10^11-element part would not fit in memory; only those
     # up to the members' largest element, 5, can move anything, and the
-    # closure is the one on a 5-element ground set
+    # closure is the one on a 5-element ground set.  A huge last part with
+    # members in both parts: the closure test reads no further than the
+    # widest member either
     tracemalloc.start()
     try:
         fam = parse_family("ground: 100000000000\n2,3\n3,5\n")
         closed, steps = shift_closure(fam)
         shifted = is_shifted(fam), is_shifted(closed)
+        two = parse_family("ground: 3,100000000000\n1,4\n2,4\n1,6\n")
+        two_shifted = is_l_shifted(two, 0), is_l_shifted(two, 1), is_shifted(two)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -197,6 +219,7 @@ def test_a_huge_part_builds_no_part_sized_pair_list():
     assert (closed.members, steps) == (small.members, small_steps)
     assert closed.members == _fam(fam.ground, [1, 2], [1, 3]).members
     assert shifted == (False, True)
+    assert two_shifted == (True, False, False)
     assert peak < 1 << 20, peak
 
 
@@ -204,7 +227,7 @@ def test_a_high_member_walks_its_moves_one_at_a_time(monkeypatch):
     # a member holding the last two of 10,000 elements: the 5 * 10^7 moves
     # up to 10,000 take gigabytes, but a pass visits only the moves onto
     # elements some member holds, one at a time; the closure is {1, 2} in
-    # two steps, and the shiftedness test walks the same moves
+    # two steps, and the shiftedness test reads the members' lower covers
     tracemalloc.start()
     try:
         fam = parse_family("ground: 10000\n9999,10000\n")
@@ -220,7 +243,7 @@ def test_a_high_member_walks_its_moves_one_at_a_time(monkeypatch):
 
     # once its moves have emptied 99,999 and 100,000 no member holds them,
     # and the pass tries no more moves onto them: (1, 99999), (1, 100000)
-    # and (2, 100000), then (1, 2) in the pass that moves nothing
+    # and (2, 100000); {1, 2} is then closed, so no other pass runs
     tried = []
 
     def move(members, bi, bj):
@@ -244,7 +267,7 @@ def test_a_high_member_walks_its_moves_one_at_a_time(monkeypatch):
     monkeypatch.setattr(shifting, "_held_bits", held_bits)
     closed, steps = shift_closure(parse_family("ground: 100000\n99999,100000\n"))
     assert (format_family(closed), steps) == ("ground: 100000\n1,2\n", 2)
-    assert len(tried) <= 8, tried
+    assert tried == [(1, 99999), (1, 100000), (2, 100000)], tried
     assert len(reads) <= 32, len(reads)
 
 
@@ -308,6 +331,8 @@ def test_sweep_matches_restart_order():
         assert shift_closure(fams[0], parts) == (ref, ref_steps)
         assert simultaneous_closure(fams) == _restart_closure(fams)[0]
         assert is_shifted(fams[1]) == (_restart_closure(fams[1:2])[1] == 0)
+        for l in range(ground.p):
+            assert is_l_shifted(fams[1], l) == (_restart_closure(fams[1:2], (l,))[1] == 0)
         if ground.n > 1:
             i, j = rng.sample(range(1, ground.n + 1), 2)
             assert compress_family(fams[1], i, j) == _compress_family_ref(fams[1], i, j)
