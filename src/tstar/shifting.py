@@ -20,9 +20,6 @@ the family, which bounds the number of steps.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from typing import Iterator
-
 from .core import Family, GroundSet, InvalidParametersError, _bits, elements_of
 
 
@@ -68,20 +65,6 @@ def family_weight(fam: Family) -> int:
     return sum(sum(elements_of(m)) for m in fam.members)
 
 
-def _held_bits(ground: GroundSet, part: int, member_sets) -> list[int]:
-    """Bits of the part's elements that a member of some set holds, ascending."""
-    union = 0
-    for members in member_sets:
-        for m in members:
-            union |= m
-    elements = ground.part_elements(part)
-    first, size = elements.start - 1, len(elements)    # the part's bits
-    held = union >> first       # the union's bits in the part, no wider than the union
-    if held.bit_length() > size:
-        held &= (1 << size) - 1
-    return [1 << first + b for b in _bits(held)]
-
-
 def _covers_closed(members, ground: GroundSet, parts=None) -> bool:
     """The one closure test, of is_shifted, the closures and the solver's
     route: True when, in the given parts (default: all), every lower cover
@@ -102,42 +85,18 @@ def _covers_closed(members, ground: GroundSet, parts=None) -> bool:
                for b in _bits(m & movable & ~(m << 1)))
 
 
-def _part_moves(ground: GroundSet, part: int, held: list[int]) -> Iterator[tuple[int, int]]:
-    """Bits (1 << (i-1), 1 << (j-1)) of the moves i < j inside the part
-    whose j is in `held`, lexicographic, one at a time so that the part's
-    size does not set the memory used.  With `held` the part's elements
-    that members hold as a pass begins, no other move acts in that pass:
-    a move (i, j) adds only i, below every later j.  A caller may remove
-    from `held` a j that a move emptied: only (j, j'') can refill it,
-    after every move onto j, and i stops where nothing is held above it."""
-    bi = 1 << ground.offsets[part]
-    lo = 0      # held[:lo] lie at or below i
-    while lo < len(held):
-        while lo < len(held) and bi < held[lo]:    # re-read: held[lo] may leave
-            for bj in held[lo:]:
-                yield bi, bj
-            bi <<= 1
-        lo = bisect_right(held, bi)
-
-
-def _holds(member_sets, bit: int) -> bool:
-    """True when some member holds the bit; a loop, as it runs per productive move."""
-    for members in member_sets:
-        for m in members:
-            if m & bit:
-                return True
-    return False
-
-
 def _closure(fams: list[Family], parts) -> tuple[list[Family], int]:
     """Sweep the moves of the given parts over all families at once until
     every family is closed (_covers_closed).
 
     Every family sees the same sequence of moves, and a move that changes
-    nothing is the identity, so the families stay in lockstep.  Each pass
-    over a part visits only the moves whose j some member holds
-    (_part_moves); the others are the identity.  Returns the fixed points
-    and the number of pairs that moved a member of some family.
+    nothing is the identity, so the families stay in lockstep.  A pass
+    over a part walks i up from the part's first element; at each i it
+    tries (i, j) for every j of the part above i that a member of some
+    family holds, ascending, and it stops at the first i with none.  A
+    move (i, j) adds only i, never above the current i, so what a move
+    adds is never a j of a later move in the pass.  Returns the fixed
+    points and the number of pairs that moved a member of some family.
     """
     ground = fams[0].ground
     sets = [set(f.members) for f in fams]
@@ -145,13 +104,24 @@ def _closure(fams: list[Family], parts) -> tuple[list[Family], int]:
     steps = 0
     while not all(_covers_closed(s, ground, parts) for s in sets):
         for part in parts:
-            held = _held_bits(ground, part, sets)
-            for bi, bj in _part_moves(ground, part, held):
-                # a list, not a generator: every family takes the move
-                if any([_move(s, bi, bj) for s in sets]):
-                    steps += 1
-                    if not _holds(sets, bj):
-                        held.remove(bj)
+            elements = ground.part_elements(part)   # bit e - 1 holds element e
+            i, end = elements.start, elements.stop - 1
+            while True:
+                union = 0
+                for s in sets:
+                    for m in s:
+                        union |= m
+                above = union >> i << i     # the held elements above i
+                if above.bit_length() > end:
+                    above &= (1 << end) - 1
+                if not above:
+                    break
+                bi = 1 << i - 1
+                for b in _bits(above):
+                    # a list, not a generator: every family takes the move
+                    if any([_move(s, bi, 1 << b) for s in sets]):
+                        steps += 1
+                i += 1
     return [Family(ground, frozenset(s)) for s in sets], steps
 
 

@@ -204,7 +204,10 @@ def test_a_huge_part_builds_no_part_sized_pair_list():
     # up to the members' largest element, 5, can move anything, and the
     # closure is the one on a 5-element ground set.  A huge last part with
     # members in both parts: the closure test reads no further than the
-    # widest member either
+    # widest member either, and nor do the closures of such a family, on
+    # each part and in lockstep with a second one: they are those on a
+    # 3,6 ground set.  Nor does the pass over a part that no member
+    # reaches build its first element's bit, past a huge first part
     tracemalloc.start()
     try:
         fam = parse_family("ground: 100000000000\n2,3\n3,5\n")
@@ -212,6 +215,10 @@ def test_a_huge_part_builds_no_part_sized_pair_list():
         shifted = is_shifted(fam), is_shifted(closed)
         two = parse_family("ground: 3,100000000000\n1,4\n2,4\n1,6\n")
         two_shifted = is_l_shifted(two, 0), is_l_shifted(two, 1), is_shifted(two)
+        other = parse_family("ground: 3,100000000000\n3,5\n2,6\n")
+        two_closed = [shift_closure(two, parts) for parts in (None, (0,), (1,))]
+        pair_closed = simultaneous_closure([two, other])
+        first, first_steps = shift_closure(parse_family("ground: 100000000,3\n2\n"))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -220,6 +227,13 @@ def test_a_huge_part_builds_no_part_sized_pair_list():
     assert closed.members == _fam(fam.ground, [1, 2], [1, 3]).members
     assert shifted == (False, True)
     assert two_shifted == (True, False, False)
+    two36, other36 = (Family(GroundSet((3, 6)), f.members) for f in (two, other))
+    for (got, got_steps), parts in zip(two_closed, (None, (0,), (1,))):
+        small, small_steps = shift_closure(two36, parts)
+        assert (got.members, got_steps) == (small.members, small_steps)
+    small_pair = simultaneous_closure([two36, other36])
+    assert [f.members for f in pair_closed] == [f.members for f in small_pair]
+    assert (first.members, first_steps) == ({1}, 1)
     assert peak < 1 << 20, peak
 
 
@@ -250,25 +264,22 @@ def test_a_high_member_walks_its_moves_one_at_a_time(monkeypatch):
         tried.append((bi.bit_length(), bj.bit_length()))
         return real_move(members, bi, bj)
 
-    # nor does i walk on once nothing is held above it: the held lists are
-    # read a few times per pass, not once per element up to 99,999
+    # nor does i walk on once nothing is held above it: the bits of the
+    # held elements above i are read a few times in all, not once per
+    # element up to 99,999
     reads = []
 
-    class CountedReads(list):
-        def __getitem__(self, key):
-            reads.append(key)
-            return super().__getitem__(key)
+    def bits(mask):
+        reads.append(mask.bit_length())
+        return real_bits(mask)
 
-    def held_bits(*args):
-        return CountedReads(real_held_bits(*args))
-
-    real_move, real_held_bits = shifting._move, shifting._held_bits
+    real_move, real_bits = shifting._move, shifting._bits
     monkeypatch.setattr(shifting, "_move", move)
-    monkeypatch.setattr(shifting, "_held_bits", held_bits)
+    monkeypatch.setattr(shifting, "_bits", bits)
     closed, steps = shift_closure(parse_family("ground: 100000\n99999,100000\n"))
     assert (format_family(closed), steps) == ("ground: 100000\n1,2\n", 2)
     assert tried == [(1, 99999), (1, 100000), (2, 100000)], tried
-    assert len(reads) <= 32, len(reads)
+    assert len(reads) <= 8, len(reads)
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +341,7 @@ def test_sweep_matches_restart_order():
         (ref,), ref_steps = _restart_closure(fams[:1], parts)
         assert shift_closure(fams[0], parts) == (ref, ref_steps)
         assert simultaneous_closure(fams) == _restart_closure(fams)[0]
+        assert shifting._closure(fams, None) == _restart_closure(fams)
         assert is_shifted(fams[1]) == (_restart_closure(fams[1:2])[1] == 0)
         for l in range(ground.p):
             assert is_l_shifted(fams[1], l) == (_restart_closure(fams[1:2], (l,))[1] == 0)
