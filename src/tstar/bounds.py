@@ -195,8 +195,8 @@ def max_window_family(t: int, ground: GroundSet,
 
 def enumerate_distribution_argmax(t: int, ground: GroundSet,
                                   k: tuple[int, ...]) -> BoundReport:
-    """Independent route: count the star of every t-distribution and keep
-    the argmax.
+    """Independent route: count the star of every t-distribution with
+    t_i <= k_i and keep the argmax (_star_scan).
 
     Deliberately shares no logic with the greedy optimizer; the test
     suite holds the two outputs equal across a parameter grid.
@@ -204,13 +204,19 @@ def enumerate_distribution_argmax(t: int, ground: GroundSet,
     k = _check_block_params(ground, k)
     if t < 0 or t > sum(k):
         raise InvalidParametersError(f"t={t} out of range [0, {sum(k)}]")
-    dists = list(bounded_compositions(t, (0,) * ground.p, k))
-    return _argmax_report(dists, union_star_sizes(ground, (k,), dists), {})
+    return _star_scan(t, ground, (k,), k, {})
 
 
-def _argmax_report(dists: list[tuple[int, ...]], values: list[int],
-                   flags: dict[str, bool]) -> BoundReport:
-    best = max(values, default=-1)
+def _star_scan(t: int, ground: GroundSet, profiles: tuple[tuple[int, ...], ...],
+               highs: tuple[int, ...], flags: dict[str, bool]) -> BoundReport:
+    """The full star of every t-distribution with t_i <= highs[i], counted
+    over `profiles` (union_star_sizes): the largest count and every
+    distribution reaching it.  With no distribution at all (t > sum(highs))
+    the value is 0, as no star has fewer members, and none is reported.
+    """
+    dists = list(bounded_compositions(t, (0,) * ground.p, highs))
+    values = union_star_sizes(ground, profiles, dists)
+    best = max(values, default=0)
     return BoundReport(best, frozenset(d for d, v in zip(dists, values) if v == best),
                        flags)
 
@@ -442,8 +448,8 @@ def max_union_star_size(t: int, ground: GroundSet, profiles: ProfileSet,
                         strict: bool = True) -> BoundReport:
     """Largest full-star size over the profile-union space.
 
-    Scans every t-distribution (there is no greedy shortcut for unions)
-    and counts each one with union_star_sizes.  t <= c (the smallest
+    Scans every t-distribution with t_i <= min(t, n_i) (_star_scan; there
+    is no greedy shortcut for unions).  t <= c (the smallest
     profile entry) is the intended regime; pass strict=False to compute
     outside it, with the flag recorded.  The report's hypothesis flags are
     exact and purely informative: union_parts_large needs
@@ -457,12 +463,11 @@ def max_union_star_size(t: int, ground: GroundSet, profiles: ProfileSet,
     if strict and not t_le_c:
         raise InvalidParametersError(
             f"t={t} exceeds the smallest profile entry c={profiles.c}")
-    limits = tuple(min(t, n_i) for n_i in ground.sizes)
-    dists = list(bounded_compositions(t, (0,) * ground.p, limits))
     need = 2 * (t + 1) * ground.p * profiles.b ** (t + 2)
     large = all(n_i > need for n_i in ground.sizes)
     flags = {"union_parts_large": large, "t_le_c": t_le_c, "union_star": large and t_le_c}
-    return _argmax_report(dists, union_star_sizes(ground, profiles.profiles, dists), flags)
+    return _star_scan(t, ground, profiles.profiles,
+                      tuple(min(t, n_i) for n_i in ground.sizes), flags)
 
 
 # ---------------------------------------------------------------------------

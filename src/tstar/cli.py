@@ -117,10 +117,6 @@ def emit_report(data: dict, fmt: str) -> None:
             print(line)
 
 
-def _distribution_list(dists) -> list[list[int]]:
-    return sorted(list(d) for d in dists)
-
-
 def _check_out(path: str | None) -> None:
     """Refuse an output path before the work whose result it would hold:
     a directory, or a file this process cannot create or overwrite."""
@@ -184,7 +180,7 @@ def cmd_bound(args) -> int:
         flags = bounds.hypothesis_flags(args.t, ground, k=args.k)
     emit_report({
         "value": value,
-        "optimal_distributions": _distribution_list(dists),
+        "optimal_distributions": sorted(map(list, dists)),
         "hypotheses": flags,
     }, args.format)
     return 0
@@ -317,9 +313,11 @@ def build_parser() -> argparse.ArgumentParser:
     enum_cap = argparse.ArgumentParser(add_help=False)
     enum_cap.add_argument("--enum-cap", type=_positive_int, default=None,
                           help="override the enumeration size cap")
-    search_cap = argparse.ArgumentParser(add_help=False)
-    search_cap.add_argument("--search-cap", type=_positive_int, default=None,
-                            help="override the search size cap")
+    space = argparse.ArgumentParser(add_help=False)     # a block or a profile union
+    space.add_argument("--n", type=_int_vector, required=True)
+    shape = space.add_mutually_exclusive_group(required=True)
+    shape.add_argument("--k", type=_int_vector)
+    shape.add_argument("--profiles", type=_profile_list)
 
     parser = argparse.ArgumentParser(
         prog="tstar",
@@ -327,12 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "partitioned ground sets")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    b = sub.add_parser("bound", parents=[common],
+    b = sub.add_parser("bound", parents=[common, space],
                        help="star bounds for blocks and profile unions")
-    b.add_argument("--n", type=_int_vector, required=True)
-    space = b.add_mutually_exclusive_group(required=True)
-    space.add_argument("--k", type=_int_vector)
-    space.add_argument("--profiles", type=_profile_list)
     b.add_argument("--t", type=int)
     kind = b.add_mutually_exclusive_group()
     kind.add_argument("--ratio", action="store_true",
@@ -342,8 +336,10 @@ def build_parser() -> argparse.ArgumentParser:
                            "of the block, exact and its floor")
     b.set_defaults(func=cmd_bound)
 
-    s = sub.add_parser("search", parents=[common, search_cap],
+    s = sub.add_parser("search", parents=[common],
                        help="exact maximum t-intersecting subfamily")
+    s.add_argument("--search-cap", type=_positive_int, default=None,
+                   help="override the search size cap")
     s.add_argument("--n", type=_int_vector, required=True)
     s.add_argument("--k", type=_int_vector, required=True)
     s.add_argument("--t", type=int)
@@ -401,12 +397,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="factors as 'g:h' pairs, e.g. '5:2,7:3'")
     kn.set_defaults(func=cmd_kneser)
 
-    e = sub.add_parser("enumerate", parents=[common, enum_cap],
+    e = sub.add_parser("enumerate", parents=[common, enum_cap, space],
                        help="write out a block, union or quota family")
-    e.add_argument("--n", type=_int_vector, required=True)
-    space = e.add_mutually_exclusive_group(required=True)
-    space.add_argument("--k", type=_int_vector)
-    space.add_argument("--profiles", type=_profile_list)
     e.add_argument("--quota", type=_int_vector)
     e.add_argument("--out", metavar="FILE")
     e.set_defaults(func=cmd_enumerate)

@@ -61,7 +61,7 @@ from __future__ import annotations
 
 from typing import AbstractSet
 
-from .bounds import (_delsarte_lp, exchange_optimal, hypothesis_flags,
+from .bounds import (_delsarte_lp, _star_scan, exchange_optimal, hypothesis_flags,
                      max_window_family, optimal_t_distributions, union_star_sizes)
 from .core import (
     Family,
@@ -71,7 +71,6 @@ from .core import (
     InvariantError,
     _Frozen,
     _bits,
-    bounded_compositions,
     elements_of,
     enumerate_block,
     enumerate_quota,
@@ -228,7 +227,8 @@ def max_t_intersecting(space: Family, t: int, cap: int | None = None) -> SearchR
 
     Members with fewer than t elements cannot appear in any solution
     (they fail the requirement against themselves) and are dropped up
-    front.  When the candidates pass is_shifted's test
+    front; more candidates than the search cap (core.search_cap) raise
+    InstanceTooLargeError.  When the candidates pass is_shifted's test
     (shifting._covers_closed: every in-part lower cover is a member),
     they are closed under in-part lower shifts, as blocks, profile
     unions, quota spaces and shifted families are.  _search_down_sets
@@ -240,10 +240,10 @@ def max_t_intersecting(space: Family, t: int, cap: int | None = None) -> SearchR
     if t < 0:
         raise InvalidParametersError(f"t must be >= 0, got {t}")
     limit = search_cap(cap)
-    if len(space.members) > limit:
-        raise InstanceTooLargeError(
-            f"search space has {len(space.members)} members, cap is {limit}")
     verts = [m for m in space.members if m.bit_count() >= t]
+    if len(verts) > limit:
+        raise InstanceTooLargeError(
+            f"search space has {len(verts)} candidates, cap is {limit}")
     if not _covers_closed(set(verts), space.ground):
         return _max_clique(space, t)
     star = _greedy_star(_element_index(verts)[0], t, (1 << len(verts)) - 1)
@@ -689,7 +689,8 @@ def check_block_maximum(ground: GroundSet, k: tuple[int, ...], t: int,
     InvariantError.  When the best star meets it, that star is the
     witness and nodes_explored is 0: its t-distribution is the optimal
     one that gives tied ratio links to the lowest parts, its center each
-    part's first elements.  Otherwise _search_down_sets searches the
+    part's first elements (InvariantError if that star's size is not
+    star_bound).  Otherwise _search_down_sets searches the
     block's shifted families, from the best window family, up to the
     goal min(lp_bound, block size); nodes_explored counts its nodes (0
     when the window family meets that goal), and
@@ -717,7 +718,11 @@ def check_block_maximum(ground: GroundSet, k: tuple[int, ...], t: int,
     if star_bound >= goal:
         # the best star is a maximum: close the block without a search
         center = sum(ground.prefix_mask(i, t_i) for i, t_i in enumerate(dist))
-        result = SearchResult(star_bound, trivial_star(space, center), 0, star_bound)
+        star = trivial_star(space, center)
+        if len(star.members) != star_bound:
+            raise InvariantError(
+                f"the best star has {len(star.members)} members, counted {star_bound}")
+        result = SearchResult(star_bound, star, 0, star_bound)
     else:
         size, r, w = max_window_family(t, ground, k)
         window = sum(ground.prefix_mask(i, w_i) for i, w_i in enumerate(w))
@@ -758,11 +763,11 @@ def check_quota_family(ground: GroundSet, k: int, quotas: tuple[int, ...],
 
     The star side is exact counting over every t-distribution (t_i
     center elements in part i; within one part every choice gives the
-    same count, so a center of per-part prefixes stands for them all),
-    not search.  star_center is the center of the best distribution,
-    ties going to the largest, which gives them to the lowest parts; it
-    is None when the best star has no member, as for t > k or k = 0 (or
-    t > n, with no distribution at all).  The verdict is "non-trivial"
+    same count, so a center of per-part prefixes stands for them all)
+    by bounds._star_scan, not search.  star_center is the center of the
+    best distribution, ties going to the largest, which gives them to the
+    lowest parts; it is None when the best star has no member, as for
+    t > k or k = 0 (or t > n, with no distribution at all).  The verdict is "non-trivial"
     when the maximum strictly beats every star, else "trivial": a full
     star attains the maximum, not every maximum is a star.  A quota
     space is closed under in-part shifts, so _search_down_sets searches
@@ -780,10 +785,8 @@ def check_quota_family(ground: GroundSet, k: int, quotas: tuple[int, ...],
     if t < 0:
         raise InvalidParametersError(f"t must be >= 0, got {t}")
     space = enumerate_quota(ground, k, quotas, cap=search_cap(cap))
-    dists = list(bounded_compositions(t, (0,) * ground.p,
-                                      tuple(min(t, n_i) for n_i in ground.sizes)))
-    star_best, dist = max(zip(union_star_sizes(ground, profiles, dists), dists),
-                          default=(0, ()))
+    scan = _star_scan(t, ground, profiles, tuple(min(t, n_i) for n_i in ground.sizes), {})
+    star_best, dist = scan.value, max(scan.optimal_distributions, default=())
     center = sum(ground.prefix_mask(i, t_i) for i, t_i in enumerate(dist))
     # with no distribution at all (t > n) the star is empty, not the space
     star = trivial_star(space, center).members if dist else frozenset()

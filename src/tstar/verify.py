@@ -109,13 +109,6 @@ def _meet_inside(a: Family, b: Family, t: int, window: int) -> bool:
     return inside
 
 
-def _uniform_size(fam: Family) -> int | None:
-    sizes = {m.bit_count() for m in fam.members}
-    if len(sizes) > 1:
-        return None
-    return sizes.pop() if sizes else 0
-
-
 def check_prefix_intersection(a: Family, b: Family, t: int, r: int, s: int) -> bool:
     """Shifted cross-t-intersecting r- and s-uniform families over one
     part must meet inside the first r+s-t elements; check every pair.
@@ -130,9 +123,9 @@ def check_prefix_intersection(a: Family, b: Family, t: int, r: int, s: int) -> b
     if not 0 <= t <= r <= s <= ground.n:
         raise HypothesisViolationError(
             f"need t <= r <= s <= n, got t={t}, r={r}, s={s}, n={ground.n}")
-    if a.members and _uniform_size(a) != r:
+    if any(m.bit_count() != r for m in a.members):
         raise HypothesisViolationError("A must be r-uniform")
-    if b.members and _uniform_size(b) != s:
+    if any(m.bit_count() != s for m in b.members):
         raise HypothesisViolationError("B must be s-uniform")
     if not a.members or not b.members:
         return True

@@ -434,6 +434,9 @@ def test_union_star_strictness():
     rep = max_union_star_size(3, g, ps, strict=False)
     assert not rep.hypothesis_flags["t_le_c"]
     assert rep.value > 0
+    # t above n: no distribution at all, and a star has no fewer than 0 members
+    rep = max_union_star_size(5, GroundSet((2, 2)), ProfileSet(((1, 1),)), strict=False)
+    assert (rep.value, rep.optimal_distributions) == (0, frozenset())
 
 
 # ---------------------------------------------------------------------------

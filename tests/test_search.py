@@ -10,7 +10,7 @@ from itertools import combinations, product
 
 import pytest
 
-from tstar import core, search
+from tstar import bounds, core, search
 from tstar.bounds import delsarte_bound, union_star_sizes
 from tstar.core import (Family, GroundSet, InstanceTooLargeError,
                         InvariantError, ProfileSet, block_size, enumerate_block,
@@ -417,6 +417,15 @@ def test_search_cap():
     space = enumerate_block(GroundSet((4, 4)), (2, 2))
     with pytest.raises(InstanceTooLargeError):
         max_t_intersecting(space, 1, cap=10)
+    # the cap counts candidates, the members with at least t elements: of
+    # 20 singletons and {1,2}, one at t = 2 and all 21 at t = 1
+    g = GroundSet((20,))
+    fam = Family.from_iterables(g, [[e] for e in range(1, 21)] + [[1, 2]])
+    r = max_t_intersecting(fam, 2, cap=5)
+    assert (r.max_size, r.witness.members) == (1, frozenset({mask_of([1, 2])}))
+    with pytest.raises(InstanceTooLargeError, match="search space has 21 candidates, cap is 20"):
+        max_t_intersecting(fam, 1, cap=20)
+    assert max_t_intersecting(fam, 1, cap=21).max_size == 2
 
 
 def test_search_tree_is_pinned():
@@ -924,10 +933,19 @@ def test_shifted_search_refuses_an_unshifted_witness(monkeypatch):
 
 
 def test_check_quota_family_checks_the_star_bound(monkeypatch):
-    monkeypatch.setattr(search, "union_star_sizes",
+    monkeypatch.setattr(bounds, "union_star_sizes",
                         lambda ground, profiles, dists: [10 ** 6 for _ in dists])
     with pytest.raises(InvariantError, match="the best star has 34 members, counted 1000000"):
         check_quota_family(GroundSet((4, 4)), 4, (1, 1))
+
+
+def test_check_block_maximum_checks_the_star_bound(monkeypatch):
+    # (2,)^6 has 64 distance classes, above the LP's cap, so only the
+    # enumerated star can catch a miscounted one at the root
+    monkeypatch.setattr(search, "union_star_sizes",
+                        lambda ground, profiles, dists: [10 ** 6 for _ in dists])
+    with pytest.raises(InvariantError, match="the best star has 32 members, counted 1000000"):
+        check_block_maximum(GroundSet((2,) * 6), (1,) * 6, 1)
 
 
 def test_a_seed_member_outside_the_candidates_raises():

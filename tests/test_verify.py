@@ -150,6 +150,11 @@ def test_prefix_intersection_flags_bad_sizes():
         check_prefix_intersection(b, a, 1, 3, 2)  # r > s
     with pytest.raises(HypothesisViolationError, match="A must be r-uniform"):
         check_prefix_intersection(b, b, 1, 2, 3)
+    mixed = _fam(g, [1, 2], [1, 2, 3])
+    with pytest.raises(HypothesisViolationError, match="A must be r-uniform"):
+        check_prefix_intersection(mixed, a, 1, 2, 2)
+    with pytest.raises(HypothesisViolationError, match="B must be s-uniform"):
+        check_prefix_intersection(a, mixed, 1, 2, 2)
     for other in (_fam(GroundSet((5,)), [1, 2]), _fam(GroundSet((2, 2)), [1, 3])):
         with pytest.raises(HypothesisViolationError, match="single-part ground"):
             check_prefix_intersection(a, other, 1, 2, 2)
