@@ -160,10 +160,7 @@ def _criterion_exchange_condition() -> Iterator[str]:
             star = union_star_sizes(ground, (ks,), dists)
             best = max(star)
             for dist, v in zip(dists, star):
-                # the prefix center of dist, from the layout of the ground set
-                center = sum([((1 << s_i) - 1) << off
-                              for s_i, off in zip(dist, ground.offsets)])
-                balanced = exchange_optimal(ground, ks, t, center)
+                balanced = exchange_optimal(ground, ks, t, ground.prefix_mask(dist))
                 if (v == best) != balanced:
                     yield (f"n={sizes} k={ks} t={t} dist={dist}: size {v} of "
                            f"best {best} but exchange condition says {balanced}")

@@ -213,17 +213,16 @@ class GroundSet(_Frozen):
 
     def part_elements(self, part: int) -> range:
         """1-based elements of the given part, ascending."""
-        self._check_part(part)
+        if not 0 <= part < self.p:
+            raise InvalidParametersError(f"part {part} out of range [0, {self.p})")
         start = self.offsets[part] + 1
         return range(start, start + self.sizes[part])
 
-    def prefix_mask(self, part: int, s: int) -> int:
-        """Mask of the first s elements of the given part."""
-        self._check_part(part)
-        if not 0 <= s <= self.sizes[part]:
-            raise InvalidParametersError(
-                f"prefix length {s} out of range for part of size {self.sizes[part]}")
-        return ((1 << s) - 1) << self.offsets[part]
+    def prefix_mask(self, lengths: tuple[int, ...]) -> int:
+        """Mask of the first lengths[i] elements of each part i; lengths is
+        checked as a profile."""
+        self.check_profile(lengths)
+        return sum(((1 << s) - 1) << off for s, off in zip(lengths, self.offsets))
 
     def element_part(self, element: int) -> int:
         """0-based part index containing a 1-based element."""
@@ -248,10 +247,6 @@ class GroundSet(_Frozen):
         for r, s in zip(profile, self.sizes):
             if not 0 <= r <= s:
                 raise InvalidParametersError(f"profile entry {r} out of [0, {s}]")
-
-    def _check_part(self, part: int) -> None:
-        if not 0 <= part < len(self.sizes):
-            raise InvalidParametersError(f"part {part} out of range [0, {self.p})")
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,9 @@ classes than the LP's cap are searched without it.  When the best star
 (bounds.optimal_t_distributions, in closed form) meets it, that star is
 the answer and nothing is searched.  Otherwise the down-set kernel
 searches the block from the best window family
-(bounds.max_window_family).  One ascending pass over a node's
+(bounds.max_window_family), which the kernel builds itself, as it
+builds every seed, from a window (w, r): a t-intersecting down-set as
+sum(w) <= t + 2r.  One ascending pass over a node's
 candidates counts their degrees, finds the free ones and builds a greedy
 matching of the conflicts, whose pairs bound the node; it branches on
 the candidate of most conflicts, those with vertices the root dropped
@@ -58,8 +60,6 @@ are the slow independent route, and do not use the element index.
 """
 
 from __future__ import annotations
-
-from typing import AbstractSet
 
 from .bounds import (_delsarte_lp, _star_scan, exchange_optimal, hypothesis_flags,
                      max_window_family, optimal_t_distributions, union_star_sizes)
@@ -98,10 +98,10 @@ class SearchResult(_Frozen):
     built, when the seed is already optimal: it holds every candidate,
     or, in the down-set search, meets the goal.
     bound_used records the seed's size, the initial lower bound the
-    search started from: the window family's in a block report, the best
-    star's in a quota report, the greedy star's in the down-set route of
-    max_t_intersecting, and in the clique route the star's, or the local
-    search's when that beats it.
+    search started from: the window family the down-set kernel builds
+    (the best one in a block report, the best star in a quota report,
+    the greedy star in max_t_intersecting), and in the clique route the
+    star's, or the local search's when that beats it.
     """
 
     max_size: int
@@ -205,9 +205,9 @@ def _conflict_row(has: list[int], els: list[int], t: int, full: int) -> int:
     return full ^ shared[top]
 
 
-def _greedy_star(has: list[int], t: int, full: int) -> int:
-    """The candidates under full holding the greedy star's center: t
-    times, the element outside the center that most candidates holding
+def _greedy_star(has: list[int], t: int, full: int) -> tuple[int, int]:
+    """The greedy star's center and the candidates under full holding it:
+    t times, the element outside the center that most candidates holding
     the center hold, the first on ties, read off the element index has."""
     star = full
     center = 0
@@ -219,7 +219,7 @@ def _greedy_star(has: list[int], t: int, full: int) -> int:
                 pick, most, held = e, c, h
         center |= 1 << pick
         star &= held
-    return star
+    return center, star
 
 
 def max_t_intersecting(space: Family, t: int, cap: int | None = None) -> SearchResult:
@@ -233,8 +233,9 @@ def max_t_intersecting(space: Family, t: int, cap: int | None = None) -> SearchR
     they are closed under in-part lower shifts, as blocks, profile
     unions, quota spaces and shifted families are.  _search_down_sets
     then searches them from the greedy star up to their count; the
-    star's center is a union of part prefixes, so the star is a
-    down-set, and it stays the witness whenever it is optimal.  Any
+    star's center is a union of part prefixes (ties go to the lowest
+    element), so the kernel builds the star from the center's profile,
+    and it stays the witness whenever it is optimal.  Any
     other family goes to the clique search (_max_clique).
     """
     if t < 0:
@@ -246,8 +247,8 @@ def max_t_intersecting(space: Family, t: int, cap: int | None = None) -> SearchR
             f"search space has {len(verts)} candidates, cap is {limit}")
     if not _covers_closed(set(verts), space.ground):
         return _max_clique(space, t)
-    star = _greedy_star(_element_index(verts)[0], t, (1 << len(verts)) - 1)
-    return _search_down_sets(space, t, len(verts), {verts[v] for v in _bits(star)})
+    center, _ = _greedy_star(_element_index(verts)[0], t, (1 << len(verts)) - 1)
+    return _search_down_sets(space, t, len(verts), space.ground.profile(center), 0)
 
 
 def _max_clique(space: Family, t: int) -> SearchResult:
@@ -282,7 +283,7 @@ def _max_clique(space: Family, t: int) -> SearchResult:
     n = len(verts)
     full = (1 << n) - 1
     has, elems = _element_index(verts)
-    star = _greedy_star(has, t, full)
+    _, star = _greedy_star(has, t, full)
     if star == full:
         # the star holds every candidate, which covers t = 0: nothing to search
         return SearchResult(n, Family(space.ground, frozenset(verts)), 0, n)
@@ -502,10 +503,12 @@ def _least(m: int) -> int:
 
 
 def _search_down_sets(space: Family, t: int, goal: int,
-                      seed: AbstractSet[int]) -> SearchResult:
+                      w: tuple[int, ...], r: int) -> SearchResult:
     """max_t_intersecting for `space`, closed under in-part lower shifts,
-    over the down-sets of the product shifting order only, from `seed`, a
-    t-intersecting down-set of candidates (else InvariantError) as masks.
+    over the down-sets of the product shifting order only, from the
+    window family of (w, r), the candidates meeting ground.prefix_mask(w)
+    in at least t + r elements: a down-set, and t-intersecting as
+    sum(w) <= t + 2r (else InvariantError).  r = 0 gives a star.
 
     Every in-part shift keeps a family's size, its part counts and its
     t-intersection, so some maximum family is a down-set.  The
@@ -547,20 +550,23 @@ def _search_down_sets(space: Family, t: int, goal: int,
     s' as u meets s.  So the taken set and the candidates always form a
     down-set, and dropping the conflicts of a take drops their up-sets.
     """
+    if sum(w) > t + 2 * r:
+        raise InvariantError(f"window family w={w}, r={r}: sum(w) = {sum(w)} "
+                             f"exceeds t + 2r = {t + 2 * r}")
     ground = space.ground
+    window = ground.prefix_mask(w)
     verts = [m for m in space.members if m.bit_count() >= t]
     width = max(verts, default=0).bit_length()
     parts = [(((1 << min(s, width - off)) - 1) << off, off)
              for s, off in zip(ground.sizes, ground.offsets) if off < width]
     verts.sort(key=lambda m: [m & q for q, _ in parts])
-    index = {m: v for v, m in enumerate(verts)}
-    if not seed <= index.keys():
-        raise InvariantError(f"seed member {_elements(min(seed - index.keys()))} is no candidate")
-    best_mask = sum(1 << index[m] for m in seed)
+    best_mask = sum(1 << v for v, m in enumerate(verts) if (m & window).bit_count() >= t + r)
     best_size = size = best_mask.bit_count()
     goal = min(goal, len(verts))
     if size >= goal:
-        return SearchResult(size, Family(ground, frozenset(seed)), 0, size)
+        return SearchResult(size, Family(ground, frozenset(verts[v] for v in _bits(best_mask))),
+                            0, size)
+    index = {m: v for v, m in enumerate(verts)}
     # the part components' least, once per distinct component
     least: dict[int, int] = {}
     alive = 0
@@ -717,7 +723,7 @@ def check_block_maximum(ground: GroundSet, k: tuple[int, ...], t: int,
     goal = len(space.members) if lp_bound is None else min(lp_bound, len(space.members))
     if star_bound >= goal:
         # the best star is a maximum: close the block without a search
-        center = sum(ground.prefix_mask(i, t_i) for i, t_i in enumerate(dist))
+        center = ground.prefix_mask(dist)
         star = trivial_star(space, center)
         if len(star.members) != star_bound:
             raise InvariantError(
@@ -725,11 +731,10 @@ def check_block_maximum(ground: GroundSet, k: tuple[int, ...], t: int,
         result = SearchResult(star_bound, star, 0, star_bound)
     else:
         size, r, w = max_window_family(t, ground, k)
-        window = sum(ground.prefix_mask(i, w_i) for i, w_i in enumerate(w))
-        seed = {m for m in space.members if (m & window).bit_count() >= t + r}
-        if len(seed) != size:
-            raise InvariantError(f"the window family has {len(seed)} members, counted {size}")
-        result = _search_down_sets(space, t, goal, seed)
+        result = _search_down_sets(space, t, goal, w, r)
+        if result.bound_used != size:
+            raise InvariantError(
+                f"the window family has {result.bound_used} members, counted {size}")
         center = is_full_t_star(result.witness, space, t)
     if lp_bound is not None and result.max_size > lp_bound:
         raise InvariantError(f"a {result.max_size}-member t-intersecting family "
@@ -771,10 +776,10 @@ def check_quota_family(ground: GroundSet, k: int, quotas: tuple[int, ...],
     when the maximum strictly beats every star, else "trivial": a full
     star attains the maximum, not every maximum is a star.  A quota
     space is closed under in-part shifts, so _search_down_sets searches
-    it from the best star, trivial_star(space, center), up to the
-    candidate count (InvariantError if that star's size is not
-    star_size); the incumbent changes only on a strict gain, so at every
-    t a "trivial" witness is that star.  witness_center names the
+    it from the best star, the window family of its distribution with
+    r = 0, up to the candidate count (InvariantError if that star's size
+    is not star_size); the incumbent changes only on a strict gain, so at
+    every t a "trivial" witness is that star.  witness_center names the
     witness's center when it is a full t-star (verify.is_full_t_star),
     else None.  hypotheses are the paper's t = 1 conditions, reported at
     every t; at t >= 2 they predict nothing.  The report's keys and
@@ -786,13 +791,12 @@ def check_quota_family(ground: GroundSet, k: int, quotas: tuple[int, ...],
         raise InvalidParametersError(f"t must be >= 0, got {t}")
     space = enumerate_quota(ground, k, quotas, cap=search_cap(cap))
     scan = _star_scan(t, ground, profiles, tuple(min(t, n_i) for n_i in ground.sizes), {})
-    star_best, dist = scan.value, max(scan.optimal_distributions, default=())
-    center = sum(ground.prefix_mask(i, t_i) for i, t_i in enumerate(dist))
-    # with no distribution at all (t > n) the star is empty, not the space
-    star = trivial_star(space, center).members if dist else frozenset()
-    if len(star) != star_best:
-        raise InvariantError(f"the best star has {len(star)} members, counted {star_best}")
-    result = _search_down_sets(space, t, len(space.members), star)
+    # with no distribution at all (t > n) the window is empty: no candidate meets it
+    star_best, dist = scan.value, max(scan.optimal_distributions, default=(0,) * ground.p)
+    center = ground.prefix_mask(dist)
+    result = _search_down_sets(space, t, len(space.members), dist, 0)
+    if result.bound_used != star_best:
+        raise InvariantError(f"the best star has {result.bound_used} members, counted {star_best}")
 
     total = sum(quotas)
     p = ground.p

@@ -169,10 +169,9 @@ def check_partwise_prefix_intersection(a: Family, b: Family, t: int,
         return True
     if require_shifted and not (is_shifted(a) and is_shifted(b)):
         raise HypothesisViolationError("both families must be l-shifted for every l")
-    window = 0
-    for i in range(ground.p):
-        # a part that both profiles leave empty has an empty window
-        window |= ground.prefix_mask(i, max(0, profile_a[i] + profile_b[i] - 1))
+    # a part that both profiles leave empty has an empty window
+    window = ground.prefix_mask(tuple(max(0, ra + rb - 1)
+                                      for ra, rb in zip(profile_a, profile_b)))
     return _meet_inside(a, b, t, window)
 
 

@@ -124,7 +124,7 @@ def test_window_family_equals_enumerate_and_count():
                 members = enumerate_block(g, k).members
 
                 def count(t, r, w):
-                    window = sum(g.prefix_mask(i, w_i) for i, w_i in enumerate(w))
+                    window = g.prefix_mask(w)
                     return sum((m & window).bit_count() >= t + r for m in members)
 
                 for t in range(sum(k) + 1):
@@ -214,7 +214,7 @@ def test_integer_chain_and_exchange_match_fraction_references():
         for t in range(sum(k) + 1):
             assert optimal_t_distributions(t, g, k) == _fraction_cut(entries, t, g.p), (sizes, k, t)
             for dist in bounded_compositions(t, (0,) * g.p, k):
-                center = sum(g.prefix_mask(i, d) for i, d in enumerate(dist))
+                center = g.prefix_mask(dist)
                 assert (exchange_optimal(g, k, t, center)
                         == _fraction_exchange(g, k, t, center)), (sizes, k, dist)
     assert len(blocks) == 2073 and tied == 570

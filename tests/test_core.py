@@ -88,8 +88,11 @@ def test_ground_set_layout():
     assert g.offsets == (0, 8)
     assert list(g.part_elements(0)) == list(range(1, 9))
     assert list(g.part_elements(1)) == list(range(9, 19))
-    assert g.prefix_mask(0, 3) == 0b111
-    assert g.prefix_mask(1, 2) == 0b11 << 8
+    assert g.prefix_mask((3, 0)) == 0b111
+    assert g.prefix_mask((0, 2)) == 0b11 << 8
+    assert g.prefix_mask((3, 2)) == 0b111 | 0b11 << 8
+    assert g.prefix_mask((0, 0)) == 0
+    assert g.prefix_mask((8, 10)) == g.full_mask
     assert g.element_part(8) == 0
     assert g.element_part(9) == 1
 
@@ -120,8 +123,12 @@ def test_ground_set_validation():
     g = GroundSet((4,))
     with pytest.raises(InvalidParametersError):
         g.element_part(5)
-    with pytest.raises(InvalidParametersError):
-        g.prefix_mask(0, 5)
+    for lengths in ((5,), (-1,), (2, 2), ()):
+        with pytest.raises(InvalidParametersError):
+            g.prefix_mask(lengths)
+    for part in (-1, 1):
+        with pytest.raises(InvalidParametersError):
+            g.part_elements(part)
     g.check_mask(g.full_mask)
     for mask in (mask_of([5]), -1):
         with pytest.raises(InvalidParametersError):

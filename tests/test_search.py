@@ -144,9 +144,9 @@ def _candidates(fam, t):
 
 
 def _greedy_star(fam, t):
-    """The solver's star seed, counted member by member: t times, the
-    element most frequent among the candidates holding the center so far,
-    the least on ties."""
+    """The solver's star seed, counted member by member, and its center:
+    t times, the element most frequent among the candidates holding the
+    center so far, the least on ties."""
     members = _candidates(fam, t)
     center = 0
     for _ in range(t):
@@ -158,7 +158,7 @@ def _greedy_star(fam, t):
             break
         center |= mask_of([min(counts, key=lambda e: (-counts[e], e))])
         members = [m for m in members if m & center == center]
-    return Family(fam.ground, frozenset(members))
+    return center, Family(fam.ground, frozenset(members))
 
 
 def _pairwise_conflicts(verts, t):
@@ -173,10 +173,9 @@ def _block_kernel(ground, k, t, goal=None):
     size (no LP stop)."""
     space = enumerate_block(ground, k)
     size, r, w = search.max_window_family(t, ground, k)
-    window = sum(ground.prefix_mask(i, w_i) for i, w_i in enumerate(w))
-    seed = {m for m in space.members if (m & window).bit_count() >= t + r}
-    assert len(seed) == size
-    return search._search_down_sets(space, t, len(space.members) if goal is None else goal, seed)
+    got = search._search_down_sets(space, t, len(space.members) if goal is None else goal, w, r)
+    assert got.bound_used == size
+    return got
 
 
 def test_conflict_rows_match_a_pairwise_reference(monkeypatch):
@@ -210,7 +209,7 @@ def test_conflict_rows_match_a_pairwise_reference(monkeypatch):
         (conflict, chosen), = seen
         assert conflict == want, (sorted(fam.members), t)
         assert not any(row >> i & 1 for i, row in enumerate(conflict))
-        star = _greedy_star(fam, t).members
+        star = _greedy_star(fam, t)[1].members
         assert chosen == sum(1 << i for i, m in enumerate(verts) if m in star)
     assert built > 100, built
 
@@ -263,7 +262,7 @@ def test_conflict_rows_match_a_pairwise_reference(monkeypatch):
 def _partwise_below(ground, verts):
     """below[u][v]: whether vertex u lies below v in the product shifting
     order, its sorted elements at most v's, one by one, in every part."""
-    parts = [ground.prefix_mask(i, s) for i, s in enumerate(ground.sizes)]
+    parts = [mask_of(ground.part_elements(i)) for i in range(ground.p)]
     split = [[core.elements_of(m & part) for part in parts] for m in verts]
     return [[all(a <= b for x, y in zip(su, sv) for a, b in zip(x, y)) for sv in split]
             for su in split]
@@ -336,6 +335,11 @@ def test_kernel_route_matches_the_clique_route_on_shifted_families(monkeypatch):
         want = search._max_clique(closed, t)
         assert got.max_size == want.max_size == brute_force_max(closed, t).max_size, \
             (g.sizes, sorted(closed.members), t)
+        # the kernel's seed is the window family of the greedy center's
+        # profile: the center is a union of part prefixes, so it is the star
+        c, star = _greedy_star(closed, t)
+        assert g.prefix_mask(g.profile(c)) == c, (g.sizes, sorted(closed.members), t)
+        assert got.bound_used == len(star.members), (g.sizes, sorted(closed.members), t)
         for r in (got, want):
             assert len(r.witness.members) == r.max_size
             assert r.witness.members <= closed.members
@@ -495,7 +499,7 @@ def test_margin_child_is_refuted(monkeypatch):
     plain = _without(monkeypatch, "refute")(fam, 1)
     assert verdicts == [True]
     assert (r.max_size, r.nodes_explored, plain.nodes_explored) == (2, 1, 2)
-    assert r.witness == plain.witness == _greedy_star(fam, 1)
+    assert r.witness == plain.witness == _greedy_star(fam, 1)[1]
     assert r.bound_used == plain.bound_used == 2
 
 
@@ -514,7 +518,7 @@ def test_refutation_changes_only_the_node_count(monkeypatch):
         refuted += r.nodes_explored < p.nodes_explored
         s = star_seeded(fam, t)
         assert r.max_size == s.max_size and r.nodes_explored <= s.nodes_explored
-        assert r.bound_used >= s.bound_used == len(_greedy_star(fam, t).members)
+        assert r.bound_used >= s.bound_used == len(_greedy_star(fam, t)[1].members)
         if r.bound_used == s.bound_used:
             assert r.witness == s.witness
         else:
@@ -531,7 +535,7 @@ def test_optimal_star_stays_the_witness(monkeypatch):
     for fam, t in ((Family.from_iterables(GroundSet((5,)), _PENTAGRAM), 1),
                    (enumerate_block(GroundSet((7,)), (3,)), 1),
                    (enumerate_quota(GroundSet((5, 5)), 3, (1, 1)), 1)):
-        star = _greedy_star(fam, t)
+        star = _greedy_star(fam, t)[1]
         r = search._max_clique(fam, t)
         assert (r.witness, r.bound_used) == (star, r.max_size)
         assert r.nodes_explored <= _without(monkeypatch, "seed")(fam, t).nodes_explored
@@ -948,17 +952,18 @@ def test_check_block_maximum_checks_the_star_bound(monkeypatch):
         check_block_maximum(GroundSet((2,) * 6), (1,) * 6, 1)
 
 
-def test_a_seed_member_outside_the_candidates_raises():
-    # a seed member must be a candidate: a member of the space with at
-    # least t elements
-    g = GroundSet((5,))
-    space = enumerate_block(g, (2,))
-    with pytest.raises(InvariantError, match=r"seed member \[1, 2, 3\] is no candidate"):
-        search._search_down_sets(space, 1, 10, {mask_of([1, 2]), mask_of([1, 2, 3])})
-    short = Family.from_iterables(g, [[1], [1, 2]])
-    with pytest.raises(InvariantError, match=r"seed member \[1\] is no candidate"):
-        search._search_down_sets(short, 2, 2, {mask_of([1])})
-    assert search._search_down_sets(short, 2, 2, {mask_of([1, 2])}).max_size == 1
+def test_a_window_family_must_be_t_intersecting():
+    # the kernel builds its seed from a window (w, r): the candidates
+    # meeting the first sum(w) elements in at least t + r, which it takes
+    # only when sum(w) <= t + 2r, the test that makes them t-intersecting.
+    # {1,2} met in one element at t = 1 is refused; {1,2,3} met in two is
+    # the 3-member seed {1,2},{1,3},{2,3}
+    space = enumerate_block(GroundSet((5,)), (2,))
+    with pytest.raises(InvariantError, match=r"sum\(w\) = 2 exceeds t \+ 2r = 1"):
+        search._search_down_sets(space, 1, 10, (2,), 0)
+    got = search._search_down_sets(space, 1, 3, (3,), 1)
+    assert (got.max_size, got.bound_used, got.nodes_explored) == (3, 3, 0)
+    assert got.witness == Family.from_iterables(GroundSet((5,)), [[1, 2], [1, 3], [2, 3]])
 
 
 def test_a_huge_ground_costs_what_its_candidates_span(monkeypatch):
